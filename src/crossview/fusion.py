@@ -95,7 +95,10 @@ def weighted_pose(results) -> tuple[np.ndarray, float, float]:
     order so the result is exactly permutation invariant. Heading is averaged
     over residuals wrapped about the lowest-d candidate's heading estimate.
     """
-    rs = _ordered(results)
+    return _weighted_pose(_ordered(results))
+
+
+def _weighted_pose(rs: list[MatchResult]) -> tuple[np.ndarray, float, float]:
     inv = np.array([1.0 / r.d for r in rs])
     w = inv / np.sum(inv)
     positions = np.array([r.p_hat for r in rs])
@@ -116,7 +119,12 @@ def fused_covariance(results, fallback_variances: np.ndarray | None = None) -> n
     positive definite when candidates coincide. With a single candidate there
     is no scatter to measure, so the configured prior variances are used.
     """
-    rs = _ordered(results)
+    return _fused_covariance(_ordered(results), fallback_variances)
+
+
+def _fused_covariance(
+    rs: list[MatchResult], fallback_variances: np.ndarray | None
+) -> np.ndarray:
     M = np.zeros((5, 5))
     if len(rs) < 2:
         variances = (
@@ -142,8 +150,9 @@ def fused_covariance(results, fallback_variances: np.ndarray | None = None) -> n
 
 def fuse(results, fallback_variances: np.ndarray | None = None) -> FusedMeasurement:
     """Weighted pose plus scatter covariance for one frame's candidate list."""
-    p_bar, psi_bar, theta_bar = weighted_pose(results)
-    M = fused_covariance(results, fallback_variances)
+    rs = _ordered(results)
+    p_bar, psi_bar, theta_bar = _weighted_pose(rs)
+    M = _fused_covariance(rs, fallback_variances)
     if not math.isfinite(psi_bar) or not np.all(np.isfinite(p_bar)):
         raise ValueError("fused measurement is not finite")
     return FusedMeasurement(p_bar, psi_bar, theta_bar, M)

@@ -77,6 +77,11 @@ class Pose6D:
 def wrap_angle(angle: float) -> float:
     """Wrap an angle in degrees to (-180, 180]; -180 maps to +180."""
     _require_finite(angle=angle)
+    return _wrap_angle(angle)
+
+
+def _wrap_angle(angle: float) -> float:
+    # Unchecked kernel of wrap_angle, for angles already known finite.
     wrapped = float(angle) % 360.0
     if wrapped > 180.0:
         wrapped -= 360.0
@@ -98,6 +103,12 @@ def euler_to_rotmat(psi: float, theta: float, phi: float) -> np.ndarray:
     Angles are degrees. The result is orthonormal to machine precision.
     """
     _require_finite(psi=psi, theta=theta, phi=phi)
+    return _euler_to_rotmat(psi, theta, phi)
+
+
+def _euler_to_rotmat(psi: float, theta: float, phi: float) -> np.ndarray:
+    # Unchecked kernel of euler_to_rotmat, for callers whose angles are
+    # already known finite (a validated Pose6D, or a kernel's own output).
     cz = math.cos(math.radians(psi))
     sz = math.sin(math.radians(psi))
     cy = math.cos(math.radians(theta))
@@ -133,6 +144,12 @@ def rotmat_to_euler(R: np.ndarray) -> tuple[float, float, float]:
     R = np.asarray(R, dtype=float)
     if not is_rotation_matrix(R):
         raise ValueError("R is not a rotation matrix (orthonormal within 1e-6)")
+    return _rotmat_to_euler(R)
+
+
+def _rotmat_to_euler(R: np.ndarray) -> tuple[float, float, float]:
+    # Unchecked kernel of rotmat_to_euler: R must be a float ndarray already
+    # known to be a rotation (validated, or a product of validated ones).
     sy = math.hypot(R[0, 0], R[1, 0])
     if sy < _GIMBAL_EPS:
         theta = math.copysign(90.0, -R[2, 0])
@@ -142,7 +159,7 @@ def rotmat_to_euler(R: np.ndarray) -> tuple[float, float, float]:
         theta = math.degrees(math.atan2(-R[2, 0], sy))
         psi = math.degrees(math.atan2(R[1, 0], R[0, 0]))
         phi = math.degrees(math.atan2(R[2, 1], R[2, 2]))
-    return (wrap_angle(psi), theta, wrap_angle(phi))
+    return (_wrap_angle(psi), theta, _wrap_angle(phi))
 
 
 def ground_intersection(pose: Pose6D) -> tuple[float, float]:

@@ -214,37 +214,48 @@ class SyntheticMatcher:
         self._seed = _check_seed(seed)
 
     def match_pair(self, obs: UavObservation, tile: TileRecord) -> MatchResult:
+        return self.match_frame(obs, [tile])[0]
+
+    def match_frame(self, obs: UavObservation, tiles) -> list[MatchResult]:
+        """Score one frame against each tile, in the order given.
+
+        Equal to ``[match_pair(obs, t) for t in tiles]``, but the per-frame
+        stream and the camera's ground point are computed once, not per tile.
+        """
         noise = self.noise
         # Per-frame stream: the error component shared by every tile paired
         # with this frame. Draw order: 5 standard normals (x, y, z, psi, theta).
         frame_rng = np.random.default_rng(
             np.random.SeedSequence([self._seed, obs.frame])
         )
-        shared = frame_rng.standard_normal(5)
-        # Per-pair stream. Draw order: outlier gate, 5 standard normals,
-        # distance jitter normal.
-        pair_rng = np.random.default_rng(
-            np.random.SeedSequence([self._seed, obs.frame, tile.tile_id])
-        )
-        gate = pair_rng.random()
-        own = pair_rng.standard_normal(5)
-        jitter = pair_rng.standard_normal()
-
-        c = math.sqrt(noise.common_frac)
+        shared = math.sqrt(noise.common_frac) * frame_rng.standard_normal(5)
         i = math.sqrt(1.0 - noise.common_frac)
-        mixed = c * shared + i * own
-        if gate < noise.outlier_prob:
-            mixed = mixed * noise.outlier_factor
         truth = obs.truth
-        p_hat = (
-            truth.x + noise.sigma_xy * mixed[0],
-            truth.y + noise.sigma_xy * mixed[1],
-            truth.z + noise.sigma_z * mixed[2],
-        )
-        psi_hat = wrap_angle(truth.psi + noise.sigma_psi * mixed[3])
-        theta_hat = min(max(truth.theta + noise.sigma_theta * mixed[4], 0.0), 45.0)
-        d = _distance_score(truth, tile, noise, jitter)
-        return MatchResult(d, p_hat, psi_hat, theta_hat, tile.tile_id)
+        scene = ground_intersection(truth)
+        results = []
+        for tile in tiles:
+            # Per-pair stream. Draw order: outlier gate, 5 standard normals,
+            # distance jitter normal.
+            pair_rng = np.random.default_rng(
+                np.random.SeedSequence([self._seed, obs.frame, tile.tile_id])
+            )
+            gate = pair_rng.random()
+            own = pair_rng.standard_normal(5)
+            jitter = pair_rng.standard_normal()
+
+            mixed = shared + i * own
+            if gate < noise.outlier_prob:
+                mixed = mixed * noise.outlier_factor
+            p_hat = (
+                truth.x + noise.sigma_xy * mixed[0],
+                truth.y + noise.sigma_xy * mixed[1],
+                truth.z + noise.sigma_z * mixed[2],
+            )
+            psi_hat = wrap_angle(truth.psi + noise.sigma_psi * mixed[3])
+            theta_hat = min(max(truth.theta + noise.sigma_theta * mixed[4], 0.0), 45.0)
+            d = _distance_score(scene, tile, noise, jitter)
+            results.append(MatchResult(d, p_hat, psi_hat, theta_hat, tile.tile_id))
+        return results
 
 
 class SceneMatcher:
@@ -275,21 +286,34 @@ class SceneMatcher:
         self.tilt_prior = float(tilt_prior)
 
     def match_pair(self, obs: UavObservation, tile: TileRecord) -> MatchResult:
-        # Per-pair stream, single draw: distance jitter normal.
-        pair_rng = np.random.default_rng(
-            np.random.SeedSequence([self._seed, obs.frame, tile.tile_id])
-        )
-        jitter = pair_rng.standard_normal()
-        d = _distance_score(obs.truth, tile, self.noise, jitter)
-        p_hat = (tile.x, tile.y, self.altitude)
-        return MatchResult(d, p_hat, self.heading_prior, self.tilt_prior, tile.tile_id)
+        return self.match_frame(obs, [tile])[0]
+
+    def match_frame(self, obs: UavObservation, tiles) -> list[MatchResult]:
+        """Score one frame against each tile, in the order given."""
+        scene = ground_intersection(obs.truth)
+        results = []
+        for tile in tiles:
+            # Per-pair stream, single draw: distance jitter normal.
+            pair_rng = np.random.default_rng(
+                np.random.SeedSequence([self._seed, obs.frame, tile.tile_id])
+            )
+            jitter = pair_rng.standard_normal()
+            d = _distance_score(scene, tile, self.noise, jitter)
+            p_hat = (tile.x, tile.y, self.altitude)
+            results.append(
+                MatchResult(d, p_hat, self.heading_prior, self.tilt_prior, tile.tile_id)
+            )
+        return results
 
 
 def _distance_score(
-    truth: Pose6D, tile: TileRecord, noise: MatcherNoiseModel, jitter: float
+    scene: tuple[float, float], tile: TileRecord, noise: MatcherNoiseModel, jitter: float
 ) -> float:
-    """d0 + d_slope * |scene center - tile center| + half-normal jitter, floored."""
-    sx, sy = ground_intersection(truth)
+    """d0 + d_slope * |scene center - tile center| + half-normal jitter, floored.
+
+    scene is the camera's ground point, from :func:`ground_intersection`.
+    """
+    sx, sy = scene
     gap = math.hypot(sx - tile.x, sy - tile.y)
     d = noise.d0 + noise.d_slope * gap + noise.d_jitter * abs(jitter)
     return max(d, D_MIN)
@@ -306,6 +330,9 @@ class RecordingMatcher:
         result = self._inner.match_pair(obs, tile)
         self._records[(obs.frame, tile.tile_id)] = result
         return result
+
+    def match_frame(self, obs: UavObservation, tiles) -> list[MatchResult]:
+        return [self.match_pair(obs, tile) for tile in tiles]
 
     def __len__(self) -> int:
         return len(self._records)
@@ -357,6 +384,9 @@ class ReplayMatcher:
             return self._records[(obs.frame, tile.tile_id)]
         except KeyError:
             raise ReplayMissError(obs.frame, tile.tile_id) from None
+
+    def match_frame(self, obs: UavObservation, tiles) -> list[MatchResult]:
+        return [self.match_pair(obs, tile) for tile in tiles]
 
     def __len__(self) -> int:
         return len(self._records)

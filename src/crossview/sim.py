@@ -18,9 +18,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import SimConfig
-from .estimator import FilterState, ProcessNoise, VoIncrement, correct, predict
+# predict is the reference _run_pipeline's steps reproduce; it stays
+# importable as sim.predict, the name perfbench/tracing.py wraps.
+from .estimator import FilterState, ProcessNoise, VoIncrement, correct, predict  # noqa: F401
 from .fusion import fuse
-from .geometry import Pose6D, euler_to_rotmat, rotmat_to_euler, wrap_angle, wrap_angles
+from .geometry import (
+    Pose6D,
+    _euler_to_rotmat,
+    _rotmat_to_euler,
+    euler_to_rotmat,
+    rotmat_to_euler,
+    wrap_angle,
+    wrap_angles,
+)
 from .matchers import (
     MatcherNoiseModel,
     SceneMatcher,
@@ -355,22 +365,36 @@ def _run_pipeline(
     backend,
     cfg: SimConfig,
     tile_set: TileSet | None,
-) -> list[Pose6D]:
-    noise = ProcessNoise(np.full(6, cfg.process_noise_var))
+) -> tuple[list[Pose6D], np.ndarray]:
+    """Filter one flight: predict every frame, correct every stride frames.
+
+    Returns one pose per frame and the final 6x6 covariance. This is a
+    trusted loop: frames and increments were validated when they were built,
+    so each 20 Hz step runs :func:`predict`'s arithmetic, in the same order,
+    through the unchecked geometry kernels, and P stays a bare array between
+    corrections. Each correction goes through a FilterState and the unchanged
+    :func:`correct`, and every output pose is a checked Pose6D.
+    """
+    if len(increments) != len(frames):
+        raise ValueError(f"{len(increments)} increments for {len(frames)} frames")
+    Q = ProcessNoise(np.full(6, cfg.process_noise_var)).matrix
     state = FilterState.initial(frames[0].truth, cfg.init_cov_var)
-    poses = [state.pose]
+    pose, P = state.pose, state.P
+    poses = [pose]
     stride = cfg.correction_stride
     for i in range(1, len(frames)):
-        state = predict(state, increments[i], noise)
+        inc = increments[i]
+        dx, dy, dz = inc.dp.tolist()
+        psi, theta, phi = _rotmat_to_euler(inc.dR @ _euler_to_rotmat(*pose.angles))
+        pose = Pose6D(pose.x + dx, pose.y + dy, pose.z + dz, psi, theta, phi)
+        P = P + Q
         if backend is not None and i % stride == 0:
             obs = UavObservation(i, frames[i].truth)
-            candidates = k_nearest(
-                tile_set, (state.pose.x, state.pose.y), cfg.k_candidates
-            )
-            results = [backend.match_pair(obs, tile) for tile in candidates]
-            state = correct(state, fuse(results))
-        poses.append(state.pose)
-    return poses
+            candidates = k_nearest(tile_set, (pose.x, pose.y), cfg.k_candidates)
+            state = correct(FilterState(pose, P), fuse(backend.match_frame(obs, candidates)))
+            pose, P = state.pose, state.P
+        poses.append(pose)
+    return poses, P
 
 
 def run_experiment(cfg: SimConfig, tile_set: TileSet, seed: int) -> ExperimentResult:
@@ -392,7 +416,7 @@ def run_experiment(cfg: SimConfig, tile_set: TileSet, seed: int) -> ExperimentRe
     estimates = {}
     summaries = {}
     for method in METHODS:
-        poses = _run_pipeline(frames, increments, backends[method], cfg, tile_set)
+        poses, _ = _run_pipeline(frames, increments, backends[method], cfg, tile_set)
         estimates[method] = poses
         summaries[method] = rmse(poses, truth)
     return ExperimentResult(seed, frames, estimates, summaries)

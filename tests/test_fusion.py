@@ -214,6 +214,20 @@ def test_fuse_permutation_invariant_bitwise():
         assert np.array_equal(base.M, other.M)
 
 
+@pytest.mark.parametrize("k", [1, 2, 9])
+def test_fuse_on_shuffled_list_equals_public_parts(k):
+    rng = np.random.default_rng(47 + k)
+    results = random_results(rng, k)
+    p_bar, psi_bar, theta_bar = weighted_pose(results)
+    M = fused_covariance(results)
+    shuffled = list(results)
+    rng.shuffle(shuffled)
+    fused = fuse(shuffled)
+    assert np.array_equal(fused.p_bar, p_bar)
+    assert (fused.psi_bar, fused.theta_bar) == (psi_bar, theta_bar)
+    assert np.array_equal(fused.M, M)
+
+
 def test_fuse_rejects_distance_below_floor():
     r = MatchResult(1e-4, (0.0, 0.0, 0.0), 0.0, 0.0, 0)
     with pytest.raises(ValueError):

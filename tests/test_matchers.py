@@ -157,6 +157,24 @@ def test_matcher_determinism_bitwise():
     assert ra == rb  # exact float equality via dataclass eq
 
 
+@pytest.mark.parametrize(
+    "matcher",
+    [
+        SyntheticMatcher(hybrid_noise_model(), seed=3),
+        SyntheticMatcher(regression_noise_model(outlier_prob=0.3), seed=3),
+        SceneMatcher(hybrid_noise_model(), seed=3),
+    ],
+    ids=["hybrid", "regression-outliers", "scene"],
+)
+@pytest.mark.parametrize("k", [1, 9])
+def test_match_frame_equals_per_pair_calls(matcher, k):
+    tiles = [TileRecord(tid, 50.0 * (tid % 3), 50.0 * (tid // 3)) for tid in range(k)]
+    for frame in range(40):
+        obs = obs_at(frame, x=10.0 * frame, y=-3.0, theta=15.0)
+        batch = matcher.match_frame(obs, tiles)
+        assert batch == [matcher.match_pair(obs, t) for t in tiles]
+
+
 def test_distance_always_positive():
     rng = np.random.default_rng(33)
     noise = MatcherNoiseModel(d0=D_MIN, d_slope=0.0, d_jitter=50.0)
@@ -262,6 +280,10 @@ def test_record_then_replay_identical(tmp_path):
     replay = ReplayMatcher.load(path)
     replayed = run_sequence(replay)
     assert replayed == originals  # bitwise: repr round-trips floats exactly
+
+    tiles = [TileRecord(tid, 50.0 * tid, 0.0) for tid in range(3)]
+    obs = obs_at(2, x=2.0, theta=5.0)
+    assert replay.match_frame(obs, tiles) == recorder.match_frame(obs, tiles)
 
 
 def test_replay_miss_raises(tmp_path):

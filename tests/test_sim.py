@@ -6,9 +6,18 @@ import numpy as np
 import pytest
 
 from crossview.config import SimConfig
-from crossview.estimator import VoIncrement
+from crossview.estimator import FilterState, ProcessNoise, VoIncrement, correct, predict
+from crossview.fusion import fuse
 from crossview.geometry import Pose6D, euler_to_rotmat
+from crossview.matchers import (
+    RecordingMatcher,
+    ReplayMatcher,
+    SyntheticMatcher,
+    UavObservation,
+)
 from crossview.sim import (
+    _make_backends,
+    _run_pipeline,
     METHODS,
     RmseSummary,
     TrajectoryFrame,
@@ -318,6 +327,79 @@ def test_lower_matcher_noise_never_hurts():
         tight = run_experiment(halved, tiles, seed=seed).summaries["vo_hybrid"].pos_rmse_m
         deltas.append(base - tight)
     assert np.mean(deltas) > 0.0
+
+
+# --- trusted pipeline loop against the public reference ----------------------
+
+
+def reference_pipeline(frames, increments, backend, cfg, tile_set):
+    """The filter loop built from the public, fully checked calls."""
+    noise = ProcessNoise(np.full(6, cfg.process_noise_var))
+    state = FilterState.initial(frames[0].truth, cfg.init_cov_var)
+    poses = [state.pose]
+    for i in range(1, len(frames)):
+        state = predict(state, increments[i], noise)
+        if backend is not None and i % cfg.correction_stride == 0:
+            obs = UavObservation(i, frames[i].truth)
+            candidates = k_nearest(tile_set, (state.pose.x, state.pose.y), cfg.k_candidates)
+            state = correct(state, fuse([backend.match_pair(obs, t) for t in candidates]))
+        poses.append(state.pose)
+    return poses, state.P
+
+
+def assert_same_run(got, want):
+    (poses, P), (ref_poses, ref_P) = got, want
+    assert len(poses) == len(ref_poses)
+    for a, b in zip(poses, ref_poses):
+        assert (a.x, a.y, a.z, a.psi, a.theta, a.phi) == (b.x, b.y, b.z, b.psi, b.theta, b.phi)
+    assert np.array_equal(P, ref_P)
+
+
+def test_vo_only_pipeline_equals_chained_predict():
+    cfg = SimConfig().validate()
+    frames = gen_trajectory(cfg, seed=3)
+    increments = simulate_vo(frames, drift_from_config(cfg), seed=3)
+    got = _run_pipeline(frames, increments, None, cfg, None)
+    assert_same_run(got, reference_pipeline(frames, increments, None, cfg, None))
+
+
+@pytest.mark.parametrize("method", ["vo_scene", "vo_regression", "vo_hybrid"])
+def test_corrected_pipeline_equals_public_reference(method):
+    cfg = small_config(correction_hz=4.0, outlier_prob=0.2)
+    frames = gen_trajectory(cfg, seed=8)
+    increments = simulate_vo(frames, drift_from_config(cfg), seed=8)
+    tiles = tiles_for(frames)
+    backend = _make_backends(cfg, 8)[method]
+    got = _run_pipeline(frames, increments, backend, cfg, tiles)
+    assert_same_run(got, reference_pipeline(frames, increments, backend, cfg, tiles))
+
+
+def test_pipeline_rejects_mismatched_increments():
+    cfg = small_config()
+    frames = gen_trajectory(cfg, seed=0)
+    increments = simulate_vo(frames, drift_from_config(cfg), seed=0)
+    with pytest.raises(ValueError, match="increments"):
+        _run_pipeline(frames, increments[:-1], None, cfg, None)
+
+
+def test_recording_and_replay_drive_the_pipeline(tmp_path):
+    cfg = small_config()
+    frames = gen_trajectory(cfg, seed=2)
+    increments = simulate_vo(frames, drift_from_config(cfg), seed=2)
+    tiles = tiles_for(frames)
+    backend = _make_backends(cfg, 2)["vo_hybrid"]
+    assert isinstance(backend, SyntheticMatcher)
+    plain = _run_pipeline(frames, increments, backend, cfg, tiles)
+
+    recorder = RecordingMatcher(backend)
+    assert_same_run(_run_pipeline(frames, increments, recorder, cfg, tiles), plain)
+    corrections = (len(frames) - 1) // cfg.correction_stride
+    assert len(recorder) == corrections * cfg.k_candidates
+
+    path = tmp_path / "matches.txt"
+    recorder.save(str(path))
+    replay = ReplayMatcher.load(str(path))
+    assert_same_run(_run_pipeline(frames, increments, replay, cfg, tiles), plain)
 
 
 # --- text round trips --------------------------------------------------------
