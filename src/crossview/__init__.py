@@ -15,7 +15,6 @@ from .estimator import (
     VoIncrement,
     correct,
     predict,
-    run_filter,
     state_vector,
 )
 from .fusion import FusedMeasurement, fuse, fused_covariance, weighted_pose
@@ -51,8 +50,7 @@ from .matchers import (
     SceneMatcher,
     SyntheticMatcher,
     UavObservation,
-    hybrid_noise_model,
-    regression_noise_model,
+    noise_model,
 )
 from .sim import (
     METHODS,

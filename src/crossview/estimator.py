@@ -27,7 +27,6 @@ __all__ = [
     "VoIncrement",
     "correct",
     "predict",
-    "run_filter",
     "state_vector",
 ]
 
@@ -150,40 +149,3 @@ def correct(state: FilterState, measurement: FusedMeasurement) -> FilterState:
         wrap_angle(float(updated[5])),
     )
     return FilterState(pose, P_new)
-
-
-def run_filter(
-    initial: FilterState,
-    increments,
-    corrections=(),
-    noise: ProcessNoise = ProcessNoise(),
-) -> list[FilterState]:
-    """Run predict/correct over timestamped streams.
-
-    increments: iterable of (t, VoIncrement), strictly increasing t.
-    corrections: iterable of (t, FusedMeasurement), strictly increasing t;
-    each is applied right after the first prediction at or past its timestamp.
-    Returns one FilterState per increment. Out-of-order timestamps, or a
-    correction due after the final prediction, raise ValueError.
-    """
-    increments = list(increments)
-    corrections = list(corrections)
-    for stream, name in ((increments, "increment"), (corrections, "correction")):
-        times = [t for t, _ in stream]
-        if any(t1 <= t0 for t0, t1 in zip(times, times[1:])):
-            raise ValueError(f"{name} timestamps must be strictly increasing")
-
-    states: list[FilterState] = []
-    state = initial
-    ci = 0
-    for t, inc in increments:
-        state = predict(state, inc, noise)
-        while ci < len(corrections) and corrections[ci][0] <= t:
-            state = correct(state, corrections[ci][1])
-            ci += 1
-        states.append(state)
-    if ci < len(corrections):
-        raise ValueError(
-            f"correction at t={corrections[ci][0]} falls after the final prediction"
-        )
-    return states

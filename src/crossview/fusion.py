@@ -18,8 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import SimConfig
 from .geometry import wrap_angle
-from .matchers import D_MIN, MatchResult, hybrid_noise_model
+from .matchers import D_MIN, MatchResult, noise_model
 
 __all__ = [
     "COVARIANCE_RIDGE",
@@ -64,19 +65,10 @@ class FusedMeasurement:
 def default_fallback_variances() -> np.ndarray:
     """Prior variances (x, y, z, psi, theta) used when k < 2 leaves no scatter.
 
-    Derived from the hybrid backend calibration, the most conservative row of
-    the two synthetic models in regular use.
+    The hybrid backend's variances at the default config: the smaller-variance
+    of the two synthetic calibrations, so a lone candidate counts as a good one.
     """
-    noise = hybrid_noise_model()
-    return np.array(
-        [
-            noise.sigma_xy**2,
-            noise.sigma_xy**2,
-            noise.sigma_z**2,
-            noise.sigma_psi**2,
-            noise.sigma_theta**2,
-        ]
-    )
+    return noise_model(SimConfig(), "hybrid").variances()
 
 
 def _ordered(results) -> list[MatchResult]:

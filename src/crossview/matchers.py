@@ -25,7 +25,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .config import SimConfig
 from .geometry import Pose6D, ground_intersection, wrap_angle
+from .textfile import FileFormatError, read_rows, write_rows
 from .tiles import TileRecord
 
 __all__ = [
@@ -39,8 +41,7 @@ __all__ = [
     "SceneMatcher",
     "SyntheticMatcher",
     "UavObservation",
-    "hybrid_noise_model",
-    "regression_noise_model",
+    "noise_model",
 ]
 
 # Feature distances are floored here; downstream inverse-distance weighting
@@ -59,8 +60,7 @@ class ReplayMissError(KeyError):
         self.tile_id = tile_id
 
 
-class MatchFileError(ValueError):
-    """Raised for malformed match record files."""
+MatchFileError = FileFormatError
 
 
 @dataclass(frozen=True)
@@ -159,38 +159,35 @@ class MatcherNoiseModel:
             d_jitter=0.0, outlier_prob=0.0,
         )
 
+    def variances(self) -> np.ndarray:
+        """Per-match pose error variances in measurement order (x, y, z, psi, theta)."""
+        sigmas = (self.sigma_xy, self.sigma_xy, self.sigma_z, self.sigma_psi, self.sigma_theta)
+        return np.array([s**2 for s in sigmas])
 
-def hybrid_noise_model(common_frac: float = 0.8, **overrides) -> MatcherNoiseModel:
-    """Calibration matching the measured hybrid-network error statistics.
 
-    RMS errors per match: 33.86 m horizontal (split evenly over x and y),
-    16.05 m vertical, 31.68 deg heading, 6.28 deg tilt.
+def noise_model(cfg: SimConfig, kind: str) -> MatcherNoiseModel:
+    """The configured error calibration of one backend kind.
+
+    kind is "scene", "regression" or "hybrid". Every kind shares the
+    config's distance model. Scene retrieval only produces distances, so its
+    pose part stays zero; the other two take their per-match RMS errors from
+    the config's ``<kind>_*_rms_*`` figures, the horizontal one split evenly
+    over x and y.
     """
+    distance = dict(d0=cfg.d0, d_slope=cfg.d_slope, d_jitter=cfg.d_jitter)
+    if kind == "scene":
+        return MatcherNoiseModel(**distance)
+    if kind not in ("regression", "hybrid"):
+        raise ValueError(f"unknown matcher kind {kind!r}")
     return MatcherNoiseModel(
-        sigma_xy=33.86 / math.sqrt(2.0),
-        sigma_z=16.05,
-        sigma_psi=31.68,
-        sigma_theta=6.28,
-        d_jitter=5.0,
-        common_frac=common_frac,
-        **overrides,
-    )
-
-
-def regression_noise_model(common_frac: float = 0.8, **overrides) -> MatcherNoiseModel:
-    """Calibration matching the measured regression-only error statistics.
-
-    RMS errors per match: 68.06 m horizontal, 17.32 m vertical, 70.64 deg
-    heading, 7.94 deg tilt.
-    """
-    return MatcherNoiseModel(
-        sigma_xy=68.06 / math.sqrt(2.0),
-        sigma_z=17.32,
-        sigma_psi=70.64,
-        sigma_theta=7.94,
-        d_jitter=5.0,
-        common_frac=common_frac,
-        **overrides,
+        sigma_xy=getattr(cfg, f"{kind}_horizontal_rms_m") / math.sqrt(2.0),
+        sigma_z=getattr(cfg, f"{kind}_vertical_rms_m"),
+        sigma_psi=getattr(cfg, f"{kind}_heading_rms_deg"),
+        sigma_theta=getattr(cfg, f"{kind}_tilt_rms_deg"),
+        outlier_prob=cfg.outlier_prob,
+        outlier_factor=cfg.outlier_factor,
+        common_frac=cfg.common_frac,
+        **distance,
     )
 
 
@@ -338,14 +335,12 @@ class RecordingMatcher:
         return len(self._records)
 
     def save(self, path: str) -> None:
-        lines = [_HEADER]
-        for (frame, tile_id), r in self._records.items():
-            lines.append(
-                f"{frame} {tile_id} {r.d!r} {r.p_hat[0]!r} {r.p_hat[1]!r}"
-                f" {r.p_hat[2]!r} {r.psi_hat!r} {r.theta_hat!r}"
-            )
-        with open(path, "w", encoding="ascii") as fh:
-            fh.write("\n".join(lines) + "\n")
+        rows = (
+            f"{frame} {tile_id} {r.d!r} {r.p_hat[0]!r} {r.p_hat[1]!r}"
+            f" {r.p_hat[2]!r} {r.psi_hat!r} {r.theta_hat!r}"
+            for (frame, tile_id), r in self._records.items()
+        )
+        write_rows(path, _HEADER, rows)
 
 
 class ReplayMatcher:
@@ -356,28 +351,7 @@ class ReplayMatcher:
 
     @classmethod
     def load(cls, path: str) -> "ReplayMatcher":
-        with open(path, "r", encoding="ascii") as fh:
-            raw = fh.read().splitlines()
-        if not raw or raw[0].strip() != _HEADER:
-            raise MatchFileError(f"{path}:1: expected header {_HEADER!r}")
-        records: dict[tuple[int, int], MatchResult] = {}
-        for lineno, line in enumerate(raw[1:], start=2):
-            if not line.strip():
-                continue
-            tokens = line.split()
-            if len(tokens) != 8:
-                raise MatchFileError(
-                    f"{path}:{lineno}: expected 'frame tile d px py pz psi theta'"
-                )
-            try:
-                frame, tile_id = int(tokens[0]), int(tokens[1])
-                d, px, py, pz, psi, theta = (float(t) for t in tokens[2:])
-                records[(frame, tile_id)] = MatchResult(
-                    d, (px, py, pz), psi, theta, tile_id
-                )
-            except ValueError as exc:
-                raise MatchFileError(f"{path}:{lineno}: {exc}") from exc
-        return cls(records)
+        return cls(read_rows(path, _HEADER, _parse_records))
 
     def match_pair(self, obs: UavObservation, tile: TileRecord) -> MatchResult:
         try:
@@ -390,3 +364,14 @@ class ReplayMatcher:
 
     def __len__(self) -> int:
         return len(self._records)
+
+
+def _parse_records(rows) -> dict[tuple[int, int], MatchResult]:
+    records = {}
+    for tokens in rows:
+        if len(tokens) != 8:
+            raise ValueError("expected 'frame tile d px py pz psi theta'")
+        frame, tile_id = int(tokens[0]), int(tokens[1])
+        d, px, py, pz, psi, theta = (float(t) for t in tokens[2:])
+        records[(frame, tile_id)] = MatchResult(d, (px, py, pz), psi, theta, tile_id)
+    return records

@@ -31,14 +31,8 @@ from .geometry import (
     wrap_angle,
     wrap_angles,
 )
-from .matchers import (
-    MatcherNoiseModel,
-    SceneMatcher,
-    SyntheticMatcher,
-    UavObservation,
-    hybrid_noise_model,
-    regression_noise_model,
-)
+from .matchers import SceneMatcher, SyntheticMatcher, UavObservation, noise_model
+from .textfile import read_rows, write_rows
 from .tiles import TileSet, k_nearest
 
 __all__ = [
@@ -107,43 +101,6 @@ def drift_from_config(cfg: SimConfig) -> VoDriftModel:
         pos_noise_m=cfg.vo_pos_noise_m,
         rot_noise_deg=cfg.vo_rot_noise_deg,
         bias_walk_m=cfg.vo_bias_walk_m,
-    )
-
-
-def _scene_noise_from_config(cfg: SimConfig) -> MatcherNoiseModel:
-    # Scene retrieval only produces distances; the pose part is deterministic.
-    return MatcherNoiseModel(
-        d0=cfg.d0, d_slope=cfg.d_slope, d_jitter=cfg.d_jitter
-    )
-
-
-def _hybrid_noise_from_config(cfg: SimConfig) -> MatcherNoiseModel:
-    return MatcherNoiseModel(
-        sigma_xy=cfg.hybrid_horizontal_rms_m / math.sqrt(2.0),
-        sigma_z=cfg.hybrid_vertical_rms_m,
-        sigma_psi=cfg.hybrid_heading_rms_deg,
-        sigma_theta=cfg.hybrid_tilt_rms_deg,
-        d0=cfg.d0,
-        d_slope=cfg.d_slope,
-        d_jitter=cfg.d_jitter,
-        outlier_prob=cfg.outlier_prob,
-        outlier_factor=cfg.outlier_factor,
-        common_frac=cfg.common_frac,
-    )
-
-
-def _regression_noise_from_config(cfg: SimConfig) -> MatcherNoiseModel:
-    return MatcherNoiseModel(
-        sigma_xy=cfg.regression_horizontal_rms_m / math.sqrt(2.0),
-        sigma_z=cfg.regression_vertical_rms_m,
-        sigma_psi=cfg.regression_heading_rms_deg,
-        sigma_theta=cfg.regression_tilt_rms_deg,
-        d0=cfg.d0,
-        d_slope=cfg.d_slope,
-        d_jitter=cfg.d_jitter,
-        outlier_prob=cfg.outlier_prob,
-        outlier_factor=cfg.outlier_factor,
-        common_frac=cfg.common_frac,
     )
 
 
@@ -348,14 +305,14 @@ def _make_backends(cfg: SimConfig, seed: int) -> dict[str, object]:
     return {
         "vo_only": None,
         "vo_scene": SceneMatcher(
-            _scene_noise_from_config(cfg),
+            noise_model(cfg, "scene"),
             seed=seed,
             altitude=cfg.scene_altitude_m,
             heading_prior=cfg.scene_heading_deg,
             tilt_prior=cfg.scene_tilt_deg,
         ),
-        "vo_regression": SyntheticMatcher(_regression_noise_from_config(cfg), seed=seed),
-        "vo_hybrid": SyntheticMatcher(_hybrid_noise_from_config(cfg), seed=seed),
+        "vo_regression": SyntheticMatcher(noise_model(cfg, "regression"), seed=seed),
+        "vo_hybrid": SyntheticMatcher(noise_model(cfg, "hybrid"), seed=seed),
     }
 
 
@@ -373,10 +330,13 @@ def _run_pipeline(
     so each 20 Hz step runs :func:`predict`'s arithmetic, in the same order,
     through the unchecked geometry kernels, and P stays a bare array between
     corrections. Each correction goes through a FilterState and the unchanged
-    :func:`correct`, and every output pose is a checked Pose6D.
+    :func:`correct`, and every output pose is a checked Pose6D. When
+    k_candidates = 1 leaves no scatter to measure, every backend's fused
+    covariance falls back to the configured hybrid-grade variances.
     """
     if len(increments) != len(frames):
         raise ValueError(f"{len(increments)} increments for {len(frames)} frames")
+    fallback = noise_model(cfg, "hybrid").variances()
     Q = ProcessNoise(np.full(6, cfg.process_noise_var)).matrix
     state = FilterState.initial(frames[0].truth, cfg.init_cov_var)
     pose, P = state.pose, state.P
@@ -391,7 +351,8 @@ def _run_pipeline(
         if backend is not None and i % stride == 0:
             obs = UavObservation(i, frames[i].truth)
             candidates = k_nearest(tile_set, (pose.x, pose.y), cfg.k_candidates)
-            state = correct(FilterState(pose, P), fuse(backend.match_frame(obs, candidates)))
+            z = fuse(backend.match_frame(obs, candidates), fallback)
+            state = correct(FilterState(pose, P), z)
             pose, P = state.pose, state.P
         poses.append(pose)
     return poses, P
@@ -447,18 +408,17 @@ def save_trajectory(path: str, frames: list[TrajectoryFrame]) -> None:
     increment is stored as its z-y-x angles; on load it is rebuilt with
     :func:`euler_to_rotmat`, so those angles are the authoritative record.
     """
-    lines = [_TRAJ_HEADER]
+    rows = []
     for f in frames:
         p = f.truth
         dpsi, dtheta, dphi = rotmat_to_euler(f.vo_increment.dR)
         # repr() of a numpy scalar is not a parseable float literal
         dpx, dpy, dpz = (float(v) for v in f.vo_increment.dp)
-        lines.append(
+        rows.append(
             f"{f.t!r} {p.x!r} {p.y!r} {p.z!r} {p.psi!r} {p.theta!r} {p.phi!r}"
             f" {dpx!r} {dpy!r} {dpz!r} {dpsi!r} {dtheta!r} {dphi!r}"
         )
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_rows(path, _TRAJ_HEADER, rows)
 
 
 def save_estimates(path: str, times: list[float], poses: list[Pose6D]) -> None:
@@ -471,40 +431,30 @@ def save_estimates(path: str, times: list[float], poses: list[Pose6D]) -> None:
 
 
 def load_trajectory(path: str) -> list[TrajectoryFrame]:
-    with open(path, "r", encoding="ascii") as fh:
-        raw = fh.read().splitlines()
-    if not raw or raw[0].strip() != _TRAJ_HEADER:
-        raise ValueError(f"{path}:1: expected header {_TRAJ_HEADER!r}")
+    """Parse a file written by :func:`save_trajectory`; errors carry path:line."""
+    return read_rows(path, _TRAJ_HEADER, _parse_frames)
+
+
+def _parse_frames(rows) -> list[TrajectoryFrame]:
     frames = []
-    for lineno, line in enumerate(raw[1:], start=2):
-        if not line.strip():
-            continue
-        tokens = line.split()
+    for tokens in rows:
         if len(tokens) != 13:
-            raise ValueError(f"{path}:{lineno}: expected 13 columns, got {len(tokens)}")
-        try:
-            vals = [float(tok) for tok in tokens]
-        except ValueError as exc:
-            raise ValueError(f"{path}:{lineno}: {exc}") from exc
-        pose = Pose6D(vals[1], vals[2], vals[3], vals[4], vals[5], vals[6])
-        inc = VoIncrement(
-            np.array(vals[7:10]), euler_to_rotmat(vals[10], vals[11], vals[12])
-        )
-        frames.append(TrajectoryFrame(vals[0], pose, inc))
+            raise ValueError(f"expected 13 columns, got {len(tokens)}")
+        v = [float(tok) for tok in tokens]
+        inc = VoIncrement(np.array(v[7:10]), euler_to_rotmat(v[10], v[11], v[12]))
+        frames.append(TrajectoryFrame(v[0], Pose6D(*v[1:7]), inc))
     if not frames:
-        raise ValueError(f"{path}: file contains no frames")
+        raise ValueError("file contains no frames")
     return frames
 
 
 def write_summary(path: str, summaries: dict[str, RmseSummary]) -> None:
     """Write per-method errors as a small CSV, methods in canonical order."""
-    lines = ["method,pos_rmse_m,pos_pct,psi_rmse_deg,theta_rmse_deg"]
+    rows = []
     for method in METHODS:
-        if method not in summaries:
-            continue
-        s = summaries[method]
-        lines.append(
-            f"{method},{s.pos_rmse_m!r},{s.pos_pct!r},{s.psi_rmse_deg!r},{s.theta_rmse_deg!r}"
-        )
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("\n".join(lines) + "\n")
+        if method in summaries:
+            s = summaries[method]
+            rows.append(
+                f"{method},{s.pos_rmse_m!r},{s.pos_pct!r},{s.psi_rmse_deg!r},{s.theta_rmse_deg!r}"
+            )
+    write_rows(path, "method,pos_rmse_m,pos_pct,psi_rmse_deg,theta_rmse_deg", rows)

@@ -14,6 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .textfile import FileFormatError, read_rows, write_rows
+
 __all__ = [
     "TILE_ALTITUDE",
     "TILE_HEADING",
@@ -32,8 +34,7 @@ TILE_HEADING = 0.0
 _HEADER = "#crossview-tiles-v1"
 
 
-class TileFileError(ValueError):
-    """Raised for malformed tile files; the message carries the line number."""
+TileFileError = FileFormatError
 
 
 @dataclass(frozen=True)
@@ -196,20 +197,10 @@ def _ring_indices(ix0: int, iy0: int, m: int, nx: int, ny: int):
 
 def save_tiles(tile_set: TileSet, path: str) -> None:
     """Write a tile set as the versioned text format (round-trip exact)."""
-    lines = [_HEADER]
-    lines.append(
-        "bounds {} {} {} {} {}".format(
-            repr(tile_set.x_min),
-            repr(tile_set.x_max),
-            repr(tile_set.y_min),
-            repr(tile_set.y_max),
-            repr(tile_set.spacing),
-        )
-    )
-    for tile in tile_set.tiles:
-        lines.append(f"{tile.tile_id} {tile.x!r} {tile.y!r}")
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("\n".join(lines) + "\n")
+    t = tile_set
+    bounds = f"bounds {t.x_min!r} {t.x_max!r} {t.y_min!r} {t.y_max!r} {t.spacing!r}"
+    rows = (f"{tile.tile_id} {tile.x!r} {tile.y!r}" for tile in t.tiles)
+    write_rows(path, _HEADER, [bounds, *rows])
 
 
 def load_tiles(path: str) -> TileSet:
@@ -217,35 +208,19 @@ def load_tiles(path: str) -> TileSet:
 
     Raises TileFileError with a line number for any malformed content.
     """
-    with open(path, "r", encoding="ascii") as fh:
-        raw = fh.read().splitlines()
-    if not raw or raw[0].strip() != _HEADER:
-        raise TileFileError(f"{path}:1: expected header {_HEADER!r}")
-    if len(raw) < 2:
-        raise TileFileError(f"{path}:2: missing bounds line")
-    bounds_tokens = raw[1].split()
-    if len(bounds_tokens) != 6 or bounds_tokens[0] != "bounds":
-        raise TileFileError(f"{path}:2: expected 'bounds x_min x_max y_min y_max spacing'")
-    try:
-        x_min, x_max, y_min, y_max, spacing = (float(t) for t in bounds_tokens[1:])
-    except ValueError as exc:
-        raise TileFileError(f"{path}:2: bad bounds value: {exc}") from exc
+    return read_rows(path, _HEADER, _parse_tiles)
 
+
+def _parse_tiles(rows) -> TileSet:
+    bounds = next(rows, [])
+    if len(bounds) != 6 or bounds[0] != "bounds":
+        raise ValueError("expected 'bounds x_min x_max y_min y_max spacing'")
+    x_min, x_max, y_min, y_max, spacing = (float(t) for t in bounds[1:])
     tiles = []
-    for lineno, line in enumerate(raw[2:], start=3):
-        if not line.strip():
-            continue
-        tokens = line.split()
+    for tokens in rows:
         if len(tokens) != 3:
-            raise TileFileError(f"{path}:{lineno}: expected 'id x y', got {line!r}")
-        try:
-            tile = TileRecord(int(tokens[0]), float(tokens[1]), float(tokens[2]))
-        except ValueError as exc:
-            raise TileFileError(f"{path}:{lineno}: {exc}") from exc
-        tiles.append(tile)
+            raise ValueError(f"expected 'id x y', got {' '.join(tokens)!r}")
+        tiles.append(TileRecord(int(tokens[0]), float(tokens[1]), float(tokens[2])))
     if not tiles:
-        raise TileFileError(f"{path}: file contains no tiles")
-    try:
-        return TileSet(tuple(tiles), x_min, x_max, y_min, y_max, spacing)
-    except ValueError as exc:
-        raise TileFileError(f"{path}: {exc}") from exc
+        raise ValueError("file contains no tiles")
+    return TileSet(tuple(tiles), x_min, x_max, y_min, y_max, spacing)

@@ -11,7 +11,6 @@ from crossview.estimator import (
     VoIncrement,
     correct,
     predict,
-    run_filter,
     state_vector,
 )
 from crossview.fusion import FusedMeasurement
@@ -219,18 +218,35 @@ def test_correct_matches_literal_algebra():
         np.testing.assert_allclose(out.P, 0.5 * (P_ref + P_ref.T), atol=1e-9)
 
 
-# --- run_filter -----------------------------------------------------------
+# --- predict/correct loop -------------------------------------------------
 
 
 def drifting_increments(n, dt=0.05, speed=12.5, scale=0.1):
     true_dp = np.array([0.0, speed * dt, 0.0])
     inc = VoIncrement(true_dp * (1.0 + scale), np.eye(3))
-    return [(i * dt, inc) for i in range(1, n + 1)], true_dp
+    return [inc] * n, true_dp
+
+
+def filter_loop(increments, corrections=None):
+    """One state per increment: predict, then the correction due at that step.
+
+    corrections maps a 1-based step number to the measurement applied right
+    after that step's prediction, the 20-to-1 schedule the pipeline runs.
+    """
+    corrections = corrections or {}
+    state = state_at()
+    states = []
+    for step, inc in enumerate(increments, start=1):
+        state = predict(state, inc)
+        if step in corrections:
+            state = correct(state, corrections[step])
+        states.append(state)
+    return states
 
 
 def test_dead_reckoning_p_trace_monotone():
     incs, _ = drifting_increments(200)
-    states = run_filter(state_at(), incs)
+    states = filter_loop(incs)
     traces = [np.trace(s.P) for s in states]
     assert all(b > a for a, b in zip(traces, traces[1:]))
     assert len(states) == 200
@@ -239,44 +255,24 @@ def test_dead_reckoning_p_trace_monotone():
 def test_perfect_corrections_pin_position():
     incs, true_dp = drifting_increments(100, scale=0.2)
     truth = [np.array([0.0, 0.0, 150.0]) + true_dp * i for i in range(1, 101)]
-    cors = []
+    cors = {}
     for i in range(20, 101, 20):
         z = np.array([truth[i - 1][0], truth[i - 1][1], truth[i - 1][2], 0.0, 0.0])
-        cors.append((i * 0.05, measurement(z, np.eye(5) * 1e-9)))
-    states = run_filter(state_at(), incs, cors)
+        cors[i] = measurement(z, np.eye(5) * 1e-9)
+    states = filter_loop(incs, cors)
     for i in range(20, 101, 20):
         err = np.linalg.norm(states[i - 1].pose.position - truth[i - 1])
         assert err < 1e-3
 
 
-def test_run_filter_rejects_bad_streams():
-    incs, _ = drifting_increments(10)
-    shuffled = [incs[1], incs[0]] + incs[2:]
-    with pytest.raises(ValueError):
-        run_filter(state_at(), shuffled)
-    late = [(99.0, measurement(np.zeros(5), np.eye(5)))]
-    with pytest.raises(ValueError):
-        run_filter(state_at(), incs, late)
-
-
-def test_run_filter_correction_before_first_increment():
-    # a correction timestamped before any prediction applies right after the
-    # first prediction rather than being dropped
-    incs, _ = drifting_increments(5)
-    z = np.array([100.0, 0.0, 150.0, 0.0, 0.0])
-    cors = [(0.0, measurement(z, np.eye(5) * 1e-9))]
-    states = run_filter(state_at(), incs, cors)
-    assert states[0].pose.x == pytest.approx(100.0, abs=1e-3)
-
-
 def test_interleaving_20_to_1():
     incs, _ = drifting_increments(60)
-    cors = [
-        (1.0, measurement(np.array([0, 12.5, 150, 0, 0]), np.eye(5))),
-        (2.0, measurement(np.array([0, 25.0, 150, 0, 0]), np.eye(5))),
-        (3.0, measurement(np.array([0, 37.5, 150, 0, 0]), np.eye(5))),
-    ]
-    states = run_filter(state_at(), incs, cors)
+    cors = {
+        20: measurement(np.array([0, 12.5, 150, 0, 0]), np.eye(5)),
+        40: measurement(np.array([0, 25.0, 150, 0, 0]), np.eye(5)),
+        60: measurement(np.array([0, 37.5, 150, 0, 0]), np.eye(5)),
+    }
+    states = filter_loop(incs, cors)
     # P drops exactly at the correction frames (indices 19, 39, 59)
     traces = [np.trace(s.P) for s in states]
     for idx in (19, 39, 59):

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from crossview.config import SimConfig
 from crossview.geometry import Pose6D, ground_intersection
 from crossview.matchers import (
     D_MIN,
@@ -17,10 +18,11 @@ from crossview.matchers import (
     SceneMatcher,
     SyntheticMatcher,
     UavObservation,
-    hybrid_noise_model,
-    regression_noise_model,
+    noise_model,
 )
 from crossview.tiles import TileRecord
+
+HYBRID = noise_model(SimConfig(), "hybrid")
 
 
 def obs_at(frame, x=0.0, y=0.0, z=150.0, psi=0.0, theta=0.0):
@@ -103,7 +105,7 @@ def test_distance_uses_ground_intersection_not_camera():
 
 def test_noise_statistics_match_calibration():
     """Empirical RMS of 1e4 matches within 5% of the configured sigmas."""
-    noise = hybrid_noise_model()
+    noise = HYBRID
     matcher = SyntheticMatcher(noise, seed=5)
     tile = TileRecord(0, 0.0, 0.0)
     errs = np.empty((10_000, 4))
@@ -124,7 +126,7 @@ def test_noise_statistics_match_calibration():
 
 
 def test_common_fraction_correlates_same_frame_errors():
-    noise = hybrid_noise_model(common_frac=0.8)
+    noise = HYBRID
     matcher = SyntheticMatcher(noise, seed=6)
     tiles = (TileRecord(0, 0.0, 0.0), TileRecord(1, 50.0, 0.0))
     xa, xb = [], []
@@ -147,7 +149,7 @@ def test_outlier_inflation():
 
 
 def test_matcher_determinism_bitwise():
-    noise = hybrid_noise_model()
+    noise = HYBRID
     a = SyntheticMatcher(noise, seed=9)
     b = SyntheticMatcher(noise, seed=9)
     obs = obs_at(17, x=3.0, y=4.0, theta=12.0)
@@ -160,9 +162,9 @@ def test_matcher_determinism_bitwise():
 @pytest.mark.parametrize(
     "matcher",
     [
-        SyntheticMatcher(hybrid_noise_model(), seed=3),
-        SyntheticMatcher(regression_noise_model(outlier_prob=0.3), seed=3),
-        SceneMatcher(hybrid_noise_model(), seed=3),
+        SyntheticMatcher(HYBRID, seed=3),
+        SyntheticMatcher(noise_model(SimConfig(outlier_prob=0.3), "regression"), seed=3),
+        SceneMatcher(HYBRID, seed=3),
     ],
     ids=["hybrid", "regression-outliers", "scene"],
 )
@@ -231,23 +233,41 @@ def test_scene_prior_validation():
 
 
 def test_calibration_models():
-    hyb = hybrid_noise_model()
-    reg = regression_noise_model()
-    assert hyb.sigma_xy == pytest.approx(33.86 / math.sqrt(2.0))
-    assert hyb.sigma_z == 16.05
-    assert hyb.sigma_psi == 31.68
-    assert hyb.sigma_theta == 6.28
-    assert reg.sigma_xy == pytest.approx(68.06 / math.sqrt(2.0))
-    assert reg.sigma_psi == 70.64
+    cfg = SimConfig()
+    hyb = noise_model(cfg, "hybrid")
+    reg = noise_model(cfg, "regression")
+    assert hyb.sigma_xy == cfg.hybrid_horizontal_rms_m / math.sqrt(2.0)
+    assert hyb.sigma_z == cfg.hybrid_vertical_rms_m
+    assert hyb.sigma_psi == cfg.hybrid_heading_rms_deg
+    assert hyb.sigma_theta == cfg.hybrid_tilt_rms_deg
+    assert reg.sigma_xy == cfg.regression_horizontal_rms_m / math.sqrt(2.0)
+    assert reg.sigma_psi == cfg.regression_heading_rms_deg
+    assert hyb.common_frac == reg.common_frac == cfg.common_frac
+    assert (hyb.d0, hyb.d_slope, hyb.d_jitter) == (cfg.d0, cfg.d_slope, cfg.d_jitter)
     # regression-grade is strictly noisier than hybrid-grade
     assert reg.sigma_xy > hyb.sigma_xy
     assert reg.sigma_z > hyb.sigma_z
     assert reg.sigma_psi > hyb.sigma_psi
     assert reg.sigma_theta > hyb.sigma_theta
+    np.testing.assert_array_equal(
+        hyb.variances(),
+        [hyb.sigma_xy**2, hyb.sigma_xy**2, hyb.sigma_z**2, hyb.sigma_psi**2,
+         hyb.sigma_theta**2],
+    )
+
+
+def test_noise_model_follows_config():
+    cfg = SimConfig(hybrid_vertical_rms_m=8.0, outlier_prob=0.25, d_jitter=2.0)
+    hyb = noise_model(cfg, "hybrid")
+    assert hyb.sigma_z == 8.0 and hyb.outlier_prob == 0.25 and hyb.d_jitter == 2.0
+    scene = noise_model(cfg, "scene")
+    assert scene == MatcherNoiseModel(d0=cfg.d0, d_slope=cfg.d_slope, d_jitter=2.0)
+    with pytest.raises(ValueError, match="unknown matcher kind"):
+        noise_model(cfg, "retrieval")
 
 
 def test_zeroed_keeps_distance_model():
-    noise = hybrid_noise_model()
+    noise = HYBRID
     z = noise.zeroed()
     assert z.sigma_xy == z.sigma_z == z.sigma_psi == z.sigma_theta == 0.0
     assert z.d_jitter == 0.0 and z.outlier_prob == 0.0
@@ -268,7 +288,7 @@ def run_sequence(matcher, frames=5, tiles_per_frame=3):
 
 
 def test_record_then_replay_identical(tmp_path):
-    noise = hybrid_noise_model()
+    noise = HYBRID
     recorder = RecordingMatcher(SyntheticMatcher(noise, seed=4))
     originals = run_sequence(recorder)
     assert len(recorder) == 15

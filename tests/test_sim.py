@@ -14,6 +14,7 @@ from crossview.matchers import (
     ReplayMatcher,
     SyntheticMatcher,
     UavObservation,
+    noise_model,
 )
 from crossview.sim import (
     _make_backends,
@@ -333,8 +334,13 @@ def test_lower_matcher_noise_never_hurts():
 
 
 def reference_pipeline(frames, increments, backend, cfg, tile_set):
-    """The filter loop built from the public, fully checked calls."""
+    """The filter loop built from the public, fully checked calls.
+
+    A lone candidate has no scatter, so fusion falls back to the configured
+    hybrid-grade variances.
+    """
     noise = ProcessNoise(np.full(6, cfg.process_noise_var))
+    fallback = noise_model(cfg, "hybrid").variances()
     state = FilterState.initial(frames[0].truth, cfg.init_cov_var)
     poses = [state.pose]
     for i in range(1, len(frames)):
@@ -342,7 +348,8 @@ def reference_pipeline(frames, increments, backend, cfg, tile_set):
         if backend is not None and i % cfg.correction_stride == 0:
             obs = UavObservation(i, frames[i].truth)
             candidates = k_nearest(tile_set, (state.pose.x, state.pose.y), cfg.k_candidates)
-            state = correct(state, fuse([backend.match_pair(obs, t) for t in candidates]))
+            results = [backend.match_pair(obs, t) for t in candidates]
+            state = correct(state, fuse(results, fallback))
         poses.append(state.pose)
     return poses, state.P
 
@@ -370,6 +377,25 @@ def test_corrected_pipeline_equals_public_reference(method):
     increments = simulate_vo(frames, drift_from_config(cfg), seed=8)
     tiles = tiles_for(frames)
     backend = _make_backends(cfg, 8)[method]
+    got = _run_pipeline(frames, increments, backend, cfg, tiles)
+    assert_same_run(got, reference_pipeline(frames, increments, backend, cfg, tiles))
+
+
+@pytest.mark.parametrize("method", ["vo_scene", "vo_regression", "vo_hybrid"])
+def test_single_candidate_fallback_follows_config(method):
+    """With k = 1, fusion falls back to the config's hybrid figures, not the defaults."""
+    base = SimConfig()
+    cfg = small_config(
+        k_candidates=1,
+        hybrid_horizontal_rms_m=base.hybrid_horizontal_rms_m / 2,
+        hybrid_vertical_rms_m=base.hybrid_vertical_rms_m / 2,
+        hybrid_heading_rms_deg=base.hybrid_heading_rms_deg / 2,
+        hybrid_tilt_rms_deg=base.hybrid_tilt_rms_deg / 2,
+    )
+    frames = gen_trajectory(cfg, seed=4)
+    increments = simulate_vo(frames, drift_from_config(cfg), seed=4)
+    tiles = tiles_for(frames)
+    backend = _make_backends(cfg, 4)[method]
     got = _run_pipeline(frames, increments, backend, cfg, tiles)
     assert_same_run(got, reference_pipeline(frames, increments, backend, cfg, tiles))
 

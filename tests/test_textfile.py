@@ -1,0 +1,179 @@
+"""The shared versioned-text reader/writer and the three formats built on it."""
+
+import struct
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from crossview.config import SimConfig
+from crossview.geometry import Pose6D
+from crossview.matchers import (
+    MatchFileError,
+    MatchResult,
+    RecordingMatcher,
+    ReplayMatcher,
+    UavObservation,
+)
+from crossview.sim import gen_trajectory, load_trajectory, save_trajectory
+from crossview.textfile import FileFormatError, read_rows
+from crossview.tiles import (
+    TileFileError,
+    TileRecord,
+    TileSet,
+    generate_grid,
+    load_tiles,
+    save_tiles,
+)
+
+
+def bits(value):
+    """The exact 64-bit pattern of a float, so -0.0 and 0.0 differ."""
+    return struct.pack("<d", value)
+
+
+def test_error_classes_are_one():
+    assert TileFileError is FileFormatError
+    assert MatchFileError is FileFormatError
+    assert issubclass(FileFormatError, ValueError)
+
+
+def test_blank_rows_are_skipped_but_counted(tmp_path):
+    path = tmp_path / "rows.txt"
+    path.write_text("#demo-v1\n\n1\n   \nx\n")
+
+    def parse(rows):
+        return [int(tokens[0]) for tokens in rows]
+
+    with pytest.raises(FileFormatError, match=r":5: invalid literal"):
+        read_rows(path, "#demo-v1", parse)
+
+
+def test_header_and_whole_file_errors(tmp_path):
+    path = tmp_path / "rows.txt"
+    path.write_text("#other-v1\n1\n")
+    with pytest.raises(FileFormatError, match=r":1: expected header '#demo-v1'"):
+        read_rows(path, "#demo-v1", list)
+    path.write_text("")
+    with pytest.raises(FileFormatError, match=r":1: expected header"):
+        read_rows(path, "#demo-v1", list)
+
+    path.write_text("#demo-v1\n1\n")
+
+    def parse(rows):
+        list(rows)
+        raise ValueError("whole-file check failed")
+
+    with pytest.raises(FileFormatError) as err:
+        read_rows(path, "#demo-v1", parse)
+    assert str(err.value) == f"{path}: whole-file check failed"
+
+
+# --- a bad value is reported at its own line, in every format -------------
+
+
+def poisoned_tiles(path):
+    save_tiles(generate_grid(0.0, 100.0, 0.0, 100.0, 50.0), path)
+    return load_tiles, 4, 1  # line 4 is tile 1: "1 50.0 0.0"
+
+
+def poisoned_trajectory(path):
+    cfg = SimConfig(length_m=125.0, duration_s=10.0, turn_radius_m=10.0, straight_init_m=10.0)
+    save_trajectory(path, gen_trajectory(cfg, seed=0)[:5])
+    return load_trajectory, 5, 1  # line 5 is frame 3; column 1 is x
+
+
+def poisoned_matches(path):
+    class Fixed:
+        def match_pair(self, obs, tile):
+            return MatchResult(5.0, (1.0, 2.0, 150.0), 10.0, 20.0, tile.tile_id)
+
+    recorder = RecordingMatcher(Fixed())
+    for frame in range(3):
+        obs = UavObservation(frame, Pose6D(0.0, 0.0, 150.0, 0.0, 10.0, 0.0))
+        recorder.match_frame(obs, [TileRecord(0, 0.0, 0.0), TileRecord(1, 50.0, 0.0)])
+    recorder.save(path)
+    return ReplayMatcher.load, 6, 3  # line 6 is frame 2, tile 0; column 3 is px
+
+
+@pytest.mark.parametrize(
+    "write", [poisoned_tiles, poisoned_trajectory, poisoned_matches],
+    ids=["tiles", "trajectory", "matches"],
+)
+def test_nan_value_reports_its_line(tmp_path, write):
+    path = str(tmp_path / "data.txt")
+    load, lineno, column = write(path)
+    load(path)  # the untouched file loads
+    with open(path) as fh:
+        lines = fh.read().splitlines()
+    row = lines[lineno - 1].split()
+    row[column] = "nan"
+    lines[lineno - 1] = " ".join(row)
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+    with pytest.raises(FileFormatError) as err:
+        load(path)
+    assert str(err.value).startswith(f"{path}:{lineno}: ")
+    assert "nan" in str(err.value) or "finite" in str(err.value)
+
+
+# --- bit-exact round trips of arbitrary finite floats -----------------------
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+edge = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1e308])
+values = st.one_of(edge, finite)
+positive = st.one_of(
+    st.sampled_from([5e-324, 2.2250738585072014e-308, 1e308]),
+    st.floats(min_value=5e-324, allow_infinity=False),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(x=values, y=values, spacing=positive)
+def test_tile_file_round_trips_floats_bit_exactly(tmp_path_factory, x, y, spacing):
+    path = tmp_path_factory.getbasetemp() / "tiles.txt"
+    tile_set = TileSet((TileRecord(0, x, y),), x, x, y, y, spacing)
+    save_tiles(tile_set, path)
+    back = load_tiles(path)
+
+    def flat(t):
+        values = (t.x_min, t.x_max, t.y_min, t.y_max, t.spacing, t.tiles[0].x, t.tiles[0].y)
+        return [bits(v) for v in values]
+
+    assert flat(back) == flat(tile_set)
+
+
+match_results = st.builds(
+    MatchResult,
+    d=positive,
+    p_hat=st.tuples(values, values, values),
+    psi_hat=st.one_of(
+        st.sampled_from([180.0, -0.0, 5e-324]),
+        st.floats(min_value=-180.0, max_value=180.0, exclude_min=True),
+    ),
+    theta_hat=st.one_of(st.sampled_from([0.0, -0.0, 45.0]), st.floats(0.0, 45.0)),
+    tile_id=st.integers(0, 10**12),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(results=st.lists(match_results, min_size=1, max_size=5), frame=st.integers(0, 10**12))
+def test_match_records_round_trip_floats_bit_exactly(tmp_path_factory, results, frame):
+    path = tmp_path_factory.getbasetemp() / "matches.txt"
+    by_tile = {r.tile_id: r for r in results}
+
+    class Fixed:
+        def match_pair(self, obs, tile):
+            return by_tile[tile.tile_id]
+
+    recorder = RecordingMatcher(Fixed())
+    obs = UavObservation(frame, Pose6D(0.0, 0.0, 150.0, 0.0, 10.0, 0.0))
+    tiles = [TileRecord(tid, 0.0, 0.0) for tid in by_tile]
+    recorded = recorder.match_frame(obs, tiles)
+    recorder.save(path)
+    replayed = ReplayMatcher.load(path).match_frame(obs, tiles)
+
+    def flat(r):
+        return [bits(v) for v in (r.d, *r.p_hat, r.psi_hat, r.theta_hat)] + [r.tile_id]
+
+    assert [flat(r) for r in replayed] == [flat(r) for r in recorded]
