@@ -26,6 +26,7 @@ from .sim import (
     save_estimates,
     save_trajectory,
     simulate_vo,
+    summary_table,
     write_summary,
 )
 from .tiles import generate_grid, load_tiles, save_tiles
@@ -69,13 +70,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
             os.path.join(args.out, f"{method}.txt"), times, result.estimates[method]
         )
     write_summary(os.path.join(args.out, "summary.csv"), result.summaries)
-    print("method,pos_rmse_m,pos_pct,psi_rmse_deg,theta_rmse_deg")
-    for method in METHODS:
-        s = result.summaries[method]
-        print(
-            f"{method},{s.pos_rmse_m:.2f},{s.pos_pct:.2f},"
-            f"{s.psi_rmse_deg:.2f},{s.theta_rmse_deg:.2f}"
-        )
+    print("\n".join(summary_table(result.summaries, "{:.2f}".format)))
     return 0
 
 

@@ -45,7 +45,7 @@ class VoIncrement:
 
     def __post_init__(self) -> None:
         dp = np.asarray(self.dp, dtype=float)
-        if dp.shape != (3,) or not np.all(np.isfinite(dp)):
+        if dp.shape != (3,) or not all(map(math.isfinite, dp.tolist())):
             raise ValueError("dp must be a finite 3-vector")
         dR = np.asarray(self.dR, dtype=float)
         if not is_rotation_matrix(dR):

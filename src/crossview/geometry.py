@@ -127,11 +127,20 @@ def _euler_to_rotmat(psi: float, theta: float, phi: float) -> np.ndarray:
 def is_rotation_matrix(R: np.ndarray, tol: float = 1e-6) -> bool:
     """True when R is 3x3, orthonormal within tol, and right-handed."""
     R = np.asarray(R, dtype=float)
-    if R.shape != (3, 3) or not np.all(np.isfinite(R)):
+    if R.shape != (3, 3):
         return False
-    if np.max(np.abs(R.T @ R - np.eye(3))) > tol:
+    # Plain floats: on a 3x3 matrix, numpy's per-call overhead is the cost.
+    (a, b, c), (d, e, f), (g, h, i) = R.tolist()
+    if not all(map(math.isfinite, (a, b, c, d, e, f, g, h, i))):
         return False
-    return bool(np.linalg.det(R) > 0.0)
+    # R^T R - I, diagonal first: max() keeps its first value over a nan, and
+    # an off-diagonal entry overflows to nan only when a diagonal one is inf.
+    worst = max(
+        abs(a * a + d * d + g * g - 1.0), abs(b * b + e * e + h * h - 1.0),
+        abs(c * c + f * f + i * i - 1.0), abs(a * b + d * e + g * h),
+        abs(a * c + d * f + g * i), abs(b * c + e * f + h * i),
+    )
+    return worst <= tol and a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g) > 0.0
 
 
 def rotmat_to_euler(R: np.ndarray) -> tuple[float, float, float]:
@@ -221,7 +230,7 @@ def compose_increment(pose: Pose6D, dp: np.ndarray, dR: np.ndarray) -> Pose6D:
     dp = np.asarray(dp, dtype=float)
     if dp.shape != (3,):
         raise ValueError(f"dp must be a 3-vector, got shape {dp.shape}")
-    if not np.all(np.isfinite(dp)):
+    if not all(map(math.isfinite, dp.tolist())):
         raise ValueError("dp must be finite")
     dR = np.asarray(dR, dtype=float)
     if not is_rotation_matrix(dR):

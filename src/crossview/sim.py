@@ -13,7 +13,7 @@ function of (config, seed), which is what makes batch runs byte-reproducible.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
@@ -50,6 +50,7 @@ __all__ = [
     "save_estimates",
     "save_trajectory",
     "suggested_tile_bounds",
+    "summary_table",
     "write_summary",
 ]
 
@@ -401,6 +402,18 @@ def suggested_tile_bounds(
 # --- text round trip -------------------------------------------------------
 
 
+def _pose_columns(t: float, p: Pose6D) -> str:
+    return f"{t!r} {p.x!r} {p.y!r} {p.z!r} {p.psi!r} {p.theta!r} {p.phi!r}"
+
+
+def _increment_columns(inc: VoIncrement) -> str:
+    return " ".join(map(repr, (*inc.dp.tolist(), *rotmat_to_euler(inc.dR))))
+
+
+# Every estimate row ends with these columns: "0.0 0.0 0.0 0.0 -0.0 0.0".
+_ZERO_INCREMENT = _increment_columns(VoIncrement.identity())
+
+
 def save_trajectory(path: str, frames: list[TrajectoryFrame]) -> None:
     """Write frames as the versioned 13-column text format.
 
@@ -408,26 +421,14 @@ def save_trajectory(path: str, frames: list[TrajectoryFrame]) -> None:
     increment is stored as its z-y-x angles; on load it is rebuilt with
     :func:`euler_to_rotmat`, so those angles are the authoritative record.
     """
-    rows = []
-    for f in frames:
-        p = f.truth
-        dpsi, dtheta, dphi = rotmat_to_euler(f.vo_increment.dR)
-        # repr() of a numpy scalar is not a parseable float literal
-        dpx, dpy, dpz = (float(v) for v in f.vo_increment.dp)
-        rows.append(
-            f"{f.t!r} {p.x!r} {p.y!r} {p.z!r} {p.psi!r} {p.theta!r} {p.phi!r}"
-            f" {dpx!r} {dpy!r} {dpz!r} {dpsi!r} {dtheta!r} {dphi!r}"
-        )
+    rows = [f"{_pose_columns(f.t, f.truth)} {_increment_columns(f.vo_increment)}" for f in frames]
     write_rows(path, _TRAJ_HEADER, rows)
 
 
 def save_estimates(path: str, times: list[float], poses: list[Pose6D]) -> None:
     """Write an estimated trajectory in the same format with zero increments."""
-    frames = [
-        TrajectoryFrame(t, pose, VoIncrement.identity())
-        for t, pose in zip(times, poses)
-    ]
-    save_trajectory(path, frames)
+    rows = [f"{_pose_columns(t, p)} {_ZERO_INCREMENT}" for t, p in zip(times, poses)]
+    write_rows(path, _TRAJ_HEADER, rows)
 
 
 def load_trajectory(path: str) -> list[TrajectoryFrame]:
@@ -441,6 +442,8 @@ def _parse_frames(rows) -> list[TrajectoryFrame]:
         if len(tokens) != 13:
             raise ValueError(f"expected 13 columns, got {len(tokens)}")
         v = [float(tok) for tok in tokens]
+        if not math.isfinite(v[0]):
+            raise ValueError(f"t must be finite, got {v[0]!r}")
         inc = VoIncrement(np.array(v[7:10]), euler_to_rotmat(v[10], v[11], v[12]))
         frames.append(TrajectoryFrame(v[0], Pose6D(*v[1:7]), inc))
     if not frames:
@@ -448,13 +451,16 @@ def _parse_frames(rows) -> list[TrajectoryFrame]:
     return frames
 
 
-def write_summary(path: str, summaries: dict[str, RmseSummary]) -> None:
-    """Write per-method errors as a small CSV, methods in canonical order."""
-    rows = []
+def summary_table(summaries: dict[str, RmseSummary], fmt) -> list[str]:
+    """CSV lines: RmseSummary's field names, then per method ``fmt`` of each."""
+    lines = [",".join(["method", *(f.name for f in fields(RmseSummary))])]
     for method in METHODS:
         if method in summaries:
-            s = summaries[method]
-            rows.append(
-                f"{method},{s.pos_rmse_m!r},{s.pos_pct!r},{s.psi_rmse_deg!r},{s.theta_rmse_deg!r}"
-            )
-    write_rows(path, "method,pos_rmse_m,pos_pct,psi_rmse_deg,theta_rmse_deg", rows)
+            lines.append(",".join([method, *map(fmt, astuple(summaries[method]))]))
+    return lines
+
+
+def write_summary(path: str, summaries: dict[str, RmseSummary]) -> None:
+    """Write per-method errors as a small CSV, values bit-exact."""
+    header, *rows = summary_table(summaries, repr)
+    write_rows(path, header, rows)

@@ -10,6 +10,8 @@ scanning every tile, while returning exactly what a brute-force scan sorted by
 from __future__ import annotations
 
 import math
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -59,14 +61,15 @@ class TileRecord:
 
 
 @dataclass(frozen=True)
-class TileSet:
-    """Regular grid of tiles with its bounds and spacing.
+class TileSet(Sequence):
+    """Regular grid of tiles, defined by its bounds and spacing alone.
 
-    Ids run row-major from the (x_min, y_min) corner; the constructor checks
-    that the records actually sit on that grid in that order.
+    Ids run row-major from the (x_min, y_min) corner: tile ``iy * nx + ix``
+    sits at (x_min + ix * spacing, y_min + iy * spacing). The set is the
+    read-only sequence of its TileRecords, indexed by id, each built from
+    that formula the first time it is asked for and then kept.
     """
 
-    tiles: tuple[TileRecord, ...]
     x_min: float
     x_max: float
     y_min: float
@@ -76,39 +79,43 @@ class TileSet:
     ny: int = field(init=False)
 
     def __post_init__(self) -> None:
-        if self.spacing <= 0.0 or not math.isfinite(self.spacing):
-            raise ValueError(f"spacing must be positive, got {self.spacing}")
+        bounds = (self.x_min, self.x_max, self.y_min, self.y_max, self.spacing)
+        if not all(map(math.isfinite, bounds)) or self.spacing <= 0.0:
+            raise ValueError(f"bounds and spacing must be finite, spacing > 0: {bounds}")
         if self.x_max < self.x_min or self.y_max < self.y_min:
             raise ValueError("bounds must satisfy x_min <= x_max and y_min <= y_max")
-        if not self.tiles:
-            raise ValueError("tile set is empty")
         nx = int((self.x_max - self.x_min) / self.spacing + 1e-9) + 1
         ny = int((self.y_max - self.y_min) / self.spacing + 1e-9) + 1
         object.__setattr__(self, "nx", nx)
         object.__setattr__(self, "ny", ny)
-        if len(self.tiles) != nx * ny:
-            raise ValueError(
-                f"expected {nx * ny} tiles for these bounds, got {len(self.tiles)}"
-            )
-        for iy in range(ny):
-            for ix in range(nx):
-                tile = self.tiles[iy * nx + ix]
-                expected_id = iy * nx + ix
-                cx = self.x_min + ix * self.spacing
-                cy = self.y_min + iy * self.spacing
-                if tile.tile_id != expected_id:
-                    raise ValueError(
-                        f"tile at grid position ({ix}, {iy}) has id {tile.tile_id},"
-                        f" expected {expected_id}"
-                    )
-                if abs(tile.x - cx) > 1e-9 or abs(tile.y - cy) > 1e-9:
-                    raise ValueError(
-                        f"tile {tile.tile_id} center ({tile.x}, {tile.y}) is off-grid,"
-                        f" expected ({cx}, {cy})"
-                    )
+        object.__setattr__(self, "_built", {})  # tile id -> TileRecord
 
     def __len__(self) -> int:
-        return len(self.tiles)
+        return self.nx * self.ny
+
+    def center(self, tile_id: int) -> tuple[float, float]:
+        """Ground center of a tile id, by the grid formula."""
+        iy, ix = divmod(tile_id, self.nx)
+        return (self.x_min + ix * self.spacing, self.y_min + iy * self.spacing)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return tuple(self[i] for i in range(*index.indices(len(self))))
+        i, n = operator.index(index), len(self)
+        if not -n <= i < n:
+            raise IndexError(f"tile index {i} out of range for {n} tiles")
+        return self._record(i % n)
+
+    def _record(self, tile_id: int) -> TileRecord:
+        record = self._built.get(tile_id)
+        if record is None:
+            record = self._built[tile_id] = TileRecord(tile_id, *self.center(tile_id))
+        return record
+
+    @property
+    def tiles(self) -> TileSet:
+        """The set's TileRecords in id order: the set itself."""
+        return self
 
 
 def generate_grid(
@@ -119,19 +126,7 @@ def generate_grid(
     Centers sit at x_min + i * spacing for every multiple that stays inside
     the bounds, same along y, so the count is (floor(dx/s)+1) * (floor(dy/s)+1).
     """
-    if spacing <= 0.0 or not math.isfinite(spacing):
-        raise ValueError(f"spacing must be positive, got {spacing}")
-    if x_max < x_min or y_max < y_min:
-        raise ValueError("bounds must satisfy x_min <= x_max and y_min <= y_max")
-    nx = int((x_max - x_min) / spacing + 1e-9) + 1
-    ny = int((y_max - y_min) / spacing + 1e-9) + 1
-    tiles = []
-    for iy in range(ny):
-        cy = y_min + iy * spacing
-        for ix in range(nx):
-            cx = x_min + ix * spacing
-            tiles.append(TileRecord(iy * nx + ix, cx, cy))
-    return TileSet(tuple(tiles), x_min, x_max, y_min, y_max, spacing)
+    return TileSet(x_min, x_max, y_min, y_max, spacing)
 
 
 def k_nearest(tile_set: TileSet, point: tuple[float, float], k: int) -> list[TileRecord]:
@@ -150,13 +145,12 @@ def k_nearest(tile_set: TileSet, point: tuple[float, float], k: int) -> list[Til
         raise ValueError("query point must be finite")
 
     nx, ny, s = tile_set.nx, tile_set.ny, tile_set.spacing
-    ix0 = min(max(int(round((px - tile_set.x_min) / s)), 0), nx - 1)
-    iy0 = min(max(int(round((py - tile_set.y_min) / s)), 0), ny - 1)
+    x0, y0 = tile_set.x_min, tile_set.y_min
+    ix0 = min(max(int(round((px - x0) / s)), 0), nx - 1)
+    iy0 = min(max(int(round((py - y0) / s)), 0), ny - 1)
     # Distance from the query to its anchor node; rings at index distance m
     # can contain nothing closer than m*s - anchor_gap.
-    anchor_gap = max(
-        abs(px - (tile_set.x_min + ix0 * s)), abs(py - (tile_set.y_min + iy0 * s))
-    )
+    anchor_gap = max(abs(px - (x0 + ix0 * s)), abs(py - (y0 + iy0 * s)))
 
     candidates: list[tuple[float, int]] = []
     kth_d2 = math.inf
@@ -167,13 +161,12 @@ def k_nearest(tile_set: TileSet, point: tuple[float, float], k: int) -> list[Til
             if lower > 0.0 and lower * lower > kth_d2:
                 break
         for ix, iy in _ring_indices(ix0, iy0, m, nx, ny):
-            tile = tile_set.tiles[iy * nx + ix]
-            d2 = (tile.x - px) ** 2 + (tile.y - py) ** 2
-            candidates.append((d2, tile.tile_id))
+            d2 = (x0 + ix * s - px) ** 2 + (y0 + iy * s - py) ** 2
+            candidates.append((d2, iy * nx + ix))
         if len(candidates) >= k:
             kth_d2 = sorted(candidates)[k - 1][0]
     candidates.sort()
-    return [tile_set.tiles[tid] for _, tid in candidates[:k]]
+    return [tile_set._record(tid) for _, tid in candidates[:k]]
 
 
 def _ring_indices(ix0: int, iy0: int, m: int, nx: int, ny: int):
@@ -199,14 +192,16 @@ def save_tiles(tile_set: TileSet, path: str) -> None:
     """Write a tile set as the versioned text format (round-trip exact)."""
     t = tile_set
     bounds = f"bounds {t.x_min!r} {t.x_max!r} {t.y_min!r} {t.y_max!r} {t.spacing!r}"
-    rows = (f"{tile.tile_id} {tile.x!r} {tile.y!r}" for tile in t.tiles)
+    xs = [repr(t.x_min + ix * t.spacing) for ix in range(t.nx)]
+    ys = [repr(t.y_min + iy * t.spacing) for iy in range(t.ny)]
+    rows = (f"{iy * t.nx + ix} {x} {y}" for iy, y in enumerate(ys) for ix, x in enumerate(xs))
     write_rows(path, _HEADER, [bounds, *rows])
 
 
 def load_tiles(path: str) -> TileSet:
-    """Parse a tile file written by :func:`save_tiles`.
-
-    Raises TileFileError with a line number for any malformed content.
+    """Parse a tile file written by :func:`save_tiles` into the grid its bounds
+    line defines. Each row must be that grid's tile: id equal to the row index,
+    center within 1e-9. Raises TileFileError with a line number for a bad row.
     """
     return read_rows(path, _HEADER, _parse_tiles)
 
@@ -215,12 +210,17 @@ def _parse_tiles(rows) -> TileSet:
     bounds = next(rows, [])
     if len(bounds) != 6 or bounds[0] != "bounds":
         raise ValueError("expected 'bounds x_min x_max y_min y_max spacing'")
-    x_min, x_max, y_min, y_max, spacing = (float(t) for t in bounds[1:])
-    tiles = []
-    for tokens in rows:
+    grid = TileSet(*(float(t) for t in bounds[1:]))
+    count = 0
+    for count, tokens in enumerate(rows, start=1):
         if len(tokens) != 3:
             raise ValueError(f"expected 'id x y', got {' '.join(tokens)!r}")
-        tiles.append(TileRecord(int(tokens[0]), float(tokens[1]), float(tokens[2])))
-    if not tiles:
-        raise ValueError("file contains no tiles")
-    return TileSet(tuple(tiles), x_min, x_max, y_min, y_max, spacing)
+        tile_id, x, y = int(tokens[0]), float(tokens[1]), float(tokens[2])
+        if tile_id != count - 1:
+            raise ValueError(f"expected tile id {count - 1}, got {tile_id}")
+        cx, cy = grid.center(tile_id)
+        if not (abs(x - cx) <= 1e-9 and abs(y - cy) <= 1e-9):
+            raise ValueError(f"tile {tile_id} at ({x!r}, {y!r}) is off-grid, not ({cx!r}, {cy!r})")
+    if count != len(grid):
+        raise ValueError(f"expected {len(grid)} tiles for these bounds, got {count}")
+    return grid

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from crossview.geometry import (
     CELLS_PER_SIDE,
@@ -134,6 +136,91 @@ def test_gimbal_lock_reconstructs_rotation(theta):
 def test_rotmat_to_euler_rejects_non_rotation():
     with pytest.raises(ValueError):
         rotmat_to_euler(1.5 * np.eye(3))
+
+
+# --- properties -------------------------------------------------------------
+
+
+def numpy_is_rotation_matrix(R, tol=1e-6):
+    """The numpy form of the rotation check, the reference for the scalar one."""
+    R = np.asarray(R, dtype=float)
+    if R.shape != (3, 3) or not np.all(np.isfinite(R)):
+        return False
+    if np.max(np.abs(R.T @ R - np.eye(3))) > tol:
+        return False
+    return bool(np.linalg.det(R) > 0.0)
+
+
+angles = st.floats(-180.0, 180.0)
+finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def rotation_candidates(draw):
+    """Rotations, and rotations bent just inside or outside the 1e-6 check."""
+    R = euler_to_rotmat(draw(angles), draw(angles), draw(angles))
+    kinds = ["rotation", "scaled", "sheared", "perturbed", "reflection", "non_finite"]
+    kind = draw(st.sampled_from(kinds))
+    if kind == "scaled":  # R^T R = (1 + d)^2 I: rejected once |d| passes ~5e-7
+        R = R * (1.0 + draw(st.floats(-1e-6, 1e-6)))
+    elif kind == "sheared":  # moves one off-diagonal pair of R^T R by s alone
+        j, k = draw(st.sampled_from([(0, 1), (0, 2), (1, 2), (1, 0), (2, 0), (2, 1)]))
+        shear = np.eye(3)
+        shear[j, k] = draw(st.floats(-2e-6, 2e-6))
+        R = R @ shear
+    elif kind == "perturbed":
+        noise = draw(st.lists(st.floats(-1.0, 1.0), min_size=9, max_size=9))
+        R = R + draw(st.floats(1e-8, 1e-5)) * np.reshape(noise, (3, 3))
+    elif kind == "reflection":
+        R = R @ np.diag([1.0, 1.0, -1.0])
+    elif kind == "non_finite":
+        R[draw(st.integers(0, 2)), draw(st.integers(0, 2))] = draw(
+            st.sampled_from([math.nan, math.inf, -math.inf])
+        )
+    return R
+
+
+@settings(max_examples=500, deadline=None)
+@given(R=rotation_candidates())
+@example(R=-np.eye(3))
+@example(R=np.eye(4))
+def test_scalar_rotation_check_matches_numpy_form(R):
+    assert is_rotation_matrix(R) == numpy_is_rotation_matrix(R)
+
+
+@pytest.mark.parametrize("j, k", [(0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2)])
+def test_rotation_check_straddles_tolerance(j, k):
+    # Entry (j, k) of R^T R - I alone, just inside and just outside 1e-6.
+    R = euler_to_rotmat(30.0, 20.0, 10.0)
+    for dev, expected in ((0.9e-6, True), (1.1e-6, False)):
+        bend = np.eye(3)
+        bend[j, k] = math.sqrt(1.0 + dev) if j == k else dev
+        assert is_rotation_matrix(R @ bend) is expected
+        assert numpy_is_rotation_matrix(R @ bend) is expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(psi=finite, theta=finite, phi=finite)
+def test_euler_to_rotmat_of_any_finite_angles_is_a_rotation(psi, theta, phi):
+    assert is_rotation_matrix(euler_to_rotmat(psi, theta, phi))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    psi=angles,
+    phi=angles,
+    sign=st.sampled_from([1.0, -1.0]),
+    gap=st.one_of(st.just(0.0), st.floats(1e-12, 1.0)),
+)
+def test_euler_round_trip_near_vertical_tilt(psi, phi, sign, gap):
+    theta = sign * (90.0 - gap)
+    R = euler_to_rotmat(psi, theta, phi)
+    got_psi, got_theta, got_phi = rotmat_to_euler(R)
+    np.testing.assert_allclose(euler_to_rotmat(got_psi, got_theta, got_phi), R, atol=1e-9)
+    assert abs(got_theta - theta) <= 1e-8
+    if gap >= 1e-6:  # clear of the gimbal fold, the angles come back too
+        assert abs(wrap_angle(got_psi - psi)) <= 1e-7
+        assert abs(wrap_angle(got_phi - phi)) <= 1e-7
 
 
 # --- ground_intersection --------------------------------------------------

@@ -83,6 +83,11 @@ def poisoned_trajectory(path):
     return load_trajectory, 5, 1  # line 5 is frame 3; column 1 is x
 
 
+def poisoned_timestamp(path):
+    load, lineno, _ = poisoned_trajectory(path)
+    return load, lineno, 0  # column 0 is t
+
+
 def poisoned_matches(path):
     class Fixed:
         def match_pair(self, obs, tile):
@@ -97,8 +102,8 @@ def poisoned_matches(path):
 
 
 @pytest.mark.parametrize(
-    "write", [poisoned_tiles, poisoned_trajectory, poisoned_matches],
-    ids=["tiles", "trajectory", "matches"],
+    "write", [poisoned_tiles, poisoned_trajectory, poisoned_timestamp, poisoned_matches],
+    ids=["tiles", "trajectory", "trajectory_t", "matches"],
 )
 def test_nan_value_reports_its_line(tmp_path, write):
     path = str(tmp_path / "data.txt")
@@ -117,6 +122,20 @@ def test_nan_value_reports_its_line(tmp_path, write):
     assert "nan" in str(err.value) or "finite" in str(err.value)
 
 
+@pytest.mark.parametrize("t", ["inf", "-inf"])
+def test_infinite_timestamp_reports_its_line(tmp_path, t):
+    path = str(tmp_path / "flight.txt")
+    load, lineno, _ = poisoned_trajectory(path)
+    with open(path) as fh:
+        lines = fh.read().splitlines()
+    lines[lineno - 1] = " ".join([t, *lines[lineno - 1].split()[1:]])
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+    with pytest.raises(FileFormatError) as err:
+        load(path)
+    assert str(err.value).startswith(f"{path}:{lineno}: t must be finite")
+
+
 # --- bit-exact round trips of arbitrary finite floats -----------------------
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
@@ -132,7 +151,7 @@ positive = st.one_of(
 @given(x=values, y=values, spacing=positive)
 def test_tile_file_round_trips_floats_bit_exactly(tmp_path_factory, x, y, spacing):
     path = tmp_path_factory.getbasetemp() / "tiles.txt"
-    tile_set = TileSet((TileRecord(0, x, y),), x, x, y, y, spacing)
+    tile_set = TileSet(x, x, y, y, spacing)
     save_tiles(tile_set, path)
     back = load_tiles(path)
 
@@ -141,6 +160,8 @@ def test_tile_file_round_trips_floats_bit_exactly(tmp_path_factory, x, y, spacin
         return [bits(v) for v in values]
 
     assert flat(back) == flat(tile_set)
+    # the one tile sits where the grid formula puts it (-0.0 + 0 * s is 0.0)
+    assert flat(back)[5:] == [bits(x + 0 * spacing), bits(y + 0 * spacing)]
 
 
 match_results = st.builds(

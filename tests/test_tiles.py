@@ -2,11 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crossview.tiles import (
     TileFileError,
     TileRecord,
-    TileSet,
     generate_grid,
     k_nearest,
     load_tiles,
@@ -68,16 +69,50 @@ def test_tile_record_validation():
     assert t.altitude == 300.0 and t.heading == 0.0
 
 
-def test_tileset_rejects_inconsistent_tiles():
-    good = generate_grid(0.0, 100.0, 0.0, 100.0, 50.0)
-    # drop a tile: count no longer matches the bounds
-    with pytest.raises(ValueError):
-        TileSet(good.tiles[:-1], 0.0, 100.0, 0.0, 100.0, 50.0)
-    # move a tile off the lattice
-    moved = list(good.tiles)
-    moved[4] = TileRecord(4, 51.0, 50.0)
-    with pytest.raises(ValueError):
-        TileSet(tuple(moved), 0.0, 100.0, 0.0, 100.0, 50.0)
+def test_tileset_rejects_inconsistent_tiles(tmp_path):
+    # A tile file must hold exactly the grid its bounds line defines.
+    path = tmp_path / "tiles.txt"
+    save_tiles(generate_grid(0.0, 100.0, 0.0, 100.0, 50.0), path)
+    lines = path.read_text().splitlines()  # line 3 + i is tile i
+
+    def load_with(edited):
+        path.write_text("\n".join(edited) + "\n")
+        with pytest.raises(TileFileError) as err:
+            load_tiles(path)
+        return str(err.value)
+
+    # a dropped tile: the count no longer matches the bounds, a whole-file error
+    assert load_with(lines[:-1]) == f"{path}: expected 9 tiles for these bounds, got 8"
+    # a tile moved off the lattice is reported at its own line
+    moved = load_with(lines[:6] + ["4 51.0 50.0"] + lines[7:])
+    assert moved.startswith(f"{path}:7: ") and "off-grid" in moved
+    # a wrong id is reported at its own line
+    renumbered = load_with(lines[:6] + ["5 50.0 50.0"] + lines[7:])
+    assert renumbered == f"{path}:7: expected tile id 4, got 5"
+
+
+def test_tiles_sequence_builds_grid_records(grid_861):
+    tiles = grid_861.tiles
+    assert len(tiles) == 861
+    assert tiles[-1] == tiles[860] == TileRecord(860, 2000.0, 1000.0)
+    assert tiles[42] == TileRecord(42, 50.0, 50.0)
+    assert tiles[40:43] == (tiles[40], tiles[41], tiles[42])
+    assert [t.tile_id for t in tiles] == list(range(861))
+    with pytest.raises(IndexError):
+        tiles[861]
+    with pytest.raises(IndexError):
+        tiles[-862]
+
+
+def test_load_is_the_exact_grid_within_tolerance(tmp_path):
+    grid = generate_grid(0.0, 100.0, 0.0, 100.0, 50.0)
+    path = tmp_path / "tiles.txt"
+    save_tiles(grid, path)
+    lines = path.read_text().splitlines()
+    lines[6] = "4 50.0000000000005 49.9999999999995"  # within 1e-9 of (50, 50)
+    path.write_text("\n".join(lines) + "\n")
+    loaded = load_tiles(path)
+    assert loaded == grid and loaded.tiles[4] == TileRecord(4, 50.0, 50.0)
 
 
 # --- k_nearest ------------------------------------------------------------
@@ -118,6 +153,29 @@ def test_k_nearest_matches_brute_force(grid_861):
         fast = k_nearest(grid_861, point, k)
         slow = brute_force_k_nearest(grid_861, point, k)
         assert [t.tile_id for t in fast] == [t.tile_id for t in slow]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    x_min=st.floats(-1e4, 1e4),
+    y_min=st.floats(-1e4, 1e4),
+    spacing=st.floats(0.5, 200.0),
+    nx=st.integers(1, 25),
+    ny=st.integers(1, 25),
+    # query in grid units: half-lattice points force ties, the rest lands
+    # anywhere from well outside the grid to inside it
+    qx=st.one_of(st.integers(-10, 60).map(lambda i: i / 2.0), st.floats(-30.0, 60.0)),
+    qy=st.one_of(st.integers(-10, 60).map(lambda i: i / 2.0), st.floats(-30.0, 60.0)),
+    k=st.integers(1, 30),
+)
+def test_k_nearest_matches_brute_force_on_random_grids(x_min, y_min, spacing, nx, ny, qx, qy, k):
+    grid = generate_grid(
+        x_min, x_min + (nx - 1) * spacing, y_min, y_min + (ny - 1) * spacing, spacing
+    )
+    point = (x_min + qx * spacing, y_min + qy * spacing)
+    k = min(k, len(grid))
+    fast = k_nearest(grid, point, k)
+    assert fast == brute_force_k_nearest(grid, point, k)
 
 
 def test_k_nearest_full_set_sorted(grid_861):
