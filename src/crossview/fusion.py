@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import SimConfig
-from .geometry import wrap_angle
+from .geometry import _wrap_angle
 from .matchers import D_MIN, MatchResult, noise_model
 
 __all__ = [
@@ -87,18 +87,7 @@ def weighted_pose(results) -> tuple[np.ndarray, float, float]:
     order so the result is exactly permutation invariant. Heading is averaged
     over residuals wrapped about the lowest-d candidate's heading estimate.
     """
-    return _weighted_pose(_ordered(results))
-
-
-def _weighted_pose(rs: list[MatchResult]) -> tuple[np.ndarray, float, float]:
-    inv = np.array([1.0 / r.d for r in rs])
-    w = inv / np.sum(inv)
-    positions = np.array([r.p_hat for r in rs])
-    p_bar = w @ positions
-    theta_bar = float(w @ np.array([r.theta_hat for r in rs]))
-    ref = rs[0].psi_hat
-    residuals = np.array([wrap_angle(r.psi_hat - ref) for r in rs])
-    psi_bar = wrap_angle(ref + float(w @ residuals))
+    p_bar, psi_bar, theta_bar, _ = _fuse(_ordered(results), None)
     return (p_bar, psi_bar, theta_bar)
 
 
@@ -111,12 +100,25 @@ def fused_covariance(results, fallback_variances: np.ndarray | None = None) -> n
     positive definite when candidates coincide. With a single candidate there
     is no scatter to measure, so the configured prior variances are used.
     """
-    return _fused_covariance(_ordered(results), fallback_variances)
+    return _fuse(_ordered(results), fallback_variances)[3]
 
 
-def _fused_covariance(
+def _fuse(
     rs: list[MatchResult], fallback_variances: np.ndarray | None
-) -> np.ndarray:
+) -> tuple[np.ndarray, float, float, np.ndarray]:
+    # The weighted pose and the covariance of candidates in (d, tile_id)
+    # order, sharing one set of wrapped heading residuals. Each MatchResult
+    # holds a heading in (-180, 180], so every residual is finite.
+    inv = np.array([1.0 / r.d for r in rs])
+    w = inv / np.add.reduce(inv)
+    positions = np.array([r.p_hat for r in rs])
+    thetas = np.array([r.theta_hat for r in rs])
+    ref = rs[0].psi_hat
+    residuals = np.array([_wrap_angle(r.psi_hat - ref) for r in rs])
+    p_bar = w @ positions
+    theta_bar = float(w @ thetas)
+    psi_bar = _wrap_angle(ref + float(w @ residuals))
+
     M = np.zeros((5, 5))
     if len(rs) < 2:
         variances = (
@@ -130,21 +132,39 @@ def _fused_covariance(
             raise ValueError("fallback_variances must be 5 finite non-negative values")
         M[np.diag_indices(5)] = variances
     else:
-        positions = np.array([r.p_hat for r in rs])
-        M[:3, :3] = np.cov(positions, rowvar=False, ddof=1)
-        ref = rs[0].psi_hat
-        residuals = np.array([wrap_angle(r.psi_hat - ref) for r in rs])
-        M[3, 3] = float(np.var(residuals, ddof=1))
-        M[4, 4] = float(np.var(np.array([r.theta_hat for r in rs]), ddof=1))
-    M[np.diag_indices(5)] += COVARIANCE_RIDGE
-    return M
+        M[:3, :3] = _sample_cov(positions)
+        M[3, 3] = _sample_var(residuals)
+        M[4, 4] = _sample_var(thetas)
+    M.flat[::6] += COVARIANCE_RIDGE
+    return p_bar, psi_bar, theta_bar, M
+
+
+# np.cov(rows, rowvar=False) and np.var(v, ddof=1) without their argument
+# handling: the same numpy operations in the same order, so the same bits.
+
+
+def _sample_cov(rows: np.ndarray) -> np.ndarray:
+    X = np.array(rows).T
+    n = X.shape[1]
+    avg = np.add.reduce(X, axis=1)
+    avg /= n
+    X -= avg[:, None]
+    c = np.dot(X, X.T)
+    c *= np.true_divide(1, n - 1)
+    return c
+
+
+def _sample_var(v: np.ndarray) -> float:
+    n = v.shape[0]
+    mean = np.add.reduce(v, axis=None, keepdims=True)
+    mean /= n
+    x = np.square(v - mean)
+    return float(np.add.reduce(x, axis=None) / (n - 1))
 
 
 def fuse(results, fallback_variances: np.ndarray | None = None) -> FusedMeasurement:
     """Weighted pose plus scatter covariance for one frame's candidate list."""
-    rs = _ordered(results)
-    p_bar, psi_bar, theta_bar = _weighted_pose(rs)
-    M = _fused_covariance(rs, fallback_variances)
+    p_bar, psi_bar, theta_bar, M = _fuse(_ordered(results), fallback_variances)
     if not math.isfinite(psi_bar) or not np.all(np.isfinite(p_bar)):
         raise ValueError("fused measurement is not finite")
     return FusedMeasurement(p_bar, psi_bar, theta_bar, M)

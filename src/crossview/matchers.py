@@ -8,11 +8,15 @@ retrieval), along with record/replay wrappers so a run can be captured to a
 text file and replayed bit-identically without the original backend.
 
 Noise is drawn from streams seeded per (master seed, frame) and per
-(master seed, frame, tile), so results do not depend on call order and
-concurrent matching over tiles is safe. The per-frame stream models the error
-the real networks share across candidates scored on the same query image; the
-per-pair stream models the rest. ``common_frac`` splits the configured
-variance between the two, leaving each match's total error variance unchanged.
+(master seed, frame, tile), so results do not depend on call order. The
+per-frame stream models the error the real networks share across candidates
+scored on the same query image; the per-pair stream models the rest.
+``common_frac`` splits the configured variance between the two, leaving each
+match's total error variance unchanged. A ``UavObservation`` carries its
+frame's memo of seeded streams, so backends handed the same observation seed
+each stream once between them; every reader still draws from the stream's
+freshly seeded state. Threads matching concurrently should each build their
+own observation.
 
 Downstream consumers (fusion, filtering) only ever see MatchResults; the truth
 pose inside ``UavObservation`` is for backends alone.
@@ -21,12 +25,12 @@ pose inside ``UavObservation`` is for backends alone.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .config import SimConfig
-from .geometry import Pose6D, ground_intersection, wrap_angle
+from .geometry import Pose6D, _wrap_angle, ground_intersection, wrap_angle
 from .textfile import FileFormatError, read_rows, write_rows
 from .tiles import TileRecord
 
@@ -65,10 +69,15 @@ MatchFileError = FileFormatError
 
 @dataclass(frozen=True)
 class UavObservation:
-    """One UAV camera frame, identified by index, with its ground-truth pose."""
+    """One UAV camera frame, identified by index, with its ground-truth pose.
+
+    streams is the frame's memo of seeded noise streams (see :func:`_stream`);
+    it lives as long as the observation and takes no part in equality.
+    """
 
     frame: int
     truth: Pose6D
+    streams: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.frame < 0:
@@ -92,21 +101,19 @@ class MatchResult:
 
     def __post_init__(self) -> None:
         # Coerce to builtin floats so repr() round-trips through record files.
-        object.__setattr__(self, "d", float(self.d))
-        object.__setattr__(self, "p_hat", tuple(float(v) for v in self.p_hat))
-        object.__setattr__(self, "psi_hat", float(self.psi_hat))
-        object.__setattr__(self, "theta_hat", float(self.theta_hat))
-        object.__setattr__(self, "tile_id", int(self.tile_id))
-        if not math.isfinite(self.d) or self.d <= 0.0:
-            raise ValueError(f"d must be finite and > 0, got {self.d!r}")
-        if len(self.p_hat) != 3 or not all(math.isfinite(v) for v in self.p_hat):
-            raise ValueError(f"p_hat must be a finite 3-vector, got {self.p_hat!r}")
-        if not -180.0 < self.psi_hat <= 180.0:
-            raise ValueError(f"psi_hat must lie in (-180, 180], got {self.psi_hat!r}")
-        if not 0.0 <= self.theta_hat <= 45.0:
-            raise ValueError(f"theta_hat must lie in [0, 45], got {self.theta_hat!r}")
-        if self.tile_id < 0:
-            raise ValueError(f"tile_id must be >= 0, got {self.tile_id}")
+        d, psi, theta = float(self.d), float(self.psi_hat), float(self.theta_hat)
+        p_hat, tile_id = tuple(map(float, self.p_hat)), int(self.tile_id)
+        self.__dict__.update(d=d, p_hat=p_hat, psi_hat=psi, theta_hat=theta, tile_id=tile_id)
+        if not 0.0 < d < math.inf:
+            raise ValueError(f"d must be finite and > 0, got {d!r}")
+        if len(p_hat) != 3 or not all(map(math.isfinite, p_hat)):
+            raise ValueError(f"p_hat must be a finite 3-vector, got {p_hat!r}")
+        if not -180.0 < psi <= 180.0:
+            raise ValueError(f"psi_hat must lie in (-180, 180], got {psi!r}")
+        if not 0.0 <= theta <= 45.0:
+            raise ValueError(f"theta_hat must lie in [0, 45], got {theta!r}")
+        if tile_id < 0:
+            raise ValueError(f"tile_id must be >= 0, got {tile_id}")
 
     @property
     def position(self) -> np.ndarray:
@@ -197,6 +204,24 @@ def _check_seed(seed: int) -> int:
     return int(seed)
 
 
+def _stream(obs: UavObservation, seed: int, *tags: int) -> np.random.Generator:
+    """The stream seeded [seed, obs.frame, *tags], in its freshly seeded state.
+
+    It is seeded once per observation and kept in ``obs.streams`` with that
+    state; a later reader gets it reset to the state, so every reader draws
+    what a newly seeded stream would give, whoever read it before.
+    """
+    key = (seed, *tags)
+    entry = obs.streams.get(key)
+    if entry is None:
+        rng = np.random.default_rng(np.random.SeedSequence([seed, obs.frame, *tags]))
+        obs.streams[key] = (rng, rng.bit_generator.state)
+        return rng
+    rng, state = entry
+    rng.bit_generator.state = state
+    return rng
+
+
 class SyntheticMatcher:
     """Truth-plus-noise surrogate for a trained cross-view network.
 
@@ -217,15 +242,13 @@ class SyntheticMatcher:
         """Score one frame against each tile, in the order given.
 
         Equal to ``[match_pair(obs, t) for t in tiles]``, but the per-frame
-        stream and the camera's ground point are computed once, not per tile.
+        draw and the camera's ground point are computed once, not per tile.
         """
-        noise = self.noise
+        noise, seed = self.noise, self._seed
         # Per-frame stream: the error component shared by every tile paired
         # with this frame. Draw order: 5 standard normals (x, y, z, psi, theta).
-        frame_rng = np.random.default_rng(
-            np.random.SeedSequence([self._seed, obs.frame])
-        )
-        shared = math.sqrt(noise.common_frac) * frame_rng.standard_normal(5)
+        c = math.sqrt(noise.common_frac)
+        shared = [c * v for v in _stream(obs, seed).standard_normal(5).tolist()]
         i = math.sqrt(1.0 - noise.common_frac)
         truth = obs.truth
         scene = ground_intersection(truth)
@@ -233,22 +256,22 @@ class SyntheticMatcher:
         for tile in tiles:
             # Per-pair stream. Draw order: outlier gate, 5 standard normals,
             # distance jitter normal.
-            pair_rng = np.random.default_rng(
-                np.random.SeedSequence([self._seed, obs.frame, tile.tile_id])
-            )
+            pair_rng = _stream(obs, seed, tile.tile_id)
             gate = pair_rng.random()
-            own = pair_rng.standard_normal(5)
+            own = pair_rng.standard_normal(5).tolist()
             jitter = pair_rng.standard_normal()
 
-            mixed = shared + i * own
+            mixed = [a + i * b for a, b in zip(shared, own)]
             if gate < noise.outlier_prob:
-                mixed = mixed * noise.outlier_factor
+                mixed = [v * noise.outlier_factor for v in mixed]
             p_hat = (
                 truth.x + noise.sigma_xy * mixed[0],
                 truth.y + noise.sigma_xy * mixed[1],
                 truth.z + noise.sigma_z * mixed[2],
             )
-            psi_hat = wrap_angle(truth.psi + noise.sigma_psi * mixed[3])
+            # Finite unless an extreme calibration overflows; the nan that
+            # wrapping inf gives then fails MatchResult's range check.
+            psi_hat = _wrap_angle(truth.psi + noise.sigma_psi * mixed[3])
             theta_hat = min(max(truth.theta + noise.sigma_theta * mixed[4], 0.0), 45.0)
             d = _distance_score(scene, tile, noise, jitter)
             results.append(MatchResult(d, p_hat, psi_hat, theta_hat, tile.tile_id))
@@ -291,10 +314,7 @@ class SceneMatcher:
         results = []
         for tile in tiles:
             # Per-pair stream, single draw: distance jitter normal.
-            pair_rng = np.random.default_rng(
-                np.random.SeedSequence([self._seed, obs.frame, tile.tile_id])
-            )
-            jitter = pair_rng.standard_normal()
+            jitter = _stream(obs, self._seed, tile.tile_id).standard_normal()
             d = _distance_score(scene, tile, self.noise, jitter)
             p_hat = (tile.x, tile.y, self.altitude)
             results.append(

@@ -18,7 +18,7 @@ from dataclasses import astuple, dataclass, fields
 import numpy as np
 
 from .config import SimConfig
-# predict is the reference _run_pipeline's steps reproduce; it stays
+# predict is the reference _run_pipelines' steps reproduce; it stays
 # importable as sim.predict, the name perfbench/tracing.py wraps.
 from .estimator import FilterState, ProcessNoise, VoIncrement, correct, predict  # noqa: F401
 from .fusion import fuse
@@ -317,16 +317,19 @@ def _make_backends(cfg: SimConfig, seed: int) -> dict[str, object]:
     }
 
 
-def _run_pipeline(
+def _run_pipelines(
     frames: list[TrajectoryFrame],
     increments: list[VoIncrement],
-    backend,
+    backends: list,
     cfg: SimConfig,
     tile_set: TileSet | None,
-) -> tuple[list[Pose6D], np.ndarray]:
-    """Filter one flight: predict every frame, correct every stride frames.
+) -> list[tuple[list[Pose6D], np.ndarray]]:
+    """Filter one flight per backend (None: dead reckoning), in lockstep.
 
-    Returns one pose per frame and the final 6x6 covariance. This is a
+    Every pipeline takes frame i, predicting it and correcting it every stride
+    frames, before any takes frame i + 1; at a correction frame all backends
+    get the same UavObservation, whose memo seeds each matcher stream once.
+    Returns one (pose per frame, final 6x6 covariance) per backend. This is a
     trusted loop: frames and increments were validated when they were built,
     so each 20 Hz step runs :func:`predict`'s arithmetic, in the same order,
     through the unchecked geometry kernels, and P stays a bare array between
@@ -339,24 +342,28 @@ def _run_pipeline(
         raise ValueError(f"{len(increments)} increments for {len(frames)} frames")
     fallback = noise_model(cfg, "hybrid").variances()
     Q = ProcessNoise(np.full(6, cfg.process_noise_var)).matrix
-    state = FilterState.initial(frames[0].truth, cfg.init_cov_var)
-    pose, P = state.pose, state.P
-    poses = [pose]
+    start = FilterState.initial(frames[0].truth, cfg.init_cov_var)
+    poses = [start.pose] * len(backends)
+    Ps = [start.P] * len(backends)
+    tracks = [[start.pose] for _ in backends]
     stride = cfg.correction_stride
     for i in range(1, len(frames)):
         inc = increments[i]
         dx, dy, dz = inc.dp.tolist()
-        psi, theta, phi = _rotmat_to_euler(inc.dR @ _euler_to_rotmat(*pose.angles))
-        pose = Pose6D(pose.x + dx, pose.y + dy, pose.z + dz, psi, theta, phi)
-        P = P + Q
-        if backend is not None and i % stride == 0:
-            obs = UavObservation(i, frames[i].truth)
-            candidates = k_nearest(tile_set, (pose.x, pose.y), cfg.k_candidates)
-            z = fuse(backend.match_frame(obs, candidates), fallback)
-            state = correct(FilterState(pose, P), z)
-            pose, P = state.pose, state.P
-        poses.append(pose)
-    return poses, P
+        obs = UavObservation(i, frames[i].truth) if i % stride == 0 else None
+        for j, backend in enumerate(backends):
+            pose = poses[j]
+            psi, theta, phi = _rotmat_to_euler(inc.dR @ _euler_to_rotmat(*pose.angles))
+            pose = Pose6D(pose.x + dx, pose.y + dy, pose.z + dz, psi, theta, phi)
+            P = Ps[j] + Q
+            if backend is not None and obs is not None:
+                candidates = k_nearest(tile_set, (pose.x, pose.y), cfg.k_candidates)
+                z = fuse(backend.match_frame(obs, candidates), fallback)
+                state = correct(FilterState(pose, P), z)
+                pose, P = state.pose, state.P
+            poses[j], Ps[j] = pose, P
+            tracks[j].append(pose)
+    return list(zip(tracks, Ps))
 
 
 def run_experiment(cfg: SimConfig, tile_set: TileSet, seed: int) -> ExperimentResult:
@@ -375,12 +382,9 @@ def run_experiment(cfg: SimConfig, tile_set: TileSet, seed: int) -> ExperimentRe
     increments = simulate_vo(frames, drift_from_config(cfg), seed)
     truth = [f.truth for f in frames]
     backends = _make_backends(cfg, seed)
-    estimates = {}
-    summaries = {}
-    for method in METHODS:
-        poses, _ = _run_pipeline(frames, increments, backends[method], cfg, tile_set)
-        estimates[method] = poses
-        summaries[method] = rmse(poses, truth)
+    runs = _run_pipelines(frames, increments, [backends[m] for m in METHODS], cfg, tile_set)
+    estimates = {method: poses for method, (poses, _) in zip(METHODS, runs)}
+    summaries = {method: rmse(poses, truth) for method, poses in estimates.items()}
     return ExperimentResult(seed, frames, estimates, summaries)
 
 

@@ -84,8 +84,11 @@ class TileSet(Sequence):
             raise ValueError(f"bounds and spacing must be finite, spacing > 0: {bounds}")
         if self.x_max < self.x_min or self.y_max < self.y_min:
             raise ValueError("bounds must satisfy x_min <= x_max and y_min <= y_max")
-        nx = int((self.x_max - self.x_min) / self.spacing + 1e-9) + 1
-        ny = int((self.y_max - self.y_min) / self.spacing + 1e-9) + 1
+        cols = (self.x_max - self.x_min) / self.spacing + 1e-9
+        rows = (self.y_max - self.y_min) / self.spacing + 1e-9
+        if not (math.isfinite(cols) and math.isfinite(rows)):
+            raise ValueError(f"bounds span too many tiles at spacing {self.spacing!r}: {bounds}")
+        nx, ny = int(cols) + 1, int(rows) + 1
         object.__setattr__(self, "nx", nx)
         object.__setattr__(self, "ny", ny)
         object.__setattr__(self, "_built", {})  # tile id -> TileRecord
@@ -149,24 +152,26 @@ def k_nearest(tile_set: TileSet, point: tuple[float, float], k: int) -> list[Til
     ix0 = min(max(int(round((px - x0) / s)), 0), nx - 1)
     iy0 = min(max(int(round((py - y0) / s)), 0), ny - 1)
     # Distance from the query to its anchor node; rings at index distance m
-    # can contain nothing closer than m*s - anchor_gap.
+    # can contain nothing closer than m*s - anchor_gap. Distances are computed
+    # in floats, so a tile on that bound can round below it: the slack, far
+    # above the rounding of coordinates this size, keeps such a ring in.
     anchor_gap = max(abs(px - (x0 + ix0 * s)), abs(py - (y0 + iy0 * s)))
+    slack = 1e-9 * (abs(x0) + abs(y0) + abs(px) + abs(py) + (nx + ny) * s)
 
-    candidates: list[tuple[float, int]] = []
-    kth_d2 = math.inf
-    max_ring = max(nx, ny)
-    for m in range(max_ring + 1):
-        if len(candidates) >= k:
-            lower = m * s - anchor_gap
-            if lower > 0.0 and lower * lower > kth_d2:
+    # The k best (d2, id) pairs so far, in order; a ring only has to be
+    # merged into them, never into every tile seen.
+    best: list[tuple[float, int]] = []
+    for m in range(max(nx, ny) + 1):
+        if len(best) == k:
+            lower = m * s - anchor_gap - slack
+            if lower > 0.0 and lower * lower > best[-1][0]:
                 break
         for ix, iy in _ring_indices(ix0, iy0, m, nx, ny):
             d2 = (x0 + ix * s - px) ** 2 + (y0 + iy * s - py) ** 2
-            candidates.append((d2, iy * nx + ix))
-        if len(candidates) >= k:
-            kth_d2 = sorted(candidates)[k - 1][0]
-    candidates.sort()
-    return [tile_set._record(tid) for _, tid in candidates[:k]]
+            best.append((d2, iy * nx + ix))
+        best.sort()
+        del best[k:]
+    return [tile_set._record(tid) for _, tid in best]
 
 
 def _ring_indices(ix0: int, iy0: int, m: int, nx: int, ny: int):

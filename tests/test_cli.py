@@ -47,6 +47,15 @@ def test_gen_tiles_bad_bounds(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_gen_tiles_overflowing_tile_count(tmp_path, capsys):
+    out = tmp_path / "tiles.txt"
+    argv = ["gen-tiles", "--bounds", "0", "1e308", "0", "1", "--spacing", "1e-300"]
+    rc = main(argv + ["--out", str(out)])
+    assert rc == 2
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_simulate_writes_frames(tmp_path, small_cfg, capsys):
     out = tmp_path / "flight.txt"
     rc = main(["simulate", "--config", small_cfg, "--seed", "3", "--out", str(out)])

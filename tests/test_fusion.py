@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crossview.fusion import (
     COVARIANCE_RIDGE,
@@ -226,6 +228,26 @@ def test_fuse_on_shuffled_list_equals_public_parts(k):
     assert np.array_equal(fused.p_bar, p_bar)
     assert (fused.psi_bar, fused.theta_bar) == (psi_bar, theta_bar)
     assert np.array_equal(fused.M, M)
+
+
+_candidate = st.tuples(
+    st.one_of(st.sampled_from([1.0, 2.0]), st.floats(1e-3, 1e3)),  # ties on d too
+    st.tuples(*[st.floats(-1e4, 1e4)] * 3),
+    # headings straddling the +/-180 seam, or anywhere
+    st.one_of(st.floats(179.0, 180.0), st.floats(-180.0, -179.0, exclude_min=True),
+              st.floats(-180.0, 180.0, exclude_min=True)),
+    st.floats(0.0, 45.0),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(candidates=st.lists(_candidate, min_size=1, max_size=20), data=st.data())
+def test_fuse_is_permutation_invariant_bitwise(candidates, data):
+    results = [MatchResult(d, p, psi, theta, i) for i, (d, p, psi, theta) in enumerate(candidates)]
+    shuffled = data.draw(st.permutations(results))
+    a, b = fuse(results), fuse(shuffled)
+    assert a.z_vector().tobytes() == b.z_vector().tobytes()
+    assert a.M.tobytes() == b.M.tobytes()
 
 
 def test_fuse_rejects_distance_below_floor():

@@ -177,6 +177,27 @@ def test_match_frame_equals_per_pair_calls(matcher, k):
         assert batch == [matcher.match_pair(obs, t) for t in tiles]
 
 
+def test_shared_observation_keeps_seeds_apart():
+    """Backends sharing one observation draw exactly what they draw alone."""
+    regression = noise_model(SimConfig(outlier_prob=0.3), "regression")
+    backends = [
+        SyntheticMatcher(HYBRID, seed=5),
+        SceneMatcher(HYBRID, seed=6),
+        SyntheticMatcher(regression, seed=6),
+        SceneMatcher(HYBRID, seed=5),
+        SyntheticMatcher(HYBRID, seed=6),
+    ]
+    tiles = [TileRecord(tid, 50.0 * (tid % 4), 50.0 * (tid // 4)) for tid in range(16)]
+    shared = obs_at(11, x=20.0, y=30.0, theta=15.0)
+    for _ in range(2):  # a second pass reads every stream from the memo
+        for matcher in backends:
+            alone = matcher.match_frame(obs_at(11, x=20.0, y=30.0, theta=15.0), tiles)
+            assert matcher.match_frame(shared, tiles) == alone
+    tags = [()] + [(tid,) for tid in range(16)]  # [seed, frame], [seed, frame, tile]
+    assert set(shared.streams) == {(seed, *tag) for seed in (5, 6) for tag in tags}
+    assert backends[0].match_frame(shared, tiles) != backends[4].match_frame(shared, tiles)
+
+
 def test_distance_always_positive():
     rng = np.random.default_rng(33)
     noise = MatcherNoiseModel(d0=D_MIN, d_slope=0.0, d_jitter=50.0)

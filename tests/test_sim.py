@@ -18,7 +18,7 @@ from crossview.matchers import (
 )
 from crossview.sim import (
     _make_backends,
-    _run_pipeline,
+    _run_pipelines,
     METHODS,
     RmseSummary,
     TrajectoryFrame,
@@ -354,6 +354,11 @@ def reference_pipeline(frames, increments, backend, cfg, tile_set):
     return poses, state.P
 
 
+def _run_pipeline(frames, increments, backend, cfg, tile_set):
+    """The lockstep loop with one backend: its poses and final P."""
+    return _run_pipelines(frames, increments, [backend], cfg, tile_set)[0]
+
+
 def assert_same_run(got, want):
     (poses, P), (ref_poses, ref_P) = got, want
     assert len(poses) == len(ref_poses)
@@ -398,6 +403,58 @@ def test_single_candidate_fallback_follows_config(method):
     backend = _make_backends(cfg, 4)[method]
     got = _run_pipeline(frames, increments, backend, cfg, tiles)
     assert_same_run(got, reference_pipeline(frames, increments, backend, cfg, tiles))
+
+
+def test_lockstep_pipelines_equal_public_reference():
+    """All four backends stepped together, sharing each frame's streams."""
+    cfg = small_config(correction_hz=4.0, outlier_prob=0.2, k_candidates=16)
+    frames = gen_trajectory(cfg, seed=8)
+    increments = simulate_vo(frames, drift_from_config(cfg), seed=8)
+    tiles = tiles_for(frames)
+    backends = _make_backends(cfg, 8)
+    runs = _run_pipelines(frames, increments, [backends[m] for m in METHODS], cfg, tiles)
+    for method, got in zip(METHODS, runs):
+        assert_same_run(got, reference_pipeline(frames, increments, backends[method], cfg, tiles))
+
+
+class AskedTiles:
+    """Pass-through backend that notes every (frame, tile) it is asked for."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.asked = []
+
+    def match_frame(self, obs, tiles):
+        self.asked += [(obs.frame, t.tile_id) for t in tiles]
+        return self.inner.match_frame(obs, tiles)
+
+
+def test_lockstep_seeds_each_stream_once(monkeypatch):
+    cfg = small_config(correction_hz=4.0, k_candidates=16)
+    frames = gen_trajectory(cfg, seed=3)
+    increments = simulate_vo(frames, drift_from_config(cfg), seed=3)
+    tiles = tiles_for(frames)
+    backends = [AskedTiles(b) for b in _make_backends(cfg, 3).values() if b is not None]
+
+    seeded = []
+    seed_sequence = np.random.SeedSequence
+
+    def counting(entropy):
+        seeded.append(tuple(entropy))
+        return seed_sequence(entropy)
+
+    monkeypatch.setattr(np.random, "SeedSequence", counting)
+    _run_pipelines(frames, increments, backends, cfg, tiles)
+
+    assert len(seeded) == len(set(seeded))  # no stream seeded twice
+    assert {entropy[0] for entropy in seeded} == {3}
+    corrections = set(range(cfg.correction_stride, len(frames), cfg.correction_stride))
+    assert {e[1] for e in seeded if len(e) == 2} == corrections
+    asked = [pair for b in backends for pair in b.asked]
+    pair_streams = [e[1:] for e in seeded if len(e) == 3]
+    # one seeding per (frame, tile) any backend asked for, not one per request
+    assert set(pair_streams) == set(asked)
+    assert len(asked) == 3 * len(corrections) * cfg.k_candidates > len(pair_streams)
 
 
 def test_pipeline_rejects_mismatched_increments():

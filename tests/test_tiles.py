@@ -1,5 +1,7 @@
 """Tile grid and k-nearest query tests, anchored to a brute-force oracle."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -57,6 +59,23 @@ def test_generate_grid_rejects_bad_bounds():
         generate_grid(100.0, 0.0, 0.0, 100.0, 50.0)
     with pytest.raises(ValueError):
         generate_grid(0.0, 100.0, 0.0, 100.0, -50.0)
+
+
+@pytest.mark.parametrize(
+    "bounds",
+    [(0.0, 1e308, 0.0, 1.0, 1e-300), (0.0, 1.0, -1e308, 1e308, 1.0)],
+    ids=["ratio-overflows", "span-overflows"],
+)
+def test_generate_grid_rejects_overflowing_tile_count(bounds):
+    with pytest.raises(ValueError, match="too many tiles"):
+        generate_grid(*bounds)
+
+
+def test_load_rejects_overflowing_bounds_at_its_line(tmp_path):
+    path = tmp_path / "tiles.txt"
+    path.write_text("#crossview-tiles-v1\nbounds 0.0 1e308 0.0 1.0 1e-300\n0 0.0 0.0\n")
+    with pytest.raises(TileFileError, match=rf"^{re.escape(str(path))}:2: .*too many tiles"):
+        load_tiles(path)
 
 
 def test_tile_record_validation():
@@ -176,6 +195,17 @@ def test_k_nearest_matches_brute_force_on_random_grids(x_min, y_min, spacing, nx
     k = min(k, len(grid))
     fast = k_nearest(grid, point, k)
     assert fast == brute_force_k_nearest(grid, point, k)
+
+
+def test_k_nearest_keeps_a_ring_whose_tie_rounds_below_its_bound():
+    # From the corner tile, index offsets (4, 3) and (0, 5) tie at 5 spacings.
+    # The (0, 5) tile's distance rounds below 5 * spacing, so ring 5 must be
+    # scanned although its bound does not beat the k-th best of rings 0-4.
+    s = 2.041568148624755
+    grid = generate_grid(0.0, 4 * s, 54.0, 54.0 + 5 * s, s)
+    fast = k_nearest(grid, (0.0, 54.0), 23)
+    assert fast == brute_force_k_nearest(grid, (0.0, 54.0), 23)
+    assert fast[-1].tile_id == 25
 
 
 def test_k_nearest_full_set_sorted(grid_861):
