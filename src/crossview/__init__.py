@@ -2,9 +2,9 @@
 
 Deterministic reference implementation of a UAV-to-satellite localization
 pipeline: pose geometry and ground-cell grid, matching-network loss math,
-synthetic matching backends with record/replay, inverse-distance candidate
-fusion, a pose Kalman filter driven by visual odometry, and a simulation
-harness that reproduces the four-way method comparison end to end.
+synthetic matching backends, inverse-distance candidate fusion, a pose Kalman
+filter driven by visual odometry, and a simulation harness that reproduces
+the four-way method comparison end to end.
 """
 
 from .config import ConfigError, SimConfig, load_config, parse_config
@@ -17,7 +17,7 @@ from .estimator import (
     predict,
     state_vector,
 )
-from .fusion import FusedMeasurement, fuse, fused_covariance, weighted_pose
+from .fusion import FusedMeasurement, fuse
 from .geometry import (
     Pose6D,
     cell_center,
@@ -44,9 +44,6 @@ from .matchers import (
     D_MIN,
     MatchResult,
     MatcherNoiseModel,
-    RecordingMatcher,
-    ReplayMatcher,
-    ReplayMissError,
     SceneMatcher,
     SyntheticMatcher,
     UavObservation,

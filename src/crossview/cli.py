@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import fields, replace
 
 from .config import SimConfig, describe_defaults, load_config
 from .losses import gradient_self_test
@@ -30,7 +31,6 @@ from .sim import (
     write_summary,
 )
 from .tiles import generate_grid, load_tiles, save_tiles
-from dataclasses import replace
 
 
 def _load_config_arg(path: str | None) -> SimConfig:
@@ -78,10 +78,8 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     est = [f.truth for f in load_trajectory(args.est)]
     truth = [f.truth for f in load_trajectory(args.truth)]
     summary = rmse(est, truth)
-    print(f"pos_rmse_m {summary.pos_rmse_m!r}")
-    print(f"pos_pct {summary.pos_pct!r}")
-    print(f"psi_rmse_deg {summary.psi_rmse_deg!r}")
-    print(f"theta_rmse_deg {summary.theta_rmse_deg!r}")
+    for f in fields(summary):
+        print(f"{f.name} {getattr(summary, f.name)!r}")
     return 0
 
 

@@ -15,6 +15,11 @@ from dataclasses import dataclass
 __all__ = ["ConfigError", "SimConfig", "load_config", "parse_config"]
 
 
+# Floor of every feature distance: the matchers clamp to it, and d0 and fusion
+# are checked against it, so inverse-distance weighting never divides by zero.
+D_MIN = 1e-3
+
+
 class ConfigError(ValueError):
     """Raised for unparseable, unknown, or infeasible configuration."""
 
@@ -109,14 +114,19 @@ class SimConfig:
         return self.length_m - self.lead_m - 0.5 * math.pi * self.turn_radius_m
 
     def validate(self) -> "SimConfig":
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            if value is not None and not math.isfinite(value):
+                raise ConfigError(f"{f.name} must be finite, got {value}")
+
         def positive(**named: float) -> None:
             for name, value in named.items():
-                if not math.isfinite(value) or value <= 0.0:
+                if value <= 0.0:
                     raise ConfigError(f"{name} must be positive, got {value}")
 
         def non_negative(**named: float) -> None:
             for name, value in named.items():
-                if not math.isfinite(value) or value < 0.0:
+                if value < 0.0:
                     raise ConfigError(f"{name} must be >= 0, got {value}")
 
         positive(
@@ -138,7 +148,7 @@ class SimConfig:
             vo_bias_walk_m=self.vo_bias_walk_m,
             process_noise_var=self.process_noise_var,
         )
-        if self.vo_scale_error <= -1.0 or not math.isfinite(self.vo_scale_error):
+        if self.vo_scale_error <= -1.0:
             raise ConfigError(
                 f"vo_scale_error must be > -1, got {self.vo_scale_error}"
             )
@@ -182,9 +192,12 @@ class SimConfig:
             raise ConfigError(f"outlier_prob must lie in [0, 1], got {self.outlier_prob}")
         if not 0.0 <= self.common_frac < 1.0:
             raise ConfigError(f"common_frac must lie in [0, 1), got {self.common_frac}")
+        if self.outlier_factor < 1.0:
+            raise ConfigError(f"outlier_factor must be >= 1, got {self.outlier_factor}")
+        if self.d0 < D_MIN:
+            raise ConfigError(f"d0 must be >= {D_MIN}, got {self.d0}")
         positive(
             scene_altitude_m=self.scene_altitude_m,
-            d0=self.d0,
             hybrid_horizontal_rms_m=self.hybrid_horizontal_rms_m,
             hybrid_vertical_rms_m=self.hybrid_vertical_rms_m,
             hybrid_heading_rms_deg=self.hybrid_heading_rms_deg,

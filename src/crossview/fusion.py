@@ -20,15 +20,13 @@ import numpy as np
 
 from .config import SimConfig
 from .geometry import _wrap_angle
-from .matchers import D_MIN, MatchResult, noise_model
+from .matchers import D_MIN, noise_model
 
 __all__ = [
     "COVARIANCE_RIDGE",
     "FusedMeasurement",
     "default_fallback_variances",
     "fuse",
-    "fused_covariance",
-    "weighted_pose",
 ]
 
 COVARIANCE_RIDGE = 1e-6
@@ -71,44 +69,25 @@ def default_fallback_variances() -> np.ndarray:
     return noise_model(SimConfig(), "hybrid").variances()
 
 
-def _ordered(results) -> list[MatchResult]:
+def fuse(results, fallback_variances: np.ndarray | None = None) -> FusedMeasurement:
+    """Weighted pose plus scatter covariance for one frame's candidate list.
+
+    The pose is the inverse-distance weighted mean, weights (1/d_i) / sum(1/d_j),
+    with the heading averaged over residuals wrapped about the lowest-d
+    candidate's heading. The covariance is block-diagonal: the positions'
+    sample covariance (divisor k-1), then the sample variances of the heading
+    residuals and of the tilts, plus COVARIANCE_RIDGE on the diagonal. A lone
+    candidate has no scatter, so its variances are ``fallback_variances``
+    (default: :func:`default_fallback_variances`). Candidates are reduced in
+    (d, tile_id) order, so the result is exactly permutation invariant.
+    """
     rs = sorted(results, key=lambda r: (r.d, r.tile_id))
     if not rs:
         raise ValueError("cannot fuse an empty candidate list")
     if rs[0].d < D_MIN:
         raise ValueError(f"candidate distance {rs[0].d} below the {D_MIN} floor")
-    return rs
-
-
-def weighted_pose(results) -> tuple[np.ndarray, float, float]:
-    """Inverse-distance weighted mean of the candidate pose estimates.
-
-    Weights are (1/d_i) / sum(1/d_j). Candidates are reduced in (d, tile_id)
-    order so the result is exactly permutation invariant. Heading is averaged
-    over residuals wrapped about the lowest-d candidate's heading estimate.
-    """
-    p_bar, psi_bar, theta_bar, _ = _fuse(_ordered(results), None)
-    return (p_bar, psi_bar, theta_bar)
-
-
-def fused_covariance(results, fallback_variances: np.ndarray | None = None) -> np.ndarray:
-    """Sample covariance of the candidates as a block-diagonal 5x5 matrix.
-
-    Position occupies the upper 3x3 block (divisor k-1); heading variance is
-    computed on residuals wrapped about the lowest-d candidate's heading; tilt
-    variance is plain. A ridge of 1e-6 on the diagonal keeps the matrix
-    positive definite when candidates coincide. With a single candidate there
-    is no scatter to measure, so the configured prior variances are used.
-    """
-    return _fuse(_ordered(results), fallback_variances)[3]
-
-
-def _fuse(
-    rs: list[MatchResult], fallback_variances: np.ndarray | None
-) -> tuple[np.ndarray, float, float, np.ndarray]:
-    # The weighted pose and the covariance of candidates in (d, tile_id)
-    # order, sharing one set of wrapped heading residuals. Each MatchResult
-    # holds a heading in (-180, 180], so every residual is finite.
+    # Each MatchResult holds a heading in (-180, 180], so every residual is
+    # finite; the pose and the covariance share them.
     inv = np.array([1.0 / r.d for r in rs])
     w = inv / np.add.reduce(inv)
     positions = np.array([r.p_hat for r in rs])
@@ -136,7 +115,9 @@ def _fuse(
         M[3, 3] = _sample_var(residuals)
         M[4, 4] = _sample_var(thetas)
     M.flat[::6] += COVARIANCE_RIDGE
-    return p_bar, psi_bar, theta_bar, M
+    if not math.isfinite(psi_bar) or not np.all(np.isfinite(p_bar)):
+        raise ValueError("fused measurement is not finite")
+    return FusedMeasurement(p_bar, psi_bar, theta_bar, M)
 
 
 # np.cov(rows, rowvar=False) and np.var(v, ddof=1) without their argument
@@ -160,11 +141,3 @@ def _sample_var(v: np.ndarray) -> float:
     mean /= n
     x = np.square(v - mean)
     return float(np.add.reduce(x, axis=None) / (n - 1))
-
-
-def fuse(results, fallback_variances: np.ndarray | None = None) -> FusedMeasurement:
-    """Weighted pose plus scatter covariance for one frame's candidate list."""
-    p_bar, psi_bar, theta_bar, M = _fuse(_ordered(results), fallback_variances)
-    if not math.isfinite(psi_bar) or not np.all(np.isfinite(p_bar)):
-        raise ValueError("fused measurement is not finite")
-    return FusedMeasurement(p_bar, psi_bar, theta_bar, M)

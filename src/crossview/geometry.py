@@ -140,6 +140,10 @@ def is_rotation_matrix(R: np.ndarray, tol: float = 1e-6) -> bool:
         abs(c * c + f * f + i * i - 1.0), abs(a * b + d * e + g * h),
         abs(a * c + d * f + g * i), abs(b * c + e * f + h * i),
     )
+    # Within rounding of tol the summation order decides the verdict; there,
+    # defer to numpy's R.T @ R, so this check and the numpy form always agree.
+    if abs(worst - tol) <= 1e-12 * (1.0 + tol):
+        worst = float(np.max(np.abs(R.T @ R - np.eye(3))))
     return worst <= tol and a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g) > 0.0
 
 

@@ -180,6 +180,8 @@ def gradient_self_test(
     derivative is not defined, and reports the worst relative error seen.
     Returns one record per check with keys name/points/max_rel_err/tol/passed.
     """
+    if points < 1:
+        raise ValueError(f"points must be >= 1, got {points}")
     rng = np.random.default_rng(seed)
     results = []
 

@@ -4,8 +4,7 @@ A backend scores one UAV frame against one satellite tile and returns a
 ``MatchResult``: a feature-space distance d plus a camera pose estimate. Two
 synthetic backends are provided (a truth-plus-noise surrogate for the hybrid
 and regression-only networks, and a tile-center surrogate for scene-only
-retrieval), along with record/replay wrappers so a run can be captured to a
-text file and replayed bit-identically without the original backend.
+retrieval).
 
 Noise is drawn from streams seeded per (master seed, frame) and per
 (master seed, frame, tile), so results do not depend on call order. The
@@ -25,46 +24,23 @@ pose inside ``UavObservation`` is for backends alone.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import SimConfig
+from .config import D_MIN, SimConfig
 from .geometry import Pose6D, _wrap_angle, ground_intersection, wrap_angle
-from .textfile import FileFormatError, read_rows, write_rows
 from .tiles import TileRecord
 
 __all__ = [
     "D_MIN",
-    "MatchFileError",
     "MatchResult",
     "MatcherNoiseModel",
-    "RecordingMatcher",
-    "ReplayMatcher",
-    "ReplayMissError",
     "SceneMatcher",
     "SyntheticMatcher",
     "UavObservation",
     "noise_model",
 ]
-
-# Feature distances are floored here; downstream inverse-distance weighting
-# must never divide by zero.
-D_MIN = 1e-3
-
-_HEADER = "#crossview-match-v1"
-
-
-class ReplayMissError(KeyError):
-    """A replay was asked for a (frame, tile) pair that was never recorded."""
-
-    def __init__(self, frame: int, tile_id: int):
-        super().__init__(f"no recorded match for frame {frame}, tile {tile_id}")
-        self.frame = frame
-        self.tile_id = tile_id
-
-
-MatchFileError = FileFormatError
 
 
 @dataclass(frozen=True)
@@ -100,7 +76,9 @@ class MatchResult:
     tile_id: int
 
     def __post_init__(self) -> None:
-        # Coerce to builtin floats so repr() round-trips through record files.
+        # Coerce to builtin types, so a result built from numpy values (an
+        # array p_hat, numpy scalars) compares, hashes and prints like one
+        # built from plain floats.
         d, psi, theta = float(self.d), float(self.psi_hat), float(self.theta_hat)
         p_hat, tile_id = tuple(map(float, self.p_hat)), int(self.tile_id)
         self.__dict__.update(d=d, p_hat=p_hat, psi_hat=psi, theta_hat=theta, tile_id=tile_id)
@@ -114,10 +92,6 @@ class MatchResult:
             raise ValueError(f"theta_hat must lie in [0, 45], got {theta!r}")
         if tile_id < 0:
             raise ValueError(f"tile_id must be >= 0, got {tile_id}")
-
-    @property
-    def position(self) -> np.ndarray:
-        return np.array(self.p_hat, dtype=float)
 
 
 @dataclass(frozen=True)
@@ -158,13 +132,6 @@ class MatcherNoiseModel:
             raise ValueError(f"outlier_factor must be >= 1, got {self.outlier_factor!r}")
         if not 0.0 <= self.common_frac < 1.0:
             raise ValueError(f"common_frac must lie in [0, 1), got {self.common_frac!r}")
-
-    def zeroed(self) -> "MatcherNoiseModel":
-        """Copy with every random component disabled (exact pose, d = d0 + slope)."""
-        return replace(
-            self, sigma_xy=0.0, sigma_z=0.0, sigma_psi=0.0, sigma_theta=0.0,
-            d_jitter=0.0, outlier_prob=0.0,
-        )
 
     def variances(self) -> np.ndarray:
         """Per-match pose error variances in measurement order (x, y, z, psi, theta)."""
@@ -334,64 +301,3 @@ def _distance_score(
     gap = math.hypot(sx - tile.x, sy - tile.y)
     d = noise.d0 + noise.d_slope * gap + noise.d_jitter * abs(jitter)
     return max(d, D_MIN)
-
-
-class RecordingMatcher:
-    """Wrap any backend and capture every result for later replay."""
-
-    def __init__(self, inner):
-        self._inner = inner
-        self._records: dict[tuple[int, int], MatchResult] = {}
-
-    def match_pair(self, obs: UavObservation, tile: TileRecord) -> MatchResult:
-        result = self._inner.match_pair(obs, tile)
-        self._records[(obs.frame, tile.tile_id)] = result
-        return result
-
-    def match_frame(self, obs: UavObservation, tiles) -> list[MatchResult]:
-        return [self.match_pair(obs, tile) for tile in tiles]
-
-    def __len__(self) -> int:
-        return len(self._records)
-
-    def save(self, path: str) -> None:
-        rows = (
-            f"{frame} {tile_id} {r.d!r} {r.p_hat[0]!r} {r.p_hat[1]!r}"
-            f" {r.p_hat[2]!r} {r.psi_hat!r} {r.theta_hat!r}"
-            for (frame, tile_id), r in self._records.items()
-        )
-        write_rows(path, _HEADER, rows)
-
-
-class ReplayMatcher:
-    """Serve previously recorded MatchResults keyed by (frame, tile)."""
-
-    def __init__(self, records: dict[tuple[int, int], MatchResult]):
-        self._records = dict(records)
-
-    @classmethod
-    def load(cls, path: str) -> "ReplayMatcher":
-        return cls(read_rows(path, _HEADER, _parse_records))
-
-    def match_pair(self, obs: UavObservation, tile: TileRecord) -> MatchResult:
-        try:
-            return self._records[(obs.frame, tile.tile_id)]
-        except KeyError:
-            raise ReplayMissError(obs.frame, tile.tile_id) from None
-
-    def match_frame(self, obs: UavObservation, tiles) -> list[MatchResult]:
-        return [self.match_pair(obs, tile) for tile in tiles]
-
-    def __len__(self) -> int:
-        return len(self._records)
-
-
-def _parse_records(rows) -> dict[tuple[int, int], MatchResult]:
-    records = {}
-    for tokens in rows:
-        if len(tokens) != 8:
-            raise ValueError("expected 'frame tile d px py pz psi theta'")
-        frame, tile_id = int(tokens[0]), int(tokens[1])
-        d, px, py, pz, psi, theta = (float(t) for t in tokens[2:])
-        records[(frame, tile_id)] = MatchResult(d, (px, py, pz), psi, theta, tile_id)
-    return records

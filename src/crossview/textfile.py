@@ -1,10 +1,10 @@
 """Versioned text files: the one reader and writer behind every data format.
 
-Tiles, trajectories and match records share these rules: ASCII, a
-``#crossview-<kind>-v<N>`` header line, one record per line with
-whitespace-separated columns, floats written with ``repr`` so they read back
-bit-exactly, blank lines ignored, and every parse error reported as
-``path:line: message``. Each format supplies only its column layout.
+Tiles and trajectories share these rules: ASCII, a ``#crossview-<kind>-v<N>``
+header line, one record per line with whitespace-separated columns, floats
+written with ``repr`` so they read back bit-exactly, blank lines ignored, and
+every parse error reported as ``path:line: message``. Each format supplies
+only its column layout.
 """
 
 from __future__ import annotations

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import operator
+import sys
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
@@ -19,8 +20,6 @@ import numpy as np
 from .textfile import FileFormatError, read_rows, write_rows
 
 __all__ = [
-    "TILE_ALTITUDE",
-    "TILE_HEADING",
     "TileFileError",
     "TileRecord",
     "TileSet",
@@ -30,9 +29,6 @@ __all__ = [
     "save_tiles",
 ]
 
-TILE_ALTITUDE = 300.0
-TILE_HEADING = 0.0
-
 _HEADER = "#crossview-tiles-v1"
 
 
@@ -41,23 +37,17 @@ TileFileError = FileFormatError
 
 @dataclass(frozen=True)
 class TileRecord:
-    """One satellite tile: ground center (x, y) plus the fixed render pose."""
+    """One satellite tile: its id and ground center (x, y)."""
 
     tile_id: int
     x: float
     y: float
-    altitude: float = TILE_ALTITUDE
-    heading: float = TILE_HEADING
 
     def __post_init__(self) -> None:
         if self.tile_id < 0:
             raise ValueError(f"tile_id must be >= 0, got {self.tile_id}")
         if not (math.isfinite(self.x) and math.isfinite(self.y)):
             raise ValueError("tile center must be finite")
-
-    @property
-    def center(self) -> tuple[float, float]:
-        return (self.x, self.y)
 
 
 @dataclass(frozen=True)
@@ -86,7 +76,10 @@ class TileSet(Sequence):
             raise ValueError("bounds must satisfy x_min <= x_max and y_min <= y_max")
         cols = (self.x_max - self.x_min) / self.spacing + 1e-9
         rows = (self.y_max - self.y_min) / self.spacing + 1e-9
-        if not (math.isfinite(cols) and math.isfinite(rows)):
+        # len() and every tile id must fit an index-sized integer.
+        if not (math.isfinite(cols) and math.isfinite(rows)) or (
+            (int(cols) + 1) * (int(rows) + 1) > sys.maxsize
+        ):
             raise ValueError(f"bounds span too many tiles at spacing {self.spacing!r}: {bounds}")
         nx, ny = int(cols) + 1, int(rows) + 1
         object.__setattr__(self, "nx", nx)

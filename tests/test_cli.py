@@ -130,6 +130,15 @@ def test_losses_self_test(capsys):
     assert "ok" in out and "FAIL" not in out
 
 
+@pytest.mark.parametrize("points", ["0", "-3"])
+def test_losses_self_test_needs_points(capsys, points):
+    rc = main(["losses", "--self-test", "--points", points])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: points must be >= 1" in captured.err
+
+
 def test_losses_without_flag(capsys):
     rc = main(["losses"])
     assert rc == 2

@@ -88,6 +88,12 @@ def test_parse_error_carries_line_number():
         {"d0": 0.0},
         {"d_slope": -0.1},
         {"hybrid_horizontal_rms_m": 0.0},
+        {"outlier_factor": 0.5},                       # would shrink outliers
+        {"outlier_factor": float("nan")},
+        {"scene_heading_deg": float("nan")},
+        {"d0": 1e-4},                                  # below the D_MIN floor
+        {"alt_base_m": float("nan")},                  # passes both profile bounds
+        {"speed_mps": float("nan")},                   # passes the 2% check
     ],
 )
 def test_validate_rejects(overrides):

@@ -10,8 +10,6 @@ from crossview.fusion import (
     FusedMeasurement,
     default_fallback_variances,
     fuse,
-    fused_covariance,
-    weighted_pose,
 )
 from crossview.geometry import wrap_angle
 from crossview.matchers import MatcherNoiseModel, MatchResult, SyntheticMatcher, UavObservation
@@ -30,11 +28,16 @@ def literal_weighted(results):
     num_theta = 0.0
     den = 0.0
     for r in results:
-        num_p = num_p + r.position / r.d
+        num_p = num_p + np.array(r.p_hat) / r.d
         num_psi += r.psi_hat / r.d
         num_theta += r.theta_hat / r.d
         den += 1.0 / r.d
     return num_p / den, num_psi / den, num_theta / den
+
+
+def fused_pose(results):
+    fused = fuse(results)
+    return fused.p_bar, fused.psi_bar, fused.theta_bar
 
 
 def random_results(rng, k, psi_center=None):
@@ -55,12 +58,12 @@ def random_results(rng, k, psi_center=None):
     return out
 
 
-# --- weighted_pose --------------------------------------------------------
+# --- the fused pose -------------------------------------------------------
 
 
 def test_single_candidate_passthrough():
     r = MatchResult(3.0, (1.0, 2.0, 3.0), 40.0, 20.0, 0)
-    p, psi, theta = weighted_pose([r])
+    p, psi, theta = fused_pose([r])
     np.testing.assert_allclose(p, [1.0, 2.0, 3.0])
     assert psi == 40.0 and theta == 20.0
 
@@ -72,8 +75,8 @@ def test_equal_distances_arithmetic_mean():
                     float(rng.uniform(0, 45)), i)
         for i in range(6)
     ]
-    p, psi, theta = weighted_pose(results)
-    np.testing.assert_allclose(p, np.mean([r.position for r in results], axis=0), atol=1e-12)
+    p, psi, theta = fused_pose(results)
+    np.testing.assert_allclose(p, np.mean([r.p_hat for r in results], axis=0), atol=1e-12)
     assert psi == pytest.approx(np.mean([r.psi_hat for r in results]), abs=1e-12)
     assert theta == pytest.approx(np.mean([r.theta_hat for r in results]), abs=1e-12)
 
@@ -82,17 +85,17 @@ def test_two_candidate_hand_value():
     # weights 1/1 and 1/3: (0/1 + 4/3) / (1/1 + 1/3) = 1.0
     a = MatchResult(1.0, (0.0, 0.0, 0.0), 0.0, 0.0, 0)
     b = MatchResult(3.0, (4.0, 4.0, 4.0), 4.0, 4.0, 1)
-    p, psi, theta = weighted_pose([a, b])
+    p, psi, theta = fused_pose([a, b])
     np.testing.assert_allclose(p, [1.0, 1.0, 1.0], atol=1e-12)
     assert psi == pytest.approx(1.0, abs=1e-12)
     assert theta == pytest.approx(1.0, abs=1e-12)
 
 
-def test_weighted_pose_matches_literal_oracle():
+def test_fused_pose_matches_literal_oracle():
     rng = np.random.default_rng(42)
     for _ in range(1000):
         results = random_results(rng, int(rng.integers(1, 12)))
-        p, psi, theta = weighted_pose(results)
+        p, psi, theta = fused_pose(results)
         op, opsi, otheta = literal_weighted(results)
         np.testing.assert_allclose(p, op, atol=1e-12)
         assert abs(wrap_angle(psi - opsi)) < 1e-12
@@ -106,8 +109,8 @@ def test_weight_scale_invariance():
         MatchResult(r.d * 7.3, r.p_hat, r.psi_hat, r.theta_hat, r.tile_id)
         for r in results
     ]
-    pa, psia, thetaa = weighted_pose(results)
-    pb, psib, thetab = weighted_pose(scaled)
+    pa, psia, thetaa = fused_pose(results)
+    pb, psib, thetab = fused_pose(scaled)
     np.testing.assert_allclose(pa, pb, atol=1e-12)
     assert abs(wrap_angle(psia - psib)) < 1e-12
     assert thetaa == pytest.approx(thetab, abs=1e-12)
@@ -116,7 +119,7 @@ def test_weight_scale_invariance():
 def test_heading_seam_average():
     a = MatchResult(2.0, (0.0, 0.0, 0.0), 179.0, 0.0, 0)
     b = MatchResult(2.0, (0.0, 0.0, 0.0), -179.0, 0.0, 1)
-    _, psi, _ = weighted_pose([a, b])
+    _, psi, _ = fused_pose([a, b])
     assert abs(psi) == pytest.approx(180.0, abs=1e-9)  # not 0
 
 
@@ -124,20 +127,20 @@ def test_convexity_componentwise():
     rng = np.random.default_rng(44)
     for _ in range(200):
         results = random_results(rng, 5)
-        p, _, theta = weighted_pose(results)
-        pts = np.array([r.position for r in results])
+        p, _, theta = fused_pose(results)
+        pts = np.array([r.p_hat for r in results])
         assert np.all(p >= pts.min(axis=0) - 1e-9)
         assert np.all(p <= pts.max(axis=0) + 1e-9)
         thetas = [r.theta_hat for r in results]
         assert min(thetas) - 1e-9 <= theta <= max(thetas) + 1e-9
 
 
-def test_weighted_pose_rejects_empty():
-    with pytest.raises(ValueError):
-        weighted_pose([])
+def test_fuse_rejects_empty():
+    with pytest.raises(ValueError, match="empty"):
+        fuse([])
 
 
-# --- fused_covariance -----------------------------------------------------
+# --- the fused covariance -------------------------------------------------
 
 
 def test_identical_estimates_epsilon_covariance():
@@ -145,14 +148,14 @@ def test_identical_estimates_epsilon_covariance():
     clones = [
         MatchResult(5.0, r.p_hat, r.psi_hat, r.theta_hat, i) for i in range(9)
     ]
-    M = fused_covariance(clones)
+    M = fuse(clones).M
     np.testing.assert_allclose(M, COVARIANCE_RIDGE * np.eye(5), atol=1e-15)
 
 
 def test_two_sample_hand_covariance():
     a = MatchResult(1.0, (0.0, 0.0, 0.0), 0.0, 0.0, 0)
     b = MatchResult(1.0, (2.0, 0.0, 0.0), 0.0, 0.0, 1)
-    M = fused_covariance([a, b])
+    M = fuse([a, b]).M
     expected = COVARIANCE_RIDGE * np.eye(5)
     expected[0, 0] += 2.0  # sample variance with divisor k-1
     np.testing.assert_allclose(M, expected, atol=1e-15)
@@ -161,7 +164,7 @@ def test_two_sample_hand_covariance():
 def test_heading_variance_wraps():
     a = MatchResult(1.0, (0.0, 0.0, 0.0), 179.0, 0.0, 0)
     b = MatchResult(1.0, (0.0, 0.0, 0.0), -179.0, 0.0, 1)
-    M = fused_covariance([a, b])
+    M = fuse([a, b]).M
     # residuals are 0 and 2 about the first candidate, sample variance 2
     assert M[3, 3] == pytest.approx(2.0 + COVARIANCE_RIDGE, abs=1e-12)
 
@@ -170,7 +173,7 @@ def test_covariance_symmetric_psd_random():
     rng = np.random.default_rng(45)
     for _ in range(1000):
         results = random_results(rng, int(rng.integers(2, 12)))
-        M = fused_covariance(results)
+        M = fuse(results).M
         assert M.shape == (5, 5)
         np.testing.assert_allclose(M, M.T, atol=1e-12)
         # eigensolver round-off scales with the largest variance, so the
@@ -182,12 +185,12 @@ def test_covariance_symmetric_psd_random():
 def test_single_candidate_fallback():
     r = MatchResult(2.0, (0.0, 0.0, 150.0), 0.0, 10.0, 0)
     fallback = (4.0, 4.0, 9.0, 100.0, 1.0)
-    M = fused_covariance([r], fallback)
+    M = fuse([r], fallback).M
     np.testing.assert_allclose(
         M, np.diag(fallback) + COVARIANCE_RIDGE * np.eye(5), atol=1e-15
     )
     # default fallback comes from the hybrid calibration
-    M_default = fused_covariance([r])
+    M_default = fuse([r]).M
     np.testing.assert_allclose(
         np.diag(M_default), np.array(default_fallback_variances()) + COVARIANCE_RIDGE
     )
@@ -196,9 +199,9 @@ def test_single_candidate_fallback():
 def test_fallback_validation():
     r = MatchResult(2.0, (0.0, 0.0, 150.0), 0.0, 10.0, 0)
     with pytest.raises(ValueError):
-        fused_covariance([r], (1.0, 2.0, 3.0))  # wrong length
+        fuse([r], (1.0, 2.0, 3.0))  # wrong length
     with pytest.raises(ValueError):
-        fused_covariance([r], (1.0, 1.0, 1.0, -1.0, 1.0))
+        fuse([r], (1.0, 1.0, 1.0, -1.0, 1.0))
 
 
 # --- fuse -----------------------------------------------------------------
@@ -214,20 +217,6 @@ def test_fuse_permutation_invariant_bitwise():
         other = fuse(perm)
         assert np.array_equal(base.z_vector(), other.z_vector())
         assert np.array_equal(base.M, other.M)
-
-
-@pytest.mark.parametrize("k", [1, 2, 9])
-def test_fuse_on_shuffled_list_equals_public_parts(k):
-    rng = np.random.default_rng(47 + k)
-    results = random_results(rng, k)
-    p_bar, psi_bar, theta_bar = weighted_pose(results)
-    M = fused_covariance(results)
-    shuffled = list(results)
-    rng.shuffle(shuffled)
-    fused = fuse(shuffled)
-    assert np.array_equal(fused.p_bar, p_bar)
-    assert (fused.psi_bar, fused.theta_bar) == (psi_bar, theta_bar)
-    assert np.array_equal(fused.M, M)
 
 
 _candidate = st.tuples(

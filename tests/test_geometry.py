@@ -184,6 +184,13 @@ def rotation_candidates(draw):
 @given(R=rotation_candidates())
 @example(R=-np.eye(3))
 @example(R=np.eye(4))
+# (R^T R)[0, 1] a few 1e-18 from 1e-6: summed in plain floats it reads just
+# above tol, through numpy's R.T @ R just below.
+@example(R=np.array([
+    [0.9975639805033505, -0.0697564737441253, 0.0],
+    [0.06975747130817556, 0.9975640502598242, 0.0],
+    [0.0, 0.0, 1.0],
+]))
 def test_scalar_rotation_check_matches_numpy_form(R):
     assert is_rotation_matrix(R) == numpy_is_rotation_matrix(R)
 

@@ -9,13 +9,7 @@ from crossview.config import SimConfig
 from crossview.estimator import FilterState, ProcessNoise, VoIncrement, correct, predict
 from crossview.fusion import fuse
 from crossview.geometry import Pose6D, euler_to_rotmat
-from crossview.matchers import (
-    RecordingMatcher,
-    ReplayMatcher,
-    SyntheticMatcher,
-    UavObservation,
-    noise_model,
-)
+from crossview.matchers import UavObservation, noise_model
 from crossview.sim import (
     _make_backends,
     _run_pipelines,
@@ -237,7 +231,7 @@ def test_suggested_bounds_cover_flight(default_frames):
 
 
 def test_run_experiment_noise_free_recovers_truth():
-    """With drift and matcher noise zeroed, every method tracks truth."""
+    """With drift and matcher noise switched off, every method tracks truth."""
     cfg = small_config(
         vo_scale_error=0.0,
         vo_pos_noise_m=0.0,
@@ -463,26 +457,6 @@ def test_pipeline_rejects_mismatched_increments():
     increments = simulate_vo(frames, drift_from_config(cfg), seed=0)
     with pytest.raises(ValueError, match="increments"):
         _run_pipeline(frames, increments[:-1], None, cfg, None)
-
-
-def test_recording_and_replay_drive_the_pipeline(tmp_path):
-    cfg = small_config()
-    frames = gen_trajectory(cfg, seed=2)
-    increments = simulate_vo(frames, drift_from_config(cfg), seed=2)
-    tiles = tiles_for(frames)
-    backend = _make_backends(cfg, 2)["vo_hybrid"]
-    assert isinstance(backend, SyntheticMatcher)
-    plain = _run_pipeline(frames, increments, backend, cfg, tiles)
-
-    recorder = RecordingMatcher(backend)
-    assert_same_run(_run_pipeline(frames, increments, recorder, cfg, tiles), plain)
-    corrections = (len(frames) - 1) // cfg.correction_stride
-    assert len(recorder) == corrections * cfg.k_candidates
-
-    path = tmp_path / "matches.txt"
-    recorder.save(str(path))
-    replay = ReplayMatcher.load(str(path))
-    assert_same_run(_run_pipeline(frames, increments, replay, cfg, tiles), plain)
 
 
 # --- text round trips --------------------------------------------------------

@@ -1,4 +1,4 @@
-"""The shared versioned-text reader/writer and the three formats built on it."""
+"""The shared versioned-text reader/writer and the two formats built on it."""
 
 import struct
 
@@ -7,19 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crossview.config import SimConfig
-from crossview.geometry import Pose6D
-from crossview.matchers import (
-    MatchFileError,
-    MatchResult,
-    RecordingMatcher,
-    ReplayMatcher,
-    UavObservation,
-)
 from crossview.sim import gen_trajectory, load_trajectory, save_trajectory
 from crossview.textfile import FileFormatError, read_rows
 from crossview.tiles import (
     TileFileError,
-    TileRecord,
     TileSet,
     generate_grid,
     load_tiles,
@@ -34,7 +25,6 @@ def bits(value):
 
 def test_error_classes_are_one():
     assert TileFileError is FileFormatError
-    assert MatchFileError is FileFormatError
     assert issubclass(FileFormatError, ValueError)
 
 
@@ -88,22 +78,9 @@ def poisoned_timestamp(path):
     return load, lineno, 0  # column 0 is t
 
 
-def poisoned_matches(path):
-    class Fixed:
-        def match_pair(self, obs, tile):
-            return MatchResult(5.0, (1.0, 2.0, 150.0), 10.0, 20.0, tile.tile_id)
-
-    recorder = RecordingMatcher(Fixed())
-    for frame in range(3):
-        obs = UavObservation(frame, Pose6D(0.0, 0.0, 150.0, 0.0, 10.0, 0.0))
-        recorder.match_frame(obs, [TileRecord(0, 0.0, 0.0), TileRecord(1, 50.0, 0.0)])
-    recorder.save(path)
-    return ReplayMatcher.load, 6, 3  # line 6 is frame 2, tile 0; column 3 is px
-
-
 @pytest.mark.parametrize(
-    "write", [poisoned_tiles, poisoned_trajectory, poisoned_timestamp, poisoned_matches],
-    ids=["tiles", "trajectory", "trajectory_t", "matches"],
+    "write", [poisoned_tiles, poisoned_trajectory, poisoned_timestamp],
+    ids=["tiles", "trajectory", "trajectory_t"],
 )
 def test_nan_value_reports_its_line(tmp_path, write):
     path = str(tmp_path / "data.txt")
@@ -162,39 +139,3 @@ def test_tile_file_round_trips_floats_bit_exactly(tmp_path_factory, x, y, spacin
     assert flat(back) == flat(tile_set)
     # the one tile sits where the grid formula puts it (-0.0 + 0 * s is 0.0)
     assert flat(back)[5:] == [bits(x + 0 * spacing), bits(y + 0 * spacing)]
-
-
-match_results = st.builds(
-    MatchResult,
-    d=positive,
-    p_hat=st.tuples(values, values, values),
-    psi_hat=st.one_of(
-        st.sampled_from([180.0, -0.0, 5e-324]),
-        st.floats(min_value=-180.0, max_value=180.0, exclude_min=True),
-    ),
-    theta_hat=st.one_of(st.sampled_from([0.0, -0.0, 45.0]), st.floats(0.0, 45.0)),
-    tile_id=st.integers(0, 10**12),
-)
-
-
-@settings(max_examples=200, deadline=None)
-@given(results=st.lists(match_results, min_size=1, max_size=5), frame=st.integers(0, 10**12))
-def test_match_records_round_trip_floats_bit_exactly(tmp_path_factory, results, frame):
-    path = tmp_path_factory.getbasetemp() / "matches.txt"
-    by_tile = {r.tile_id: r for r in results}
-
-    class Fixed:
-        def match_pair(self, obs, tile):
-            return by_tile[tile.tile_id]
-
-    recorder = RecordingMatcher(Fixed())
-    obs = UavObservation(frame, Pose6D(0.0, 0.0, 150.0, 0.0, 10.0, 0.0))
-    tiles = [TileRecord(tid, 0.0, 0.0) for tid in by_tile]
-    recorded = recorder.match_frame(obs, tiles)
-    recorder.save(path)
-    replayed = ReplayMatcher.load(path).match_frame(obs, tiles)
-
-    def flat(r):
-        return [bits(v) for v in (r.d, *r.p_hat, r.psi_hat, r.theta_hat)] + [r.tile_id]
-
-    assert [flat(r) for r in replayed] == [flat(r) for r in recorded]

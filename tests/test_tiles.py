@@ -63,8 +63,8 @@ def test_generate_grid_rejects_bad_bounds():
 
 @pytest.mark.parametrize(
     "bounds",
-    [(0.0, 1e308, 0.0, 1.0, 1e-300), (0.0, 1.0, -1e308, 1e308, 1.0)],
-    ids=["ratio-overflows", "span-overflows"],
+    [(0.0, 1e308, 0.0, 1.0, 1e-300), (0.0, 1.0, -1e308, 1e308, 1.0), (0.0, 1e300, 0.0, 1.0, 1.0)],
+    ids=["ratio-overflows", "span-overflows", "count-exceeds-index"],
 )
 def test_generate_grid_rejects_overflowing_tile_count(bounds):
     with pytest.raises(ValueError, match="too many tiles"):
@@ -84,8 +84,7 @@ def test_tile_record_validation():
     with pytest.raises(ValueError):
         TileRecord(0, float("nan"), 0.0)
     t = TileRecord(3, 10.0, 20.0)
-    assert t.center == (10.0, 20.0)
-    assert t.altitude == 300.0 and t.heading == 0.0
+    assert (t.tile_id, t.x, t.y) == (3, 10.0, 20.0)
 
 
 def test_tileset_rejects_inconsistent_tiles(tmp_path):
