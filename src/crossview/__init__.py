@@ -54,7 +54,6 @@ from .sim import (
     ExperimentResult,
     RmseSummary,
     TrajectoryFrame,
-    VoDriftModel,
     gen_trajectory,
     load_trajectory,
     rmse,

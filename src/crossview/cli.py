@@ -19,7 +19,6 @@ from .config import SimConfig, describe_defaults, load_config
 from .losses import gradient_self_test
 from .sim import (
     METHODS,
-    drift_from_config,
     gen_trajectory,
     load_trajectory,
     rmse,
@@ -51,7 +50,7 @@ def _cmd_gen_tiles(args: argparse.Namespace) -> int:
 def _cmd_simulate(args: argparse.Namespace) -> int:
     cfg = _load_config_arg(args.config)
     frames = gen_trajectory(cfg, args.seed)
-    increments = simulate_vo(frames, drift_from_config(cfg), args.seed)
+    increments = simulate_vo(frames, cfg, args.seed)
     noisy = [replace(f, vo_increment=inc) for f, inc in zip(frames, increments)]
     save_trajectory(args.out, noisy)
     print(f"wrote {len(noisy)} frames to {args.out}")

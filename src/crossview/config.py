@@ -12,6 +12,8 @@ import dataclasses
 import math
 from dataclasses import dataclass
 
+from .textfile import read_ascii
+
 __all__ = ["ConfigError", "SimConfig", "load_config", "parse_config"]
 
 
@@ -35,7 +37,6 @@ class SimConfig:
     length_m: float = 2500.0
     duration_s: float = 200.0
     rate_hz: float = 20.0
-    speed_mps: float | None = None  # derived from length/duration when omitted
     turn_radius_m: float = 60.0
     straight_init_m: float = 100.0
     alt_base_m: float = 150.0
@@ -116,7 +117,7 @@ class SimConfig:
     def validate(self) -> "SimConfig":
         for f in dataclasses.fields(self):
             value = getattr(self, f.name)
-            if value is not None and not math.isfinite(value):
+            if not math.isfinite(value):
                 raise ConfigError(f"{f.name} must be finite, got {value}")
 
         def positive(**named: float) -> None:
@@ -154,13 +155,6 @@ class SimConfig:
             )
         if self.frame_count < 2:
             raise ConfigError("duration_s * rate_hz must give at least 2 frames")
-        if self.speed_mps is not None:
-            derived = self.speed
-            if abs(self.speed_mps - derived) > 0.02 * derived:
-                raise ConfigError(
-                    f"speed_mps={self.speed_mps} inconsistent with"
-                    f" length_m/duration_s={derived:.3f} (tolerance 2%)"
-                )
         if self.alt_base_m - self.alt_amp_m < 100.0 or self.alt_base_m + self.alt_amp_m > 200.0:
             raise ConfigError(
                 "altitude profile must stay within [100, 200] m:"
@@ -196,17 +190,16 @@ class SimConfig:
             raise ConfigError(f"outlier_factor must be >= 1, got {self.outlier_factor}")
         if self.d0 < D_MIN:
             raise ConfigError(f"d0 must be >= {D_MIN}, got {self.d0}")
-        positive(
-            scene_altitude_m=self.scene_altitude_m,
-            hybrid_horizontal_rms_m=self.hybrid_horizontal_rms_m,
-            hybrid_vertical_rms_m=self.hybrid_vertical_rms_m,
-            hybrid_heading_rms_deg=self.hybrid_heading_rms_deg,
-            hybrid_tilt_rms_deg=self.hybrid_tilt_rms_deg,
-            regression_horizontal_rms_m=self.regression_horizontal_rms_m,
-            regression_vertical_rms_m=self.regression_vertical_rms_m,
-            regression_heading_rms_deg=self.regression_heading_rms_deg,
-            regression_tilt_rms_deg=self.regression_tilt_rms_deg,
-        )
+        rms = {
+            f.name: getattr(self, f.name)
+            for f in dataclasses.fields(self)
+            if f.name.startswith(("hybrid_", "regression_"))
+        }
+        positive(scene_altitude_m=self.scene_altitude_m, **rms)
+        for name, value in rms.items():
+            # The matchers square each RMS figure into a variance.
+            if not math.isfinite(value * value):
+                raise ConfigError(f"{name} must square to a finite variance, got {value}")
         non_negative(d_slope=self.d_slope, d_jitter=self.d_jitter)
         if not 0.0 <= self.scene_tilt_deg <= 45.0:
             raise ConfigError(
@@ -246,8 +239,7 @@ def parse_config(text: str, source: str = "<config>") -> SimConfig:
 
 
 def load_config(path: str) -> SimConfig:
-    with open(path, "r", encoding="ascii") as fh:
-        return parse_config(fh.read(), source=path)
+    return parse_config(read_ascii(path, ConfigError), source=path)
 
 
 def describe_defaults() -> str:

@@ -2,8 +2,9 @@
 
 ``gen_trajectory`` lays out a constant-speed flight (straight lead-out,
 90-degree connecting turn, then a wide orbit around the start) with smoothly
-varying altitude and tilt; the first 100 m are pure translation. ``simulate_vo`` corrupts the true
-frame-to-frame increments with a calibrated drift model. ``run_experiment``
+varying altitude and tilt; the first 100 m are pure translation.
+``simulate_vo`` corrupts the true frame-to-frame increments with the drift
+the config's ``vo_*`` figures set. ``run_experiment``
 then runs four estimation pipelines over the same flight and drift
 realization: dead-reckoned VO only, and VO corrected at 1 Hz by each matching
 backend (scene retrieval, pose regression, hybrid). Everything is a pure
@@ -40,8 +41,6 @@ __all__ = [
     "ExperimentResult",
     "RmseSummary",
     "TrajectoryFrame",
-    "VoDriftModel",
-    "drift_from_config",
     "gen_trajectory",
     "load_trajectory",
     "path_length",
@@ -72,110 +71,55 @@ class TrajectoryFrame:
     vo_increment: VoIncrement
 
 
-@dataclass(frozen=True)
-class VoDriftModel:
-    """Visual odometry error model, applied per prediction step.
-
-    Position increments are scaled by (1 + scale_error), then perturbed by
-    white noise of sigma pos_noise_m per axis plus a bias that random-walks
-    with sigma bias_walk_m per step. Rotation increments are left-multiplied
-    by a small random rotation with rot_noise_deg per axis.
-    """
-
-    scale_error: float = 0.0
-    pos_noise_m: float = 0.0
-    rot_noise_deg: float = 0.0
-    bias_walk_m: float = 0.0
-
-    def __post_init__(self) -> None:
-        if not math.isfinite(self.scale_error) or self.scale_error <= -1.0:
-            raise ValueError(f"scale_error must be > -1, got {self.scale_error!r}")
-        for name in ("pos_noise_m", "rot_noise_deg", "bias_walk_m"):
-            value = getattr(self, name)
-            if not math.isfinite(value) or value < 0.0:
-                raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
-
-
-def drift_from_config(cfg: SimConfig) -> VoDriftModel:
-    return VoDriftModel(
-        scale_error=cfg.vo_scale_error,
-        pos_noise_m=cfg.vo_pos_noise_m,
-        rot_noise_deg=cfg.vo_rot_noise_deg,
-        bias_walk_m=cfg.vo_bias_walk_m,
-    )
-
-
 # --- flight path ---------------------------------------------------------
 
 
-class _Straight:
-    def __init__(self, start: np.ndarray, heading: float, length: float):
-        self.start = start
-        self.heading = heading
-        self.length = length
+def _flight_path(cfg: SimConfig, heading0: float, turn: int):
+    """The flight as a function of arc length s, returning (x, y, heading).
 
-    def sample(self, s: float) -> tuple[np.ndarray, float]:
-        h = math.radians(self.heading)
-        return (self.start + s * np.array([math.sin(h), math.cos(h)]), self.heading)
+    A lead-out line from the origin along heading0, a 90-degree connecting
+    turn (turn = +1 turns clockwise, so heading increases), then an orbit
+    whose radius equals lead + turn radius, which keeps the flight at a
+    near-constant distance from the start point.
+    """
+    lead = cfg.lead_m
+    quarter = 0.5 * math.pi * cfg.turn_radius_m
+    orbit_start = lead + quarter
 
-    def end(self) -> tuple[np.ndarray, float]:
-        return self.sample(self.length)
-
-
-class _Arc:
-    """Constant-radius turn; sign +1 turns clockwise (heading increases)."""
-
-    def __init__(self, start: np.ndarray, heading: float, radius: float, sign: int, length: float):
-        self.start = start
-        self.heading0 = heading
-        self.radius = radius
-        self.sign = sign
-        self.length = length
+    def arc(x: float, y: float, heading: float, radius: float):
         h = math.radians(heading)
-        self.center = start + sign * radius * np.array([math.cos(h), -math.sin(h)])
+        k = turn * radius
+        cx, cy = x + k * math.cos(h), y - k * math.sin(h)
 
-    def sample(self, s: float) -> tuple[np.ndarray, float]:
-        heading = self.heading0 + self.sign * math.degrees(s / self.radius)
-        h = math.radians(heading)
-        point = self.center - self.sign * self.radius * np.array(
-            [math.cos(h), -math.sin(h)]
-        )
-        return (point, heading)
+        def at(s: float) -> tuple[float, float, float]:
+            h_s = heading + turn * math.degrees(s / radius)
+            h = math.radians(h_s)
+            return cx - k * math.cos(h), cy + k * math.sin(h), h_s
 
-    def end(self) -> tuple[np.ndarray, float]:
-        return self.sample(self.length)
+        return at
 
+    h0 = math.radians(heading0)
+    # "0.0 +" keeps frame 0 at +0.0 where the sine or cosine is negative.
+    bend = arc(0.0 + lead * math.sin(h0), 0.0 + lead * math.cos(h0), heading0, cfg.turn_radius_m)
+    orbit = arc(*bend(quarter), cfg.orbit_radius_m)
 
-def _build_segments(cfg: SimConfig, heading0: float, turn: int) -> list:
-    # Lead-out leg, 90-degree connecting turn, then an orbit whose radius
-    # equals lead + turn radius, which keeps the flight at a near-constant
-    # distance from the start point for the rest of the run.
-    segments = []
-    point = np.zeros(2)
-    heading = heading0
-    plan = [
-        ("straight", cfg.lead_m, 0.0),
-        ("arc", 0.5 * math.pi * cfg.turn_radius_m, cfg.turn_radius_m),
-        ("arc", cfg.orbit_m, cfg.orbit_radius_m),
-    ]
-    for kind, length, radius in plan:
-        if kind == "straight":
-            seg = _Straight(point, heading, length)
-        else:
-            seg = _Arc(point, heading, radius, turn, length)
-        segments.append(seg)
-        point, heading = seg.end()
-    return segments
+    def at(s: float) -> tuple[float, float, float]:
+        if s < lead:
+            return 0.0 + s * math.sin(h0), 0.0 + s * math.cos(h0), heading0
+        if s < orbit_start:
+            return bend(s - lead)
+        return orbit(s - orbit_start)
+
+    return at
 
 
 def gen_trajectory(cfg: SimConfig, seed: int) -> list[TrajectoryFrame]:
     """Deterministic synthetic flight for a config and seed.
 
     The seed picks the initial heading, the sense of the first turn, and the
-    altitude phase; the geometry (segment lengths, speeds, profiles) comes
-    from the config alone. Increments attached to the frames are the exact
-    truth increments (a drift-free VO); see :func:`simulate_vo` for the noisy
-    ones.
+    altitude phase; the geometry (leg lengths, speeds, profiles) comes from
+    the config alone. Increments attached to the frames are the exact truth
+    increments (a drift-free VO); see :func:`simulate_vo` for the noisy ones.
     """
     cfg.validate()
     rng = np.random.default_rng(np.random.SeedSequence([seed, _TRAJ_STREAM]))
@@ -183,21 +127,12 @@ def gen_trajectory(cfg: SimConfig, seed: int) -> list[TrajectoryFrame]:
     first_turn = 1 if rng.random() < 0.5 else -1
     alt_phase = float(rng.uniform(0.0, 2.0 * math.pi))
 
-    segments = _build_segments(cfg, heading0, first_turn)
-    boundaries = np.cumsum([seg.length for seg in segments])
+    path = _flight_path(cfg, heading0, first_turn)
     t0 = cfg.straight_init_m / cfg.speed  # orientation frozen until here
-
-    def sample_path(s: float) -> tuple[np.ndarray, float]:
-        idx = int(np.searchsorted(boundaries, s, side="right"))
-        idx = min(idx, len(segments) - 1)
-        base = boundaries[idx - 1] if idx > 0 else 0.0
-        return segments[idx].sample(s - base)
-
-    poses = []
-    n = cfg.frame_count
-    for i in range(n):
+    frames = []
+    for i in range(cfg.frame_count):
         t = i * cfg.dt
-        point, heading = sample_path(cfg.speed * t)
+        x, y, heading = path(cfg.speed * t)
         z = cfg.alt_base_m + cfg.alt_amp_m * math.sin(
             2.0 * math.pi * t / cfg.alt_period_s + alt_phase
         )
@@ -205,37 +140,40 @@ def gen_trajectory(cfg: SimConfig, seed: int) -> list[TrajectoryFrame]:
         theta = cfg.tilt_base_deg + cfg.tilt_amp_deg * math.sin(
             2.0 * math.pi * tilt_t / cfg.tilt_period_s
         )
-        poses.append(
-            Pose6D(float(point[0]), float(point[1]), z, wrap_angle(heading), theta, 0.0)
-        )
-
-    frames = [TrajectoryFrame(0.0, poses[0], VoIncrement.identity())]
-    R_prev = euler_to_rotmat(*poses[0].angles)
-    for i in range(1, n):
-        R = euler_to_rotmat(*poses[i].angles)
-        dp = poses[i].position - poses[i - 1].position
-        frames.append(TrajectoryFrame(i * cfg.dt, poses[i], VoIncrement(dp, R @ R_prev.T)))
+        pose = Pose6D(x, y, z, wrap_angle(heading), theta, 0.0)
+        R = euler_to_rotmat(*pose.angles)
+        if i == 0:
+            inc = VoIncrement.identity()
+        else:
+            inc = VoIncrement(pose.position - frames[-1].truth.position, R @ R_prev.T)
+        frames.append(TrajectoryFrame(t, pose, inc))
         R_prev = R
     return frames
 
 
 def simulate_vo(
-    frames: list[TrajectoryFrame], drift: VoDriftModel, seed: int
+    frames: list[TrajectoryFrame], cfg: SimConfig, seed: int
 ) -> list[VoIncrement]:
-    """Corrupt the true increments with the drift model, one entry per frame.
+    """Corrupt the true increments with the config's VO drift, one per frame.
 
-    Per step the draw order is fixed (bias walk, position noise, rotation
-    noise, 3 values each) so runs are reproducible. Index 0 is the identity.
+    Position increments are scaled by (1 + vo_scale_error), then perturbed by
+    white noise of sigma vo_pos_noise_m per axis plus a bias that
+    random-walks with sigma vo_bias_walk_m per step. Rotation increments are
+    left-multiplied by a small random rotation with vo_rot_noise_deg per
+    axis. Per step the draw order is fixed (bias walk, position noise,
+    rotation noise, 3 values each) so runs are reproducible. Index 0 is the
+    identity.
     """
+    cfg.validate()
     rng = np.random.default_rng(np.random.SeedSequence([seed, _VO_STREAM]))
     out = [VoIncrement.identity()]
     bias = np.zeros(3)
     for frame in frames[1:]:
-        bias = bias + rng.standard_normal(3) * drift.bias_walk_m
-        pos_noise = rng.standard_normal(3) * drift.pos_noise_m
-        rot_noise = rng.standard_normal(3) * drift.rot_noise_deg
+        bias = bias + rng.standard_normal(3) * cfg.vo_bias_walk_m
+        pos_noise = rng.standard_normal(3) * cfg.vo_pos_noise_m
+        rot_noise = rng.standard_normal(3) * cfg.vo_rot_noise_deg
         true_inc = frame.vo_increment
-        dp = (1.0 + drift.scale_error) * true_inc.dp + pos_noise + bias
+        dp = (1.0 + cfg.vo_scale_error) * true_inc.dp + pos_noise + bias
         dR = euler_to_rotmat(rot_noise[0], rot_noise[1], rot_noise[2]) @ true_inc.dR
         out.append(VoIncrement(dp, dR))
     return out
@@ -379,7 +317,7 @@ def run_experiment(cfg: SimConfig, tile_set: TileSet, seed: int) -> ExperimentRe
             f"k_candidates={cfg.k_candidates} exceeds tile count {len(tile_set)}"
         )
     frames = gen_trajectory(cfg, seed)
-    increments = simulate_vo(frames, drift_from_config(cfg), seed)
+    increments = simulate_vo(frames, cfg, seed)
     truth = [f.truth for f in frames]
     backends = _make_backends(cfg, seed)
     runs = _run_pipelines(frames, increments, [backends[m] for m in METHODS], cfg, tile_set)

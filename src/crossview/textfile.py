@@ -9,7 +9,7 @@ only its column layout.
 
 from __future__ import annotations
 
-__all__ = ["FileFormatError", "read_rows", "write_rows"]
+__all__ = ["FileFormatError", "read_ascii", "read_rows", "write_rows"]
 
 
 class FileFormatError(ValueError):
@@ -22,6 +22,18 @@ def write_rows(path, header: str, rows) -> None:
         fh.write("\n".join([header, *rows]) + "\n")
 
 
+def read_ascii(path, error) -> str:
+    """The file's text; a non-ASCII byte raises ``error`` at ``path:line:``."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return data.decode("ascii")
+    except UnicodeDecodeError as exc:
+        # Number lines as str.splitlines does, the way every reader counts them.
+        lineno = len((data[: exc.start].decode("ascii") + ".").splitlines())
+        raise error(f"{path}:{lineno}: non-ASCII byte {data[exc.start]:#04x}") from None
+
+
 def read_rows(path, header: str, parse):
     """Check the header, then return ``parse(rows)``.
 
@@ -30,8 +42,7 @@ def read_rows(path, header: str, parse):
     FileFormatError located at ``path:line:``; one raised once the rows are
     exhausted (an empty file, a whole-file check) is located at ``path:``.
     """
-    with open(path, "r", encoding="ascii") as fh:
-        lines = fh.read().splitlines()
+    lines = read_ascii(path, FileFormatError).splitlines()
     if not lines or lines[0].strip() != header:
         raise FileFormatError(f"{path}:1: expected header {header!r}")
     lineno = None

@@ -155,6 +155,18 @@ def test_unknown_config_key(tmp_path, capsys):
     assert "unknown key" in err and "bad.cfg:1" in err
 
 
+@pytest.mark.parametrize("key", ["hybrid_heading_rms_deg", "regression_tilt_rms_deg"])
+def test_simulate_rejects_rms_whose_variance_overflows(tmp_path, capsys, key):
+    cfg = tmp_path / "huge.cfg"
+    cfg.write_text(f"{key} = 1e200\n")
+    out = tmp_path / "flight.txt"
+    rc = main(["simulate", "--config", str(cfg), "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and key in err
+    assert not out.exists()
+
+
 def test_help_documents_defaults(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--help"])

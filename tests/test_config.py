@@ -75,7 +75,6 @@ def test_parse_error_carries_line_number():
         {"alt_base_m": 180.0, "alt_amp_m": 30.0},      # peaks above 200 m
         {"tilt_base_deg": 40.0, "tilt_amp_deg": 10.0}, # exceeds 45 deg
         {"tilt_base_deg": 3.0, "tilt_amp_deg": 6.0},   # goes negative
-        {"speed_mps": 14.0},                           # 12% off length/duration
         {"correction_hz": 3.0},                        # 20/3 not an integer
         {"correction_hz": 40.0},                       # stride < 1
         {"turn_radius_m": 1200.0},                     # no room left for orbit
@@ -93,17 +92,15 @@ def test_parse_error_carries_line_number():
         {"scene_heading_deg": float("nan")},
         {"d0": 1e-4},                                  # below the D_MIN floor
         {"alt_base_m": float("nan")},                  # passes both profile bounds
-        {"speed_mps": float("nan")},                   # passes the 2% check
+        {"vo_pos_noise_m": -0.1},
+        {"vo_rot_noise_deg": float("nan")},
+        {"hybrid_heading_rms_deg": 1e200},             # its variance overflows
+        {"regression_horizontal_rms_m": 1e308},
     ],
 )
 def test_validate_rejects(overrides):
     with pytest.raises(ConfigError):
         SimConfig(**overrides).validate()
-
-
-def test_speed_mps_within_tolerance_accepted():
-    cfg = SimConfig(speed_mps=12.6).validate()
-    assert cfg.speed_mps == 12.6
 
 
 def test_min_frames():
@@ -126,5 +123,5 @@ def test_describe_defaults_covers_every_field():
     for f in dataclasses.fields(SimConfig):
         assert f.name in text
     # and it round-trips through the parser
-    parsed = parse_config(text.replace("None", "12.5"))
+    parsed = parse_config(text)
     assert parsed.length_m == SimConfig.length_m

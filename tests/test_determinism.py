@@ -1,4 +1,4 @@
-"""Pinned sha256 digests of the files `crossview run` writes.
+"""Pinned sha256 digests of the files `crossview run` and `simulate` write.
 
 The README promises byte-identical output, run to run and machine to machine.
 These digests hold that promise against every later change: a refactor that
@@ -46,6 +46,10 @@ GOLDEN = {
 }
 
 
+# `simulate` of the base config, seed 5: truth poses and drifting VO columns.
+SIMULATE_GOLDEN = "3e86fd80c6e0f9832465a5941967ed8c90b609a3d3a5ed3f67bb1ae203224aec"
+
+
 @pytest.fixture(scope="module")
 def tiles_path(tmp_path_factory):
     path = tmp_path_factory.mktemp("tiles") / "tiles.txt"
@@ -64,3 +68,11 @@ def test_run_outputs_match_pinned_digests(tmp_path, tiles_path, name):
     assert cli_main(argv) == 0
     digests = {f: hashlib.sha256((out / f).read_bytes()).hexdigest() for f in RUN_FILES}
     assert digests == GOLDEN[name]
+
+
+def test_simulate_output_matches_pinned_digest(tmp_path):
+    cfg_path = tmp_path / "sim.cfg"
+    cfg_path.write_text(BASE_CONFIG)
+    out = tmp_path / "flight.txt"
+    assert cli_main(["simulate", "--config", str(cfg_path), "--seed", "5", "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == SIMULATE_GOLDEN

@@ -1,14 +1,14 @@
-"""Flight simulation, drift model, metrics, and the end-to-end experiment."""
+"""Flight simulation, VO drift, metrics, and the end-to-end experiment."""
 
 import math
 
 import numpy as np
 import pytest
 
-from crossview.config import SimConfig
+from crossview.config import ConfigError, SimConfig
 from crossview.estimator import FilterState, ProcessNoise, VoIncrement, correct, predict
 from crossview.fusion import fuse
-from crossview.geometry import Pose6D, euler_to_rotmat
+from crossview.geometry import Pose6D, euler_to_rotmat, wrap_angle
 from crossview.matchers import UavObservation, noise_model
 from crossview.sim import (
     _make_backends,
@@ -16,8 +16,6 @@ from crossview.sim import (
     METHODS,
     RmseSummary,
     TrajectoryFrame,
-    VoDriftModel,
-    drift_from_config,
     gen_trajectory,
     load_trajectory,
     path_length,
@@ -30,6 +28,9 @@ from crossview.sim import (
     write_summary,
 )
 from crossview.tiles import TileSet, generate_grid, k_nearest
+
+
+NO_DRIFT = dict(vo_scale_error=0.0, vo_pos_noise_m=0.0, vo_rot_noise_deg=0.0, vo_bias_walk_m=0.0)
 
 
 def small_config(**overrides):
@@ -96,6 +97,56 @@ def test_initial_leg_is_pure_translation(default_frames):
     assert moved == pytest.approx(cfg.straight_init_m, rel=0.02)
 
 
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        SimConfig(),
+        small_config(),
+        small_config(length_m=1000.0, duration_s=40.0, turn_radius_m=100.0),
+    ],
+    ids=["default", "small", "wide_turn"],
+)
+@pytest.mark.parametrize("seed", range(5))
+def test_flight_flies_line_turn_orbit(cfg, seed):
+    """Lead frames lie on the line from the origin along psi0, turn frames at
+    turn_radius_m from the turn center, orbit frames at orbit_radius_m from
+    the orbit center; both centers follow from the config, psi0 and the turn
+    sense."""
+    frames = gen_trajectory(cfg, seed)
+    psi0 = frames[0].truth.psi
+    turn_end = cfg.lead_m + 0.5 * math.pi * cfg.turn_radius_m
+    first_orbit = next(i for i in range(len(frames)) if cfg.speed * i * cfg.dt > turn_end)
+    sense = math.copysign(1.0, wrap_angle(frames[first_orbit].truth.psi - psi0))
+
+    def ahead(h):
+        return np.array([math.sin(math.radians(h)), math.cos(math.radians(h))])
+
+    def right(h):
+        return np.array([math.cos(math.radians(h)), -math.sin(math.radians(h))])
+
+    turn_start = cfg.lead_m * ahead(psi0)
+    turn_center = turn_start + sense * cfg.turn_radius_m * right(psi0)
+    psi1 = psi0 + sense * 90.0
+    orbit_start = turn_center - sense * cfg.turn_radius_m * right(psi1)
+    orbit_center = orbit_start + sense * cfg.orbit_radius_m * right(psi1)
+
+    legs = {"lead": [], "turn": [], "orbit": []}
+    for i, f in enumerate(frames):
+        s = cfg.speed * (i * cfg.dt)
+        p = np.array([f.truth.x, f.truth.y])
+        if s <= cfg.lead_m:
+            u = ahead(psi0)
+            assert p @ u >= 0.0
+            legs["lead"].append(abs(u[0] * p[1] - u[1] * p[0]))
+        elif s <= turn_end:
+            legs["turn"].append(abs(np.linalg.norm(p - turn_center) - cfg.turn_radius_m))
+        else:
+            legs["orbit"].append(abs(np.linalg.norm(p - orbit_center) - cfg.orbit_radius_m))
+    for leg, deviations in legs.items():
+        assert deviations, leg
+        assert max(deviations) < 1e-9, leg
+
+
 def test_constant_ground_speed(default_frames):
     pts = np.array([[f.truth.x, f.truth.y] for f in default_frames])
     steps = np.linalg.norm(np.diff(pts, axis=0), axis=1)
@@ -126,19 +177,10 @@ def test_increments_reconstruct_truth(default_frames):
 # --- VO drift ---------------------------------------------------------------
 
 
-def test_drift_model_validation():
-    with pytest.raises(ValueError):
-        VoDriftModel(scale_error=-1.0)
-    with pytest.raises(ValueError):
-        VoDriftModel(pos_noise_m=-0.1)
-    with pytest.raises(ValueError):
-        VoDriftModel(rot_noise_deg=float("nan"))
-
-
 def test_zero_drift_passthrough():
-    cfg = small_config()
+    cfg = small_config(**NO_DRIFT)
     frames = gen_trajectory(cfg, seed=3)
-    incs = simulate_vo(frames, VoDriftModel(), seed=3)
+    incs = simulate_vo(frames, cfg, seed=3)
     poses = dead_reckon(frames[0].truth, incs)
     err = np.linalg.norm(poses[-1].position - frames[-1].truth.position)
     assert err < 1e-9
@@ -155,7 +197,8 @@ def test_pure_scale_error_on_straight_line():
                 i * 0.05, Pose6D(0, float(i), 150, 0, 0), VoIncrement(dp, np.eye(3))
             )
         )
-    incs = simulate_vo(frames, VoDriftModel(scale_error=0.01), seed=0)
+    cfg = SimConfig(vo_scale_error=0.01, vo_pos_noise_m=0.0, vo_rot_noise_deg=0.0, vo_bias_walk_m=0.0)
+    incs = simulate_vo(frames, cfg, seed=0)
     poses = dead_reckon(frames[0].truth, incs)
     err = np.linalg.norm(poses[-1].position - frames[-1].truth.position)
     assert err == pytest.approx(1.0, rel=1e-9)
@@ -164,19 +207,24 @@ def test_pure_scale_error_on_straight_line():
 def test_vo_deterministic_per_seed():
     cfg = small_config()
     frames = gen_trajectory(cfg, seed=2)
-    drift = drift_from_config(cfg)
-    a = simulate_vo(frames, drift, seed=2)
-    b = simulate_vo(frames, drift, seed=2)
+    a = simulate_vo(frames, cfg, seed=2)
+    b = simulate_vo(frames, cfg, seed=2)
     assert all(np.array_equal(x.dp, y.dp) and np.array_equal(x.dR, y.dR) for x, y in zip(a, b))
-    c = simulate_vo(frames, drift, seed=5)
+    c = simulate_vo(frames, cfg, seed=5)
     assert not np.array_equal(a[100].dp, c[100].dp)
+
+
+def test_simulate_vo_validates_its_config():
+    frames = gen_trajectory(small_config(), seed=0)
+    with pytest.raises(ConfigError, match="vo_pos_noise_m"):
+        simulate_vo(frames, SimConfig(vo_pos_noise_m=-0.1), seed=0)
 
 
 def test_default_drift_band_one_seed():
     """The dead-reckoned error lands in the advertised few-percent band."""
     cfg = SimConfig()
     frames = gen_trajectory(cfg, seed=0)
-    incs = simulate_vo(frames, drift_from_config(cfg), seed=0)
+    incs = simulate_vo(frames, cfg, seed=0)
     poses = dead_reckon(frames[0].truth, incs)
     summary = rmse(poses, [f.truth for f in frames])
     assert 4.5 <= summary.pos_pct <= 6.5
@@ -233,10 +281,7 @@ def test_suggested_bounds_cover_flight(default_frames):
 def test_run_experiment_noise_free_recovers_truth():
     """With drift and matcher noise switched off, every method tracks truth."""
     cfg = small_config(
-        vo_scale_error=0.0,
-        vo_pos_noise_m=0.0,
-        vo_rot_noise_deg=0.0,
-        vo_bias_walk_m=0.0,
+        **NO_DRIFT,
         d_jitter=0.0,
         hybrid_horizontal_rms_m=1e-6,
         hybrid_vertical_rms_m=1e-6,
@@ -364,7 +409,7 @@ def assert_same_run(got, want):
 def test_vo_only_pipeline_equals_chained_predict():
     cfg = SimConfig().validate()
     frames = gen_trajectory(cfg, seed=3)
-    increments = simulate_vo(frames, drift_from_config(cfg), seed=3)
+    increments = simulate_vo(frames, cfg, seed=3)
     got = _run_pipeline(frames, increments, None, cfg, None)
     assert_same_run(got, reference_pipeline(frames, increments, None, cfg, None))
 
@@ -373,7 +418,7 @@ def test_vo_only_pipeline_equals_chained_predict():
 def test_corrected_pipeline_equals_public_reference(method):
     cfg = small_config(correction_hz=4.0, outlier_prob=0.2)
     frames = gen_trajectory(cfg, seed=8)
-    increments = simulate_vo(frames, drift_from_config(cfg), seed=8)
+    increments = simulate_vo(frames, cfg, seed=8)
     tiles = tiles_for(frames)
     backend = _make_backends(cfg, 8)[method]
     got = _run_pipeline(frames, increments, backend, cfg, tiles)
@@ -392,7 +437,7 @@ def test_single_candidate_fallback_follows_config(method):
         hybrid_tilt_rms_deg=base.hybrid_tilt_rms_deg / 2,
     )
     frames = gen_trajectory(cfg, seed=4)
-    increments = simulate_vo(frames, drift_from_config(cfg), seed=4)
+    increments = simulate_vo(frames, cfg, seed=4)
     tiles = tiles_for(frames)
     backend = _make_backends(cfg, 4)[method]
     got = _run_pipeline(frames, increments, backend, cfg, tiles)
@@ -403,7 +448,7 @@ def test_lockstep_pipelines_equal_public_reference():
     """All four backends stepped together, sharing each frame's streams."""
     cfg = small_config(correction_hz=4.0, outlier_prob=0.2, k_candidates=16)
     frames = gen_trajectory(cfg, seed=8)
-    increments = simulate_vo(frames, drift_from_config(cfg), seed=8)
+    increments = simulate_vo(frames, cfg, seed=8)
     tiles = tiles_for(frames)
     backends = _make_backends(cfg, 8)
     runs = _run_pipelines(frames, increments, [backends[m] for m in METHODS], cfg, tiles)
@@ -426,7 +471,7 @@ class AskedTiles:
 def test_lockstep_seeds_each_stream_once(monkeypatch):
     cfg = small_config(correction_hz=4.0, k_candidates=16)
     frames = gen_trajectory(cfg, seed=3)
-    increments = simulate_vo(frames, drift_from_config(cfg), seed=3)
+    increments = simulate_vo(frames, cfg, seed=3)
     tiles = tiles_for(frames)
     backends = [AskedTiles(b) for b in _make_backends(cfg, 3).values() if b is not None]
 
@@ -454,7 +499,7 @@ def test_lockstep_seeds_each_stream_once(monkeypatch):
 def test_pipeline_rejects_mismatched_increments():
     cfg = small_config()
     frames = gen_trajectory(cfg, seed=0)
-    increments = simulate_vo(frames, drift_from_config(cfg), seed=0)
+    increments = simulate_vo(frames, cfg, seed=0)
     with pytest.raises(ValueError, match="increments"):
         _run_pipeline(frames, increments[:-1], None, cfg, None)
 

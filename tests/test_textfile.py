@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from crossview.config import SimConfig
+from crossview.config import ConfigError, SimConfig, load_config
 from crossview.sim import gen_trajectory, load_trajectory, save_trajectory
 from crossview.textfile import FileFormatError, read_rows
 from crossview.tiles import (
@@ -111,6 +111,35 @@ def test_infinite_timestamp_reports_its_line(tmp_path, t):
     with pytest.raises(FileFormatError) as err:
         load(path)
     assert str(err.value).startswith(f"{path}:{lineno}: t must be finite")
+
+
+def written_config(path):
+    with open(path, "w") as fh:
+        fh.write("length_m = 625\nduration_s = 50\n# turn radius\nturn_radius_m = 40\n")
+    return load_config, 3, None  # line 3 is the comment
+
+
+@pytest.mark.parametrize(
+    "write, error",
+    [
+        (written_config, ConfigError),
+        (poisoned_tiles, FileFormatError),
+        (poisoned_trajectory, FileFormatError),
+    ],
+    ids=["config", "tiles", "trajectory"],
+)
+def test_non_ascii_byte_reports_its_line(tmp_path, write, error):
+    path = str(tmp_path / "data.txt")
+    load, lineno, _ = write(path)
+    load(path)  # the untouched file loads
+    with open(path, "rb") as fh:
+        lines = fh.read().split(b"\n")
+    lines[lineno - 1] += " # caf\u00e9".encode("utf-8")
+    with open(path, "wb") as fh:
+        fh.write(b"\n".join(lines))
+    with pytest.raises(error) as err:
+        load(path)
+    assert str(err.value) == f"{path}:{lineno}: non-ASCII byte 0xc3"
 
 
 # --- bit-exact round trips of arbitrary finite floats -----------------------
