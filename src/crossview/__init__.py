@@ -65,7 +65,6 @@ from .sim import (
     write_summary,
 )
 from .tiles import (
-    TileFileError,
     TileRecord,
     TileSet,
     generate_grid,

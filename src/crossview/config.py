@@ -21,6 +21,12 @@ __all__ = ["ConfigError", "SimConfig", "load_config", "parse_config"]
 # are checked against it, so inverse-distance weighting never divides by zero.
 D_MIN = 1e-3
 
+# Ceiling on a matcher's worst position error: an RMS figure in metres, times
+# outlier_factor when outliers are drawn. From a few 1e6 m on, the filter's
+# innovation covariance can grow too ill-conditioned and `run` aborts; the
+# ceiling keeps a config that `simulate` accepts one that `run` accepts.
+MAX_POSITION_ERROR_M = 1e5
+
 
 class ConfigError(ValueError):
     """Raised for unparseable, unknown, or infeasible configuration."""
@@ -196,9 +202,16 @@ class SimConfig:
             if f.name.startswith(("hybrid_", "regression_"))
         }
         positive(scene_altitude_m=self.scene_altitude_m, **rms)
+        worst = self.outlier_factor if self.outlier_prob > 0.0 else 1.0
         for name, value in rms.items():
+            if name.endswith("_m"):
+                if value * worst > MAX_POSITION_ERROR_M:
+                    raise ConfigError(
+                        f"{name} must keep the worst position error within"
+                        f" {MAX_POSITION_ERROR_M:g} m, got {value:g} m x outlier_factor {worst:g}"
+                    )
             # The matchers square each RMS figure into a variance.
-            if not math.isfinite(value * value):
+            elif not math.isfinite(value * value):
                 raise ConfigError(f"{name} must square to a finite variance, got {value}")
         non_negative(d_slope=self.d_slope, d_jitter=self.d_jitter)
         if not 0.0 <= self.scene_tilt_deg <= 45.0:

@@ -17,10 +17,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .textfile import FileFormatError, read_rows, write_rows
+from .textfile import read_rows, write_rows
 
 __all__ = [
-    "TileFileError",
     "TileRecord",
     "TileSet",
     "generate_grid",
@@ -29,10 +28,7 @@ __all__ = [
     "save_tiles",
 ]
 
-_HEADER = "#crossview-tiles-v1"
-
-
-TileFileError = FileFormatError
+_HEADER = "#crossview-tiles-v2"
 
 
 @dataclass(frozen=True)
@@ -89,11 +85,6 @@ class TileSet(Sequence):
     def __len__(self) -> int:
         return self.nx * self.ny
 
-    def center(self, tile_id: int) -> tuple[float, float]:
-        """Ground center of a tile id, by the grid formula."""
-        iy, ix = divmod(tile_id, self.nx)
-        return (self.x_min + ix * self.spacing, self.y_min + iy * self.spacing)
-
     def __getitem__(self, index):
         if isinstance(index, slice):
             return tuple(self[i] for i in range(*index.indices(len(self))))
@@ -105,7 +96,9 @@ class TileSet(Sequence):
     def _record(self, tile_id: int) -> TileRecord:
         record = self._built.get(tile_id)
         if record is None:
-            record = self._built[tile_id] = TileRecord(tile_id, *self.center(tile_id))
+            iy, ix = divmod(tile_id, self.nx)
+            x, y = self.x_min + ix * self.spacing, self.y_min + iy * self.spacing
+            record = self._built[tile_id] = TileRecord(tile_id, x, y)
         return record
 
     @property
@@ -187,19 +180,18 @@ def _ring_indices(ix0: int, iy0: int, m: int, nx: int, ny: int):
 
 
 def save_tiles(tile_set: TileSet, path: str) -> None:
-    """Write a tile set as the versioned text format (round-trip exact)."""
+    """Write a tile set as the versioned text format: the header and the bounds
+    line, which define the whole grid (round-trip exact, any tile count).
+    """
     t = tile_set
     bounds = f"bounds {t.x_min!r} {t.x_max!r} {t.y_min!r} {t.y_max!r} {t.spacing!r}"
-    xs = [repr(t.x_min + ix * t.spacing) for ix in range(t.nx)]
-    ys = [repr(t.y_min + iy * t.spacing) for iy in range(t.ny)]
-    rows = (f"{iy * t.nx + ix} {x} {y}" for iy, y in enumerate(ys) for ix, x in enumerate(xs))
-    write_rows(path, _HEADER, [bounds, *rows])
+    write_rows(path, _HEADER, [bounds])
 
 
 def load_tiles(path: str) -> TileSet:
     """Parse a tile file written by :func:`save_tiles` into the grid its bounds
-    line defines. Each row must be that grid's tile: id equal to the row index,
-    center within 1e-9. Raises TileFileError with a line number for a bad row.
+    line defines. Raises FileFormatError at ``path:line:`` for a bad bounds
+    line or any line after it.
     """
     return read_rows(path, _HEADER, _parse_tiles)
 
@@ -209,16 +201,7 @@ def _parse_tiles(rows) -> TileSet:
     if len(bounds) != 6 or bounds[0] != "bounds":
         raise ValueError("expected 'bounds x_min x_max y_min y_max spacing'")
     grid = TileSet(*(float(t) for t in bounds[1:]))
-    count = 0
-    for count, tokens in enumerate(rows, start=1):
-        if len(tokens) != 3:
-            raise ValueError(f"expected 'id x y', got {' '.join(tokens)!r}")
-        tile_id, x, y = int(tokens[0]), float(tokens[1]), float(tokens[2])
-        if tile_id != count - 1:
-            raise ValueError(f"expected tile id {count - 1}, got {tile_id}")
-        cx, cy = grid.center(tile_id)
-        if not (abs(x - cx) <= 1e-9 and abs(y - cy) <= 1e-9):
-            raise ValueError(f"tile {tile_id} at ({x!r}, {y!r}) is off-grid, not ({cx!r}, {cy!r})")
-    if count != len(grid):
-        raise ValueError(f"expected {len(grid)} tiles for these bounds, got {count}")
+    extra = next(rows, None)
+    if extra is not None:
+        raise ValueError(f"expected nothing after the bounds line, got {' '.join(extra)!r}")
     return grid

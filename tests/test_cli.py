@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from crossview.cli import main
+from crossview.config import MAX_POSITION_ERROR_M
 from crossview.sim import load_trajectory
-from crossview.tiles import load_tiles
+from crossview.tiles import generate_grid, load_tiles
 
 SMALL_CFG = """
 length_m = 625
@@ -36,8 +37,9 @@ def test_gen_tiles(tmp_path, capsys):
     out = tmp_path / "tiles.txt"
     rc = main(["gen-tiles", "--bounds", "0", "2000", "0", "1000", "--out", str(out)])
     assert rc == 0
-    assert "861 tiles" in capsys.readouterr().out
-    assert len(load_tiles(str(out))) == 861
+    assert capsys.readouterr().out == f"wrote 861 tiles to {out}\n"
+    assert out.read_text() == "#crossview-tiles-v2\nbounds 0.0 2000.0 0.0 1000.0 50.0\n"
+    assert load_tiles(str(out)) == generate_grid(0.0, 2000.0, 0.0, 1000.0, 50.0)
 
 
 def test_gen_tiles_bad_bounds(tmp_path, capsys):
@@ -165,6 +167,45 @@ def test_simulate_rejects_rms_whose_variance_overflows(tmp_path, capsys, key):
     err = capsys.readouterr().err
     assert err.startswith("error:") and key in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "overrides, key",
+    [
+        ("hybrid_horizontal_rms_m = 1e7\n", "hybrid_horizontal_rms_m"),
+        ("regression_horizontal_rms_m = 4e6\n", "regression_horizontal_rms_m"),
+        ("hybrid_vertical_rms_m = 1e7\n", "hybrid_vertical_rms_m"),
+        ("outlier_factor = 1e5\noutlier_prob = 0.2\n", "hybrid_horizontal_rms_m"),
+    ],
+    ids=["hybrid_horizontal", "regression_horizontal", "hybrid_vertical", "outlier_factor"],
+)
+def test_simulate_rejects_position_error_above_ceiling(tmp_path, capsys, overrides, key):
+    # Each of these used to pass simulate, then abort run on an
+    # ill-conditioned innovation covariance.
+    cfg = tmp_path / "huge.cfg"
+    cfg.write_text(SMALL_CFG + overrides)
+    out = tmp_path / "flight.txt"
+    rc = main(["simulate", "--config", str(cfg), "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and key in err and "outlier_factor" in err
+    assert not out.exists()
+
+
+def test_run_accepts_position_error_at_ceiling(tmp_path, tile_file):
+    # The acceptance-8 flight, a correction every frame, outliers drawn at
+    # outlier_factor 10 from RMS figures of a tenth of the ceiling.
+    keys = [
+        f"{m}_{axis}_rms_m" for m in ("hybrid", "regression") for axis in ("horizontal", "vertical")
+    ]
+    cfg = tmp_path / "ceiling.cfg"
+    cfg.write_text(
+        "length_m = 500\nduration_s = 40\nturn_radius_m = 40\nstraight_init_m = 50\n"
+        "correction_hz = 20\noutlier_prob = 0.2\noutlier_factor = 10\n"
+        + "".join(f"{key} = {MAX_POSITION_ERROR_M / 10!r}\n" for key in keys)
+    )
+    argv = ["run", "--config", str(cfg), "--tiles", tile_file, "--seed", "0"]
+    assert main(argv + ["--out", str(tmp_path / "out")]) == 0
 
 
 def test_help_documents_defaults(capsys):

@@ -4,7 +4,14 @@ import dataclasses
 
 import pytest
 
-from crossview.config import ConfigError, SimConfig, describe_defaults, load_config, parse_config
+from crossview.config import (
+    MAX_POSITION_ERROR_M,
+    ConfigError,
+    SimConfig,
+    describe_defaults,
+    load_config,
+    parse_config,
+)
 
 
 def test_defaults_validate():
@@ -96,11 +103,24 @@ def test_parse_error_carries_line_number():
         {"vo_rot_noise_deg": float("nan")},
         {"hybrid_heading_rms_deg": 1e200},             # its variance overflows
         {"regression_horizontal_rms_m": 1e308},
+        {"regression_vertical_rms_m": 1.000001e5},     # above the position ceiling
+        {"outlier_prob": 0.2, "outlier_factor": 1e4},  # outliers above it
     ],
 )
 def test_validate_rejects(overrides):
     with pytest.raises(ConfigError):
         SimConfig(**overrides).validate()
+
+
+def test_position_error_ceiling_counts_outliers_only_when_drawn():
+    keys = [
+        f"{m}_{axis}_rms_m" for m in ("hybrid", "regression") for axis in ("horizontal", "vertical")
+    ]
+    at_ceiling = {key: MAX_POSITION_ERROR_M / 10 for key in keys}
+    SimConfig(outlier_prob=0.2, outlier_factor=10.0, **at_ceiling).validate()
+    SimConfig(outlier_prob=0.0, outlier_factor=1e6, **at_ceiling).validate()
+    with pytest.raises(ConfigError, match="^hybrid_horizontal_rms_m .*outlier_factor 11"):
+        SimConfig(outlier_prob=0.2, outlier_factor=11.0, **at_ceiling).validate()
 
 
 def test_min_frames():

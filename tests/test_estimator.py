@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from crossview.estimator import (
@@ -159,6 +161,36 @@ def test_innovation_wraps_heading_seam():
     out = correct(s, measurement(z, np.eye(5)))
     # K = 0.5: moves 1 degree the short way across the seam, not +179
     assert out.pose.psi == pytest.approx(180.0, abs=1e-9)
+
+
+# Headings within 30 degrees of the seam, on either side of it.
+near_seam = st.floats(-30.0, 30.0).map(lambda d: wrap_angle(180.0 + d))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    psi=near_seam,
+    z_psi=near_seam,
+    delta=st.one_of(st.floats(-720.0, 720.0), st.sampled_from([180.0, -180.0, 360.0])),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_correct_heading_shift_is_equivariant_across_seam(psi, z_psi, delta, seed):
+    # Turning the whole problem by delta turns the corrected heading by
+    # wrap(delta) and leaves every other state and the covariance alone.
+    rng = np.random.default_rng(seed)
+    x, y, z, theta, phi = rng.uniform(-50.0, 50.0, size=5)
+    P, M = random_psd(rng, 6), random_psd(rng, 5)
+    p_bar, theta_bar = rng.uniform(-50.0, 50.0, size=3), float(rng.uniform(-50.0, 50.0))
+
+    def corrected(shift):
+        state = FilterState(Pose6D(x, y, z, wrap_angle(psi + shift), theta, phi), P)
+        return correct(state, FusedMeasurement(p_bar, wrap_angle(z_psi + shift), theta_bar, M))
+
+    base, turned = corrected(0.0), corrected(delta)
+    assert abs(wrap_angle(turned.pose.psi - base.pose.psi - wrap_angle(delta))) <= 1e-9
+    for name in ("x", "y", "z", "theta", "phi"):
+        assert getattr(turned.pose, name) == pytest.approx(getattr(base.pose, name), abs=1e-9)
+    assert turned.P.tobytes() == base.P.tobytes()
 
 
 def test_correct_rejects_bad_covariance():

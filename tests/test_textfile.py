@@ -10,7 +10,6 @@ from crossview.config import ConfigError, SimConfig, load_config
 from crossview.sim import gen_trajectory, load_trajectory, save_trajectory
 from crossview.textfile import FileFormatError, read_rows
 from crossview.tiles import (
-    TileFileError,
     TileSet,
     generate_grid,
     load_tiles,
@@ -24,7 +23,6 @@ def bits(value):
 
 
 def test_error_classes_are_one():
-    assert TileFileError is FileFormatError
     assert issubclass(FileFormatError, ValueError)
 
 
@@ -64,7 +62,7 @@ def test_header_and_whole_file_errors(tmp_path):
 
 def poisoned_tiles(path):
     save_tiles(generate_grid(0.0, 100.0, 0.0, 100.0, 50.0), path)
-    return load_tiles, 4, 1  # line 4 is tile 1: "1 50.0 0.0"
+    return load_tiles, 2, 2  # line 2 is the bounds line; column 2 is x_max
 
 
 def poisoned_trajectory(path):
@@ -159,6 +157,10 @@ def test_tile_file_round_trips_floats_bit_exactly(tmp_path_factory, x, y, spacin
     path = tmp_path_factory.getbasetemp() / "tiles.txt"
     tile_set = TileSet(x, x, y, y, spacing)
     save_tiles(tile_set, path)
+    # the file is its header and bounds line, for any grid
+    assert path.read_text().splitlines() == [
+        "#crossview-tiles-v2", f"bounds {x!r} {x!r} {y!r} {y!r} {spacing!r}"
+    ]
     back = load_tiles(path)
 
     def flat(t):
