@@ -24,7 +24,8 @@ D_MIN = 1e-3
 # Ceiling on a matcher's worst position error: an RMS figure in metres, times
 # outlier_factor when outliers are drawn. From a few 1e6 m on, the filter's
 # innovation covariance can grow too ill-conditioned and `run` aborts; the
-# ceiling keeps a config that `simulate` accepts one that `run` accepts.
+# ceiling keeps a config that `simulate` accepts one that `run` accepts. Its
+# square caps the filter's variances the same way.
 MAX_POSITION_ERROR_M = 1e5
 
 
@@ -161,6 +162,17 @@ class SimConfig:
             )
         if self.frame_count < 2:
             raise ConfigError("duration_s * rate_hz must give at least 2 frames")
+        # P starts at init_cov_var and grows by process_noise_var a frame; past
+        # the square of the position ceiling a variance first degrades the
+        # corrections (1e20 already moves the result), then overflows P.
+        ceiling = MAX_POSITION_ERROR_M**2
+        largest = self.init_cov_var + (self.frame_count - 1) * self.process_noise_var
+        if largest > ceiling:
+            name = "init_cov_var" if self.init_cov_var > ceiling else "process_noise_var"
+            raise ConfigError(
+                f"{name} must keep the largest filter variance, init_cov_var +"
+                f" (frame_count - 1) x process_noise_var, within {ceiling:g}, got {largest:g}"
+            )
         if self.alt_base_m - self.alt_amp_m < 100.0 or self.alt_base_m + self.alt_amp_m > 200.0:
             raise ConfigError(
                 "altitude profile must stay within [100, 200] m:"

@@ -84,9 +84,9 @@ class FilterState:
 
     def __post_init__(self) -> None:
         P = np.asarray(self.P, dtype=float)
-        if P.shape != (6, 6) or not np.all(np.isfinite(P)):
+        if P.shape != (6, 6) or not np.isfinite(P).all():
             raise ValueError("P must be a finite 6x6 matrix")
-        if np.max(np.abs(P - P.T)) > 1e-9:
+        if np.abs(P - P.T).max() > 1e-9:
             raise ValueError("P must be symmetric")
         object.__setattr__(self, "P", P)
 
@@ -116,29 +116,39 @@ def correct(state: FilterState, measurement: FusedMeasurement) -> FilterState:
     gain K = P H^T (M + H P H^T)^-1, covariance P <- (I - K H) P symmetrized.
     Raises if the measurement covariance is not symmetric PSD or leaves the
     innovation covariance ill-conditioned.
+
+    H = [I5 | 0] only selects, so H P H^T is P[:5, :5], P H^T is P[:, :5],
+    H X is X[:5] and I - K H is the identity less K in its first five
+    columns: the same bits as the products, without them.
     """
     M = np.asarray(measurement.M, dtype=float)
-    if M.shape != (5, 5) or not np.all(np.isfinite(M)):
+    if M.shape != (5, 5) or not np.isfinite(M).all():
         raise ValueError("measurement covariance must be a finite 5x5 matrix")
-    if np.max(np.abs(M - M.T)) > 1e-9:
+    if np.abs(M - M.T).max() > 1e-9:
         raise ValueError("measurement covariance must be symmetric")
-    if np.min(np.linalg.eigvalsh(M)) < -1e-9:
+    # eigvalsh sorts ascending, so [0] is the smallest eigenvalue.
+    if np.linalg.eigvalsh(M)[0] < -1e-9:
         raise ValueError("measurement covariance must be positive semidefinite")
 
-    H = OBSERVATION_MATRIX
-    X = state_vector(state)
+    p = state.pose
+    X = np.array([p.x, p.y, p.z, p.psi, p.theta, p.phi])
     P = state.P
-    S = M + H @ P @ H.T
-    if np.linalg.cond(S) > _COND_LIMIT:
+    S = M + P[:5, :5]
+    # np.linalg.cond(S): the ratio of the largest to the smallest singular
+    # value, infinite when the smallest is 0 or the SVD gives nan.
+    s_max, *_, s_min = np.linalg.svd(S, compute_uv=False).tolist()
+    if not (s_min > 0.0 and s_max / s_min <= _COND_LIMIT):
         raise np.linalg.LinAlgError(
             f"innovation covariance condition number exceeds {_COND_LIMIT:g}"
         )
-    innovation = measurement.z_vector() - H @ X
+    innovation = measurement.z_vector() - X[:5]
     innovation[3] = wrap_angle(innovation[3])
     innovation[4] = wrap_angle(innovation[4])
-    K = np.linalg.solve(S.T, (P @ H.T).T).T
+    K = np.linalg.solve(S.T, P[:, :5].T).T
     updated = X + K @ innovation
-    P_new = (np.eye(6) - K @ H) @ P
+    I_KH = np.eye(6)
+    I_KH[:, :5] -= K
+    P_new = I_KH @ P
     P_new = 0.5 * (P_new + P_new.T)
     pose = Pose6D(
         float(updated[0]),

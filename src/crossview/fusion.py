@@ -44,9 +44,9 @@ class FusedMeasurement:
     def __post_init__(self) -> None:
         p = np.asarray(self.p_bar, dtype=float)
         M = np.asarray(self.M, dtype=float)
-        if p.shape != (3,) or not np.all(np.isfinite(p)):
+        if p.shape != (3,) or not np.isfinite(p).all():
             raise ValueError(f"p_bar must be a finite 3-vector, got shape {p.shape}")
-        if M.shape != (5, 5) or not np.all(np.isfinite(M)):
+        if M.shape != (5, 5) or not np.isfinite(M).all():
             raise ValueError(f"M must be a finite 5x5 matrix, got shape {M.shape}")
         if not (math.isfinite(self.psi_bar) and math.isfinite(self.theta_bar)):
             raise ValueError("psi_bar and theta_bar must be finite")

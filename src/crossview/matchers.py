@@ -14,8 +14,12 @@ scored on the same query image; the per-pair stream models the rest.
 match's total error variance unchanged. A ``UavObservation`` carries its
 frame's memo of seeded streams, so backends handed the same observation seed
 each stream once between them; every reader still draws from the stream's
-freshly seeded state. Threads matching concurrently should each build their
-own observation.
+freshly seeded state. A stream's memo entry also keeps what a
+``SyntheticMatcher`` drew from it (the frame's 5 normals, or a pair's gate, 5
+normals and jitter), so a second synthetic backend on the same seed, such as
+regression beside hybrid in one run, reads those draws rather than resetting
+the stream and drawing again. Threads matching concurrently should each
+build their own observation.
 
 Downstream consumers (fusion, filtering) only ever see MatchResults; the truth
 pose inside ``UavObservation`` is for backends alone.
@@ -47,8 +51,9 @@ __all__ = [
 class UavObservation:
     """One UAV camera frame, identified by index, with its ground-truth pose.
 
-    streams is the frame's memo of seeded noise streams (see :func:`_stream`);
-    it lives as long as the observation and takes no part in equality.
+    streams is the frame's memo of seeded noise streams and their synthetic
+    draws (see :func:`_stream` and :func:`_synthetic_draws`); it lives as
+    long as the observation and takes no part in equality.
     """
 
     frame: int
@@ -60,7 +65,7 @@ class UavObservation:
             raise ValueError(f"frame index must be >= 0, got {self.frame}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class MatchResult:
     """Backend output for one (frame, tile) pair.
 
@@ -75,16 +80,18 @@ class MatchResult:
     theta_hat: float
     tile_id: int
 
-    def __post_init__(self) -> None:
+    def __init__(self, d, p_hat, psi_hat, theta_hat, tile_id) -> None:
         # Coerce to builtin types, so a result built from numpy values (an
         # array p_hat, numpy scalars) compares, hashes and prints like one
-        # built from plain floats.
-        d, psi, theta = float(self.d), float(self.psi_hat), float(self.theta_hat)
-        p_hat, tile_id = tuple(map(float, self.p_hat)), int(self.tile_id)
-        self.__dict__.update(d=d, p_hat=p_hat, psi_hat=psi, theta_hat=theta, tile_id=tile_id)
+        # built from plain floats. Written out rather than generated: the
+        # matchers build one per (frame, tile) pair, and the dataclass
+        # __init__ plus __post_init__ cost twice as much.
+        d, psi, theta = float(d), float(psi_hat), float(theta_hat)
+        p_hat, tile_id = tuple(map(float, p_hat)), int(tile_id)
+        finite = math.isfinite
         if not 0.0 < d < math.inf:
             raise ValueError(f"d must be finite and > 0, got {d!r}")
-        if len(p_hat) != 3 or not all(map(math.isfinite, p_hat)):
+        if len(p_hat) != 3 or not (finite(p_hat[0]) and finite(p_hat[1]) and finite(p_hat[2])):
             raise ValueError(f"p_hat must be a finite 3-vector, got {p_hat!r}")
         if not -180.0 < psi <= 180.0:
             raise ValueError(f"psi_hat must lie in (-180, 180], got {psi!r}")
@@ -92,6 +99,9 @@ class MatchResult:
             raise ValueError(f"theta_hat must lie in [0, 45], got {theta!r}")
         if tile_id < 0:
             raise ValueError(f"tile_id must be >= 0, got {tile_id}")
+        values = self.__dict__
+        values["d"], values["p_hat"], values["psi_hat"] = d, p_hat, psi
+        values["theta_hat"], values["tile_id"] = theta, tile_id
 
 
 @dataclass(frozen=True)
@@ -182,11 +192,32 @@ def _stream(obs: UavObservation, seed: int, *tags: int) -> np.random.Generator:
     entry = obs.streams.get(key)
     if entry is None:
         rng = np.random.default_rng(np.random.SeedSequence([seed, obs.frame, *tags]))
-        obs.streams[key] = (rng, rng.bit_generator.state)
+        obs.streams[key] = [rng, rng.bit_generator.state, None]
         return rng
-    rng, state = entry
+    rng, state, _ = entry
     rng.bit_generator.state = state
     return rng
+
+
+def _synthetic_draws(obs: UavObservation, seed: int, *tags: int):
+    """SyntheticMatcher's draws from the stream [seed, obs.frame, *tags].
+
+    Draw order on the per-frame stream (no tags): 5 standard normals (x, y,
+    z, psi, theta). On a per-pair stream (tags is the tile id): outlier gate,
+    5 standard normals, distance jitter normal. The draws are kept in the
+    stream's memo entry, so another SyntheticMatcher on the same seed reads
+    them instead of resetting the stream and drawing again.
+    """
+    entry = obs.streams.get((seed, *tags))
+    if entry is not None and entry[2] is not None:
+        return entry[2]
+    rng = _stream(obs, seed, *tags)
+    if tags:
+        draws = rng.random(), rng.standard_normal(5).tolist(), rng.standard_normal()
+    else:
+        draws = rng.standard_normal(5).tolist()
+    obs.streams[(seed, *tags)][2] = draws
+    return draws
 
 
 class SyntheticMatcher:
@@ -213,21 +244,16 @@ class SyntheticMatcher:
         """
         noise, seed = self.noise, self._seed
         # Per-frame stream: the error component shared by every tile paired
-        # with this frame. Draw order: 5 standard normals (x, y, z, psi, theta).
+        # with this frame.
         c = math.sqrt(noise.common_frac)
-        shared = [c * v for v in _stream(obs, seed).standard_normal(5).tolist()]
+        shared = [c * v for v in _synthetic_draws(obs, seed)]
         i = math.sqrt(1.0 - noise.common_frac)
         truth = obs.truth
         scene = ground_intersection(truth)
         results = []
         for tile in tiles:
-            # Per-pair stream. Draw order: outlier gate, 5 standard normals,
-            # distance jitter normal.
-            pair_rng = _stream(obs, seed, tile.tile_id)
-            gate = pair_rng.random()
-            own = pair_rng.standard_normal(5).tolist()
-            jitter = pair_rng.standard_normal()
-
+            # Per-pair stream: the rest of the pose error and the jitter.
+            gate, own, jitter = _synthetic_draws(obs, seed, tile.tile_id)
             mixed = [a + i * b for a, b in zip(shared, own)]
             if gate < noise.outlier_prob:
                 mixed = [v * noise.outlier_factor for v in mixed]

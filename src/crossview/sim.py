@@ -266,7 +266,8 @@ def _run_pipelines(
 
     Every pipeline takes frame i, predicting it and correcting it every stride
     frames, before any takes frame i + 1; at a correction frame all backends
-    get the same UavObservation, whose memo seeds each matcher stream once.
+    get the same UavObservation, whose memo seeds each matcher stream once and
+    keeps the synthetic backends' draws, so regression and hybrid draw once.
     Returns one (pose per frame, final 6x6 covariance) per backend. This is a
     trusted loop: frames and increments were validated when they were built,
     so each 20 Hz step runs :func:`predict`'s arithmetic, in the same order,

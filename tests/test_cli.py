@@ -208,6 +208,36 @@ def test_run_accepts_position_error_at_ceiling(tmp_path, tile_file):
     assert main(argv + ["--out", str(tmp_path / "out")]) == 0
 
 
+@pytest.mark.parametrize(
+    "overrides, key",
+    [
+        ("init_cov_var = 1e308\n", "init_cov_var"),
+        ("process_noise_var = 1e306\n", "process_noise_var"),
+    ],
+)
+def test_simulate_rejects_filter_variance_above_ceiling(tmp_path, capsys, overrides, key):
+    # Both used to pass simulate, then overflow P and end run with exit 2.
+    cfg = tmp_path / "huge.cfg"
+    cfg.write_text(SMALL_CFG + overrides)
+    out = tmp_path / "flight.txt"
+    rc = main(["simulate", "--config", str(cfg), "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and key in err
+    assert not out.exists()
+
+
+def test_run_accepts_filter_variance_at_ceiling(tmp_path, tile_file):
+    # The acceptance-8 flight with its one variance held at the ceiling.
+    cfg = tmp_path / "ceiling.cfg"
+    cfg.write_text(
+        "length_m = 500\nduration_s = 40\nturn_radius_m = 40\nstraight_init_m = 50\n"
+        f"process_noise_var = 0\ninit_cov_var = {MAX_POSITION_ERROR_M**2!r}\n"
+    )
+    argv = ["run", "--config", str(cfg), "--tiles", tile_file, "--seed", "0"]
+    assert main(argv + ["--out", str(tmp_path / "out")]) == 0
+
+
 def test_help_documents_defaults(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--help"])

@@ -123,6 +123,29 @@ def test_position_error_ceiling_counts_outliers_only_when_drawn():
         SimConfig(outlier_prob=0.2, outlier_factor=11.0, **at_ceiling).validate()
 
 
+@pytest.mark.parametrize(
+    "overrides, key",
+    [
+        ({"init_cov_var": 1e308}, "init_cov_var"),          # overflowed P in run
+        ({"init_cov_var": 1e20}, "init_cov_var"),           # silently moved the result
+        ({"process_noise_var": 1e306}, "process_noise_var"),
+        ({"init_cov_var": 1e10, "process_noise_var": 1e-3}, "process_noise_var"),
+    ],
+)
+def test_validate_caps_the_filter_variances(overrides, key):
+    with pytest.raises(ConfigError, match=f"^{key} must keep the largest filter variance"):
+        SimConfig(**overrides).validate()
+
+
+def test_filter_variance_ceiling_is_inclusive():
+    ceiling = MAX_POSITION_ERROR_M**2
+    SimConfig(init_cov_var=ceiling, process_noise_var=0.0).validate()
+    cfg = SimConfig(init_cov_var=1.0, process_noise_var=(ceiling - 1.0) / 3999.0)
+    assert cfg.frame_count == 4000
+    assert cfg.init_cov_var + 3999 * cfg.process_noise_var <= ceiling
+    cfg.validate()
+
+
 def test_min_frames():
     with pytest.raises(ConfigError, match="at least 2 frames"):
         SimConfig(duration_s=0.05, rate_hz=20.0).validate()

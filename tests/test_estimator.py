@@ -1,5 +1,7 @@
 """Kalman filter tests: literal-algebra oracle, hand cases, consistency."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,8 +17,9 @@ from crossview.estimator import (
     predict,
     state_vector,
 )
-from crossview.fusion import FusedMeasurement
+from crossview.fusion import FusedMeasurement, fuse
 from crossview.geometry import Pose6D, euler_to_rotmat, wrap_angle
+from crossview.matchers import MatchResult
 
 
 def literal_correct(X, P, z, M):
@@ -214,7 +217,88 @@ def test_correct_rejects_ill_conditioned():
         correct(s, measurement(np.zeros(5), singularish))
 
 
+def test_correct_rejects_singular_innovation_covariance_without_warning():
+    # P = 0 and a singular M leave S exactly singular: its smallest singular
+    # value is 0, so the condition number is infinite, with no division
+    # warning on the way.
+    s = state_at(P=np.zeros((6, 6)))
+    for M in (np.diag([1.0, 1.0, 1.0, 1.0, 0.0]), np.zeros((5, 5))):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(np.linalg.LinAlgError, match="condition number"):
+                correct(s, measurement(np.zeros(5), M))
+        assert caught == []
+
+
 # --- correct: literal oracle ----------------------------------------------
+
+
+def h_matrix_correct(state, measurement):
+    """correct as written with the observation matrix H, before it used H's
+    selection structure: the bit-exact reference of the current form."""
+    M = np.asarray(measurement.M, dtype=float)
+    H = OBSERVATION_MATRIX
+    X = state_vector(state)
+    P = state.P
+    S = M + H @ P @ H.T
+    if np.linalg.cond(S) > 1e12:
+        raise np.linalg.LinAlgError("innovation covariance condition number exceeds 1e+12")
+    innovation = measurement.z_vector() - H @ X
+    innovation[3] = wrap_angle(innovation[3])
+    innovation[4] = wrap_angle(innovation[4])
+    K = np.linalg.solve(S.T, (P @ H.T).T).T
+    updated = X + K @ innovation
+    P_new = (np.eye(6) - K @ H) @ P
+    P_new = 0.5 * (P_new + P_new.T)
+    pose = Pose6D(
+        float(updated[0]),
+        float(updated[1]),
+        float(updated[2]),
+        wrap_angle(float(updated[3])),
+        wrap_angle(float(updated[4])),
+        wrap_angle(float(updated[5])),
+    )
+    return FilterState(pose, P_new)
+
+
+def fused_candidates(rng, k):
+    """A real fuse of k random candidates around a random pose."""
+    center = rng.uniform(-500.0, 500.0, size=3)
+    psi0 = float(rng.uniform(-180.0, 180.0))
+    results = [
+        MatchResult(
+            float(rng.uniform(1.0, 80.0)),
+            center + rng.normal(0.0, 40.0, size=3),
+            wrap_angle(psi0 + float(rng.normal(0.0, 30.0))),
+            float(rng.uniform(0.0, 45.0)),
+            tid,
+        )
+        for tid in range(k)
+    ]
+    return fuse(results)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    k=st.integers(1, 16),
+    scale=st.sampled_from([1e-6, 1e-2, 1.0, 1e2, 1e4]),
+    skew=st.one_of(st.just(0.0), st.floats(-9e-10, 9e-10)),
+)
+def test_correct_is_bit_identical_to_h_matrix_form(seed, k, scale, skew):
+    rng = np.random.default_rng(seed)
+    P = random_psd(rng, 6, scale=scale)
+    P = 0.5 * (P + P.T)
+    i, j = rng.choice(6, size=2, replace=False)
+    P[i, j] += skew  # exactly symmetric, or asymmetric within FilterState's 1e-9
+    x, y, z, psi, theta, phi = rng.uniform(-170.0, 170.0, size=6).tolist()
+    state = FilterState(Pose6D(x, y, 150.0 + z, psi, theta, phi), P)
+    fused = fused_candidates(rng, k)
+    got, want = correct(state, fused), h_matrix_correct(state, fused)
+    assert got.P.tobytes() == want.P.tobytes()
+    assert repr(got.pose) == repr(want.pose)
+
+
 
 
 def test_correct_matches_literal_algebra():

@@ -1,5 +1,6 @@
 """Matching-backend tests: noise statistics, determinism, calibration."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 
 from crossview.config import SimConfig
 from crossview.geometry import Pose6D, ground_intersection
+from crossview import matchers
 from crossview.matchers import (
     D_MIN,
     MatcherNoiseModel,
@@ -41,6 +43,51 @@ def test_match_result_validation():
         MatchResult(1.0, (0.0, 0.0, 0.0), 0.0, 0.0, -1)
     with pytest.raises(ValueError):
         MatchResult(1.0, (0.0, np.nan, 0.0), 0.0, 0.0, 0)
+
+
+def test_match_result_construction_and_coercion():
+    by_position = MatchResult(5.0, (1.0, 2.0, 3.0), 10.0, 20.0, 7)
+    by_keyword = MatchResult(tile_id=7, theta_hat=20.0, psi_hat=10.0, p_hat=(1.0, 2.0, 3.0), d=5.0)
+    from_numpy = MatchResult(
+        np.float64(5.0), np.array([1.0, 2.0, 3.0]), np.float32(10.0), np.int64(20), np.int32(7)
+    )
+    assert by_keyword == by_position == from_numpy
+    assert hash(from_numpy) == hash(by_position)
+    assert repr(from_numpy) == repr(by_position)
+    assert [type(v) for v in dataclasses.astuple(from_numpy)] == [float, tuple, float, float, int]
+    assert all(type(v) is float for v in from_numpy.p_hat)
+    moved = dataclasses.replace(by_position, d=2.5, tile_id=np.int64(8))
+    assert moved == MatchResult(2.5, (1.0, 2.0, 3.0), 10.0, 20.0, 8) and type(moved.tile_id) is int
+    with pytest.raises(ValueError, match=r"^psi_hat must lie in \(-180, 180\], got 181.0$"):
+        dataclasses.replace(by_position, psi_hat=181.0)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        by_position.d = 1.0
+
+
+NOT_3_VECTOR = "p_hat must be a finite 3-vector, got "
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        ((0.0, (0.0, 0.0, 0.0), 0.0, 0.0, 0), "d must be finite and > 0, got 0.0"),
+        ((math.inf, (0.0, 0.0, 0.0), 0.0, 0.0, 0), "d must be finite and > 0, got inf"),
+        ((math.nan, (0.0, 0.0, 0.0), 0.0, 0.0, 0), "d must be finite and > 0, got nan"),
+        ((1.0, (0.0, 0.0), 0.0, 0.0, 0), f"{NOT_3_VECTOR}(0.0, 0.0)"),
+        ((1.0, (0.0,) * 4, 0.0, 0.0, 0), f"{NOT_3_VECTOR}(0.0, 0.0, 0.0, 0.0)"),
+        ((1.0, (0.0, math.nan, 0.0), 0.0, 0.0, 0), f"{NOT_3_VECTOR}(0.0, nan, 0.0)"),
+        ((1.0, (0.0, 0.0, -math.inf), 0.0, 0.0, 0), f"{NOT_3_VECTOR}(0.0, 0.0, -inf)"),
+        ((1.0, (0.0, 0.0, 0.0), -180.0, 0.0, 0), "psi_hat must lie in (-180, 180], got -180.0"),
+        ((1.0, (0.0, 0.0, 0.0), math.nan, 0.0, 0), "psi_hat must lie in (-180, 180], got nan"),
+        ((1.0, (0.0, 0.0, 0.0), 0.0, -0.5, 0), "theta_hat must lie in [0, 45], got -0.5"),
+        ((1.0, (0.0, 0.0, 0.0), 0.0, 46.0, 0), "theta_hat must lie in [0, 45], got 46.0"),
+        ((1.0, (0.0, 0.0, 0.0), 0.0, 0.0, -1), "tile_id must be >= 0, got -1"),
+    ],
+)
+def test_match_result_rejection_messages(args, message):
+    with pytest.raises(ValueError) as exc:
+        MatchResult(*args)
+    assert str(exc.value) == message
 
 
 def test_noise_model_validation():
@@ -192,6 +239,27 @@ def test_shared_observation_keeps_seeds_apart():
     tags = [()] + [(tid,) for tid in range(16)]  # [seed, frame], [seed, frame, tile]
     assert set(shared.streams) == {(seed, *tag) for seed in (5, 6) for tag in tags}
     assert backends[0].match_frame(shared, tiles) != backends[4].match_frame(shared, tiles)
+
+
+def test_synthetic_matchers_on_one_seed_draw_each_stream_once(monkeypatch):
+    # Regression and hybrid share the run's seed: the second reads the
+    # first's draws from the observation's memo instead of drawing again.
+    reads = []
+    stream = matchers._stream
+
+    def counting_stream(obs, seed, *tags):
+        reads.append((seed, *tags))
+        return stream(obs, seed, *tags)
+
+    monkeypatch.setattr(matchers, "_stream", counting_stream)
+    regression = noise_model(SimConfig(outlier_prob=0.3), "regression")
+    backends = [SyntheticMatcher(regression, seed=4), SyntheticMatcher(HYBRID, seed=4)]
+    tiles = [TileRecord(tid, 50.0 * (tid % 4), 50.0 * (tid // 4)) for tid in range(16)]
+    shared = obs_at(9, x=20.0, y=30.0, theta=15.0)
+    together = [matcher.match_frame(shared, tiles) for matcher in backends]
+    assert sorted(reads) == [(4,)] + [(4, tid) for tid in range(16)]
+    alone = [m.match_frame(obs_at(9, x=20.0, y=30.0, theta=15.0), tiles) for m in backends]
+    assert together == alone and together[0] != together[1]
 
 
 def test_distance_always_positive():
