@@ -28,6 +28,10 @@ D_MIN = 1e-3
 # square caps the filter's variances the same way.
 MAX_POSITION_ERROR_M = 1e5
 
+# Ceiling on a flight's frame count, duration_s * rate_hz: 13.9 h at 20 Hz.
+# Every frame is built and held in memory, and the product can overflow.
+MAX_FRAMES = 10**6
+
 
 class ConfigError(ValueError):
     """Raised for unparseable, unknown, or infeasible configuration."""
@@ -160,6 +164,11 @@ class SimConfig:
             raise ConfigError(
                 f"vo_scale_error must be > -1, got {self.vo_scale_error}"
             )
+        frames = self.duration_s * self.rate_hz
+        if frames > MAX_FRAMES:
+            raise ConfigError(
+                f"duration_s * rate_hz must give at most {MAX_FRAMES} frames, got {frames:g}"
+            )
         if self.frame_count < 2:
             raise ConfigError("duration_s * rate_hz must give at least 2 frames")
         # P starts at init_cov_var and grows by process_noise_var a frame; past
@@ -194,7 +203,7 @@ class SimConfig:
                 f" ({self.lead_m:.1f} m)"
             )
         stride = self.rate_hz / self.correction_hz
-        if abs(stride - round(stride)) > 1e-9 or round(stride) < 1:
+        if not math.isfinite(stride) or abs(stride - round(stride)) > 1e-9 or round(stride) < 1:
             raise ConfigError(
                 f"rate_hz/correction_hz must be a positive integer, got {stride}"
             )

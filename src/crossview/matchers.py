@@ -6,20 +6,17 @@ synthetic backends are provided (a truth-plus-noise surrogate for the hybrid
 and regression-only networks, and a tile-center surrogate for scene-only
 retrieval).
 
-Noise is drawn from streams seeded per (master seed, frame) and per
-(master seed, frame, tile), so results do not depend on call order. The
-per-frame stream models the error the real networks share across candidates
-scored on the same query image; the per-pair stream models the rest.
-``common_frac`` splits the configured variance between the two, leaving each
-match's total error variance unchanged. A ``UavObservation`` carries its
-frame's memo of seeded streams, so backends handed the same observation seed
-each stream once between them; every reader still draws from the stream's
-freshly seeded state. A stream's memo entry also keeps what a
-``SyntheticMatcher`` drew from it (the frame's 5 normals, or a pair's gate, 5
-normals and jitter), so a second synthetic backend on the same seed, such as
-regression beside hybrid in one run, reads those draws rather than resetting
-the stream and drawing again. Threads matching concurrently should each
-build their own observation.
+Each backend holds one Philox generator (Salmon et al., "Parallel random
+numbers: as easy as 1, 2, 3", SC'11) keyed by its seed, and reads its noise
+for a (frame, slot) pair by setting the counter to [0, 0, slot, frame]: slot 0
+is the per-frame stream, slot tile_id + 1 the stream of a (frame, tile) pair.
+Every pair has its own address, so results do not depend on call order or on
+what any other backend drew. The per-frame stream models the error the real
+networks share across candidates scored on the same query image; the per-pair
+stream models the rest. ``common_frac`` splits the configured variance between
+the two, leaving each match's total error variance unchanged. A backend keeps
+its generator's state, so threads matching concurrently should each build
+their own backend: one matcher per thread.
 
 Downstream consumers (fusion, filtering) only ever see MatchResults; the truth
 pose inside ``UavObservation`` is for backends alone.
@@ -28,7 +25,7 @@ pose inside ``UavObservation`` is for backends alone.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -49,20 +46,15 @@ __all__ = [
 
 @dataclass(frozen=True)
 class UavObservation:
-    """One UAV camera frame, identified by index, with its ground-truth pose.
-
-    streams is the frame's memo of seeded noise streams and their synthetic
-    draws (see :func:`_stream` and :func:`_synthetic_draws`); it lives as
-    long as the observation and takes no part in equality.
-    """
+    """One UAV camera frame, identified by index, with its ground-truth pose."""
 
     frame: int
     truth: Pose6D
-    streams: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        if self.frame < 0:
-            raise ValueError(f"frame index must be >= 0, got {self.frame}")
+        # The frame is a word of each matcher's Philox counter.
+        if not 0 <= self.frame < 2**64:
+            raise ValueError(f"frame index must lie in [0, 2**64), got {self.frame}")
 
 
 @dataclass(frozen=True, init=False)
@@ -176,48 +168,26 @@ def noise_model(cfg: SimConfig, kind: str) -> MatcherNoiseModel:
 
 
 def _check_seed(seed: int) -> int:
-    if not isinstance(seed, (int, np.integer)) or seed < 0:
-        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+    """The seed as an int, if it can key a Philox generator: [0, 2**128)."""
+    if not isinstance(seed, (int, np.integer)) or not 0 <= seed < 2**128:
+        raise ValueError(f"seed must be an integer in [0, 2**128), got {seed!r}")
     return int(seed)
 
 
-def _stream(obs: UavObservation, seed: int, *tags: int) -> np.random.Generator:
-    """The stream seeded [seed, obs.frame, *tags], in its freshly seeded state.
+def _philox_at(seed: int):
+    """at(frame, slot): a Philox generator keyed by seed, set to counter [0, 0, slot, frame]."""
+    rng = np.random.Generator(np.random.Philox(key=_check_seed(seed)))
+    # A fresh state (empty buffer, counter zero); each call changes only the
+    # counter's top two words and loads the whole state back.
+    state = rng.bit_generator.state
+    counter = state["state"]["counter"]
 
-    It is seeded once per observation and kept in ``obs.streams`` with that
-    state; a later reader gets it reset to the state, so every reader draws
-    what a newly seeded stream would give, whoever read it before.
-    """
-    key = (seed, *tags)
-    entry = obs.streams.get(key)
-    if entry is None:
-        rng = np.random.default_rng(np.random.SeedSequence([seed, obs.frame, *tags]))
-        obs.streams[key] = [rng, rng.bit_generator.state, None]
+    def at(frame: int, slot: int) -> np.random.Generator:
+        counter[2], counter[3] = slot, frame
+        rng.bit_generator.state = state
         return rng
-    rng, state, _ = entry
-    rng.bit_generator.state = state
-    return rng
 
-
-def _synthetic_draws(obs: UavObservation, seed: int, *tags: int):
-    """SyntheticMatcher's draws from the stream [seed, obs.frame, *tags].
-
-    Draw order on the per-frame stream (no tags): 5 standard normals (x, y,
-    z, psi, theta). On a per-pair stream (tags is the tile id): outlier gate,
-    5 standard normals, distance jitter normal. The draws are kept in the
-    stream's memo entry, so another SyntheticMatcher on the same seed reads
-    them instead of resetting the stream and drawing again.
-    """
-    entry = obs.streams.get((seed, *tags))
-    if entry is not None and entry[2] is not None:
-        return entry[2]
-    rng = _stream(obs, seed, *tags)
-    if tags:
-        draws = rng.random(), rng.standard_normal(5).tolist(), rng.standard_normal()
-    else:
-        draws = rng.standard_normal(5).tolist()
-    obs.streams[(seed, *tags)][2] = draws
-    return draws
+    return at
 
 
 class SyntheticMatcher:
@@ -231,7 +201,7 @@ class SyntheticMatcher:
 
     def __init__(self, noise: MatcherNoiseModel, seed: int = 0):
         self.noise = noise
-        self._seed = _check_seed(seed)
+        self._noise_at = _philox_at(seed)
 
     def match_pair(self, obs: UavObservation, tile: TileRecord) -> MatchResult:
         return self.match_frame(obs, [tile])[0]
@@ -242,18 +212,20 @@ class SyntheticMatcher:
         Equal to ``[match_pair(obs, t) for t in tiles]``, but the per-frame
         draw and the camera's ground point are computed once, not per tile.
         """
-        noise, seed = self.noise, self._seed
-        # Per-frame stream: the error component shared by every tile paired
-        # with this frame.
+        noise, at = self.noise, self._noise_at
+        # Per-frame stream, 5 normals (x, y, z, psi, theta): the error
+        # component shared by every tile paired with this frame.
         c = math.sqrt(noise.common_frac)
-        shared = [c * v for v in _synthetic_draws(obs, seed)]
+        shared = [c * v for v in at(obs.frame, 0).standard_normal(5).tolist()]
         i = math.sqrt(1.0 - noise.common_frac)
         truth = obs.truth
         scene = ground_intersection(truth)
         results = []
         for tile in tiles:
-            # Per-pair stream: the rest of the pose error and the jitter.
-            gate, own, jitter = _synthetic_draws(obs, seed, tile.tile_id)
+            # Per-pair stream: outlier gate, 5 normals for the rest of the
+            # pose error, distance jitter normal.
+            rng = at(obs.frame, tile.tile_id + 1)
+            gate, own, jitter = rng.random(), rng.standard_normal(5).tolist(), rng.standard_normal()
             mixed = [a + i * b for a, b in zip(shared, own)]
             if gate < noise.outlier_prob:
                 mixed = [v * noise.outlier_factor for v in mixed]
@@ -293,7 +265,7 @@ class SceneMatcher:
         if not 0.0 <= tilt_prior <= 45.0:
             raise ValueError(f"tilt_prior must lie in [0, 45], got {tilt_prior!r}")
         self.noise = noise
-        self._seed = _check_seed(seed)
+        self._noise_at = _philox_at(seed)
         self.altitude = float(altitude)
         self.heading_prior = wrap_angle(heading_prior)
         self.tilt_prior = float(tilt_prior)
@@ -307,7 +279,7 @@ class SceneMatcher:
         results = []
         for tile in tiles:
             # Per-pair stream, single draw: distance jitter normal.
-            jitter = _stream(obs, self._seed, tile.tile_id).standard_normal()
+            jitter = self._noise_at(obs.frame, tile.tile_id + 1).standard_normal()
             d = _distance_score(scene, tile, self.noise, jitter)
             p_hat = (tile.x, tile.y, self.altitude)
             results.append(

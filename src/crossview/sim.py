@@ -32,7 +32,7 @@ from .geometry import (
     wrap_angle,
     wrap_angles,
 )
-from .matchers import SceneMatcher, SyntheticMatcher, UavObservation, noise_model
+from .matchers import SceneMatcher, SyntheticMatcher, UavObservation, _check_seed, noise_model
 from .textfile import read_rows, write_rows
 from .tiles import TileSet, k_nearest
 
@@ -56,8 +56,7 @@ __all__ = [
 METHODS = ("vo_only", "vo_scene", "vo_regression", "vo_hybrid")
 
 _TRAJ_HEADER = "#crossview-traj-v1"
-# Stream tags keep the trajectory and drift generators off the matcher
-# streams, which are seeded [seed, frame] and [seed, frame, tile].
+# Stream tags keep the trajectory and drift generators apart.
 _TRAJ_STREAM = 1_000_003
 _VO_STREAM = 1_000_033
 
@@ -122,7 +121,7 @@ def gen_trajectory(cfg: SimConfig, seed: int) -> list[TrajectoryFrame]:
     increments (a drift-free VO); see :func:`simulate_vo` for the noisy ones.
     """
     cfg.validate()
-    rng = np.random.default_rng(np.random.SeedSequence([seed, _TRAJ_STREAM]))
+    rng = np.random.default_rng(np.random.SeedSequence([_check_seed(seed), _TRAJ_STREAM]))
     heading0 = wrap_angle(float(rng.uniform(-180.0, 180.0)))
     first_turn = 1 if rng.random() < 0.5 else -1
     alt_phase = float(rng.uniform(0.0, 2.0 * math.pi))
@@ -165,7 +164,7 @@ def simulate_vo(
     identity.
     """
     cfg.validate()
-    rng = np.random.default_rng(np.random.SeedSequence([seed, _VO_STREAM]))
+    rng = np.random.default_rng(np.random.SeedSequence([_check_seed(seed), _VO_STREAM]))
     out = [VoIncrement.identity()]
     bias = np.zeros(3)
     for frame in frames[1:]:
@@ -266,13 +265,12 @@ def _run_pipelines(
 
     Every pipeline takes frame i, predicting it and correcting it every stride
     frames, before any takes frame i + 1; at a correction frame all backends
-    get the same UavObservation, whose memo seeds each matcher stream once and
-    keeps the synthetic backends' draws, so regression and hybrid draw once.
-    Returns one (pose per frame, final 6x6 covariance) per backend. This is a
-    trusted loop: frames and increments were validated when they were built,
-    so each 20 Hz step runs :func:`predict`'s arithmetic, in the same order,
-    through the unchecked geometry kernels, and P stays a bare array between
-    corrections. Each correction goes through a FilterState and the unchanged
+    get the same UavObservation. Returns one (pose per frame, final 6x6
+    covariance) per backend. This is a trusted loop: frames and increments
+    were validated when they were built, so each 20 Hz step runs
+    :func:`predict`'s arithmetic, in the same order, through the unchecked
+    geometry kernels, and P stays a bare array between corrections. Each
+    correction goes through a FilterState and the unchanged
     :func:`correct`, and every output pose is a checked Pose6D. When
     k_candidates = 1 leaves no scatter to measure, every backend's fused
     covariance falls back to the configured hybrid-grade variances.

@@ -40,8 +40,9 @@ class TileRecord:
     y: float
 
     def __post_init__(self) -> None:
-        if self.tile_id < 0:
-            raise ValueError(f"tile_id must be >= 0, got {self.tile_id}")
+        # tile_id + 1 is a word of each matcher's Philox counter.
+        if not 0 <= self.tile_id < 2**63:
+            raise ValueError(f"tile_id must lie in [0, 2**63), got {self.tile_id}")
         if not (math.isfinite(self.x) and math.isfinite(self.y)):
             raise ValueError("tile center must be finite")
 

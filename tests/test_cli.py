@@ -238,6 +238,41 @@ def test_run_accepts_filter_variance_at_ceiling(tmp_path, tile_file):
     assert main(argv + ["--out", str(tmp_path / "out")]) == 0
 
 
+@pytest.mark.parametrize(
+    "overrides, keys",
+    [
+        ("duration_s = 1e200\nrate_hz = 1e200\n", ("duration_s", "rate_hz")),
+        ("duration_s = 1e9\n", ("duration_s", "rate_hz")),
+        ("correction_hz = 1e-320\n", ("rate_hz", "correction_hz")),
+    ],
+    ids=["frame_count_overflows", "frame_count_huge", "stride_overflows"],
+)
+def test_simulate_rejects_overflowing_frame_counts(tmp_path, capsys, overrides, keys):
+    # The overflowing two once ended in an OverflowError traceback.
+    cfg = tmp_path / "huge.cfg"
+    cfg.write_text(overrides)
+    out = tmp_path / "flight.txt"
+    rc = main(["simulate", "--config", str(cfg), "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and all(key in err for key in keys)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("seed", [-1, 2**128])
+def test_simulate_and_run_reject_the_same_seeds(tmp_path, capsys, small_cfg, tile_file, seed):
+    # Philox keys lie in [0, 2**128); simulate once accepted 2**128, which
+    # run then failed on with numpy's message.
+    seed_args = ["--config", small_cfg, "--seed", str(seed), "--out"]
+    errors = []
+    for argv in (["simulate", *seed_args, str(tmp_path / "flight.txt")],
+                 ["run", "--tiles", tile_file, *seed_args, str(tmp_path / "out")]):
+        assert main(argv) == 2
+        errors.append(capsys.readouterr().err)
+    assert errors[0] == errors[1] == f"error: seed must be an integer in [0, 2**128), got {seed}\n"
+    assert not (tmp_path / "flight.txt").exists() and not (tmp_path / "out").exists()
+
+
 def test_help_documents_defaults(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--help"])

@@ -5,6 +5,7 @@ import dataclasses
 import pytest
 
 from crossview.config import (
+    MAX_FRAMES,
     MAX_POSITION_ERROR_M,
     ConfigError,
     SimConfig,
@@ -149,6 +150,29 @@ def test_filter_variance_ceiling_is_inclusive():
 def test_min_frames():
     with pytest.raises(ConfigError, match="at least 2 frames"):
         SimConfig(duration_s=0.05, rate_hz=20.0).validate()
+
+
+@pytest.mark.parametrize(
+    "overrides, message",
+    [
+        # The product overflows to inf: once an uncaught OverflowError.
+        ({"duration_s": 1e200, "rate_hz": 1e200}, "duration_s * rate_hz must give at most"),
+        # Finite, but asks for 2e10 frames.
+        ({"duration_s": 1e9}, "duration_s * rate_hz must give at most"),
+        # rate_hz / correction_hz overflows: once an uncaught OverflowError.
+        ({"correction_hz": 1e-320}, "rate_hz/correction_hz must be a positive integer, got inf"),
+    ],
+)
+def test_validate_rejects_overflowing_frame_counts(overrides, message):
+    with pytest.raises(ConfigError, match=message.replace("*", r"\*")):
+        SimConfig(**overrides).validate()
+
+
+def test_frame_ceiling_is_inclusive():
+    cfg = SimConfig(duration_s=MAX_FRAMES / 20.0, rate_hz=20.0).validate()
+    assert cfg.frame_count == MAX_FRAMES
+    with pytest.raises(ConfigError, match=f"at most {MAX_FRAMES} frames"):
+        SimConfig(duration_s=MAX_FRAMES / 20.0 + 1.0, rate_hz=20.0).validate()
 
 
 def test_load_config(tmp_path):

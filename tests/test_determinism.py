@@ -28,20 +28,20 @@ CONFIGS = {"base": BASE_CONFIG, "dense_outliers": BASE_CONFIG + DENSE_OUTLIERS}
 
 GOLDEN = {
     "base": {
-        "summary.csv": "aa1a501d2daf97bb860c31e448726f92c99c929f30fbe09f9ccd1acdc5b4f82c",
+        "summary.csv": "82ee7783827213d52dd290cbd4367841250bd3e2e3b266e34f72c3dfdb5d314d",
         "truth.txt": "0e182074181e69005599c9dd95fe2f899bebaeca935000f5ef1c0452fa6f4ec3",
         "vo_only.txt": "c740eae628b59270deb60f793e1a5195e61446021596659859f608cf3092cf0e",
-        "vo_scene.txt": "6b1d7f06b3ce31aa8e07bbb2a4d395a2f51d9a2152b42db39cc27caf0f921673",
-        "vo_regression.txt": "45b7eecdf9954f54072856d051659df0141a611a05031be2439e15f9e17b4b91",
-        "vo_hybrid.txt": "6822936cf5a6e335f053f6c9b744d3a382c71332e42892c4af79ac1ada6f345a",
+        "vo_scene.txt": "9a9b799cd312f1b7a11c02457da1b0be8ff51fa5e2827281e66d221b835474cc",
+        "vo_regression.txt": "f9f079c8e7a0327bbf42c6a2bf9e4c2cd448b4cd7100ce0c8c59e9e2a41a02f8",
+        "vo_hybrid.txt": "91663216d52f58ab1ef1b6ca10d27018bfee0e97f6371fbff849c64bfcd20770",
     },
     "dense_outliers": {
-        "summary.csv": "9b1cdbdcb8def61972c01588213b4a34020599821a9686a34498ca9353828a83",
+        "summary.csv": "75d115235c8644fa22be4e8d7cd6f425d67c4e4c947336cff686bf507d121878",
         "truth.txt": "0e182074181e69005599c9dd95fe2f899bebaeca935000f5ef1c0452fa6f4ec3",
         "vo_only.txt": "c740eae628b59270deb60f793e1a5195e61446021596659859f608cf3092cf0e",
-        "vo_scene.txt": "70d49dfbbcf5c1f08a04302cd9a067ea2467d52516b3c960c6ebf2f802e38e50",
-        "vo_regression.txt": "07b92f5bd099539a8e5a3ad963f992362d59e830c2336603d32c44e4920a1223",
-        "vo_hybrid.txt": "e0f3e9bb8b88a4f85d777a32250a6b786b6652ff5ac9a764c9631e0dc037c62c",
+        "vo_scene.txt": "94432f0a94c874f3f2191d3f24ab8339de13c88f9b5df543e4dad43bb1764f84",
+        "vo_regression.txt": "f865df0a850771d839370ef747cb119bca0d503ea118e0a124e7dadb9b8a2659",
+        "vo_hybrid.txt": "95547e3bade3e13f64808baf0e93d24857c0c96362e4ddbac41d33edf5557aab",
     },
 }
 

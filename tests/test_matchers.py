@@ -5,10 +5,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crossview.config import SimConfig
 from crossview.geometry import Pose6D, ground_intersection
-from crossview import matchers
 from crossview.matchers import (
     D_MIN,
     MatcherNoiseModel,
@@ -104,8 +105,16 @@ def test_noise_model_validation():
 
 
 def test_observation_validation():
-    with pytest.raises(ValueError):
-        UavObservation(-1, Pose6D(0.0, 0.0, 150.0, 0.0, 0.0))
+    for frame in (-1, 2**64):  # a Philox counter word
+        with pytest.raises(ValueError, match=r"frame index must lie in \[0, 2\*\*64\)"):
+            UavObservation(frame, Pose6D(0.0, 0.0, 150.0, 0.0, 0.0))
+
+
+def test_counter_words_at_their_limits():
+    last = obs_at(2**64 - 1)
+    tile = TileRecord(2**63 - 1, 0.0, 0.0)
+    for matcher in (SyntheticMatcher(HYBRID, seed=1), SceneMatcher(HYBRID, seed=1)):
+        assert matcher.match_pair(last, tile) == matcher.match_frame(last, [tile])[0]
 
 
 # --- synthetic backend ----------------------------------------------------
@@ -220,46 +229,106 @@ def test_match_frame_equals_per_pair_calls(matcher, k):
         assert batch == [matcher.match_pair(obs, t) for t in tiles]
 
 
-def test_shared_observation_keeps_seeds_apart():
-    """Backends sharing one observation draw exactly what they draw alone."""
+def _backends():
+    """Fresh backends: two seeds, every draw path (outlier gate, scene jitter)."""
     regression = noise_model(SimConfig(outlier_prob=0.3), "regression")
-    backends = [
+    return [
         SyntheticMatcher(HYBRID, seed=5),
         SceneMatcher(HYBRID, seed=6),
         SyntheticMatcher(regression, seed=6),
         SceneMatcher(HYBRID, seed=5),
         SyntheticMatcher(HYBRID, seed=6),
     ]
-    tiles = [TileRecord(tid, 50.0 * (tid % 4), 50.0 * (tid // 4)) for tid in range(16)]
+
+
+def _tile(tid):
+    return TileRecord(tid, 50.0 * (tid % 4), 50.0 * (tid // 4))
+
+
+_REQUEST = st.tuples(
+    st.integers(0, 4),  # which backend
+    st.integers(0, 50),  # frame
+    st.lists(st.integers(0, 15), min_size=1, max_size=4),  # tile ids
+)
+
+
+@given(history=st.lists(_REQUEST, max_size=8), last=_REQUEST)
+@settings(max_examples=60, deadline=None)
+def test_results_do_not_depend_on_earlier_requests(history, last):
+    """A request's results equal a lone request's, whatever came before it."""
+    backends = _backends()
+    for b, frame, tids in history:
+        backends[b].match_frame(obs_at(frame, x=20.0, y=30.0, theta=15.0), map(_tile, tids))
+    b, frame, tids = last
+    obs = obs_at(frame, x=20.0, y=30.0, theta=15.0)
+    alone = _backends()[b].match_frame(obs, [_tile(t) for t in tids])
+    assert backends[b].match_frame(obs, [_tile(t) for t in tids]) == alone
+    assert [backends[b].match_pair(obs, _tile(t)) for t in tids] == alone
+
+
+def test_shared_observation_keeps_seeds_apart():
+    """Backends sharing one observation draw exactly what they draw alone."""
+    backends = _backends()
+    tiles = [_tile(tid) for tid in range(16)]
     shared = obs_at(11, x=20.0, y=30.0, theta=15.0)
-    for _ in range(2):  # a second pass reads every stream from the memo
+    for _ in range(2):  # a second pass reads every counter block again
         for matcher in backends:
             alone = matcher.match_frame(obs_at(11, x=20.0, y=30.0, theta=15.0), tiles)
             assert matcher.match_frame(shared, tiles) == alone
-    tags = [()] + [(tid,) for tid in range(16)]  # [seed, frame], [seed, frame, tile]
-    assert set(shared.streams) == {(seed, *tag) for seed in (5, 6) for tag in tags}
+    # The observation carries no state from one backend to the next.
+    assert shared == obs_at(11, x=20.0, y=30.0, theta=15.0)
+    assert set(vars(shared)) == {"frame", "truth"}
     assert backends[0].match_frame(shared, tiles) != backends[4].match_frame(shared, tiles)
+    assert backends[3].match_frame(shared, tiles) != backends[1].match_frame(shared, tiles)
 
 
-def test_synthetic_matchers_on_one_seed_draw_each_stream_once(monkeypatch):
-    # Regression and hybrid share the run's seed: the second reads the
-    # first's draws from the observation's memo instead of drawing again.
+def count_reads(matcher):
+    """Wrap a matcher's counter lookup; returns the list each (frame, slot) read lands in."""
     reads = []
-    stream = matchers._stream
+    at = matcher._noise_at
 
-    def counting_stream(obs, seed, *tags):
-        reads.append((seed, *tags))
-        return stream(obs, seed, *tags)
+    def counting_at(frame, slot):
+        reads.append((frame, slot))
+        return at(frame, slot)
 
-    monkeypatch.setattr(matchers, "_stream", counting_stream)
+    matcher._noise_at = counting_at
+    return reads
+
+
+def test_synthetic_matchers_on_one_seed_draw_each_stream_once():
+    # Regression and hybrid share the run's seed: each reads the per-frame
+    # block and each pair's block once per request, and nothing else.
     regression = noise_model(SimConfig(outlier_prob=0.3), "regression")
     backends = [SyntheticMatcher(regression, seed=4), SyntheticMatcher(HYBRID, seed=4)]
-    tiles = [TileRecord(tid, 50.0 * (tid % 4), 50.0 * (tid // 4)) for tid in range(16)]
+    reads = [count_reads(matcher) for matcher in backends]
+    tiles = [_tile(tid) for tid in range(16)]
     shared = obs_at(9, x=20.0, y=30.0, theta=15.0)
     together = [matcher.match_frame(shared, tiles) for matcher in backends]
-    assert sorted(reads) == [(4,)] + [(4, tid) for tid in range(16)]
+    for got in reads:
+        assert sorted(got) == [(9, 0)] + [(9, tid + 1) for tid in range(16)]
     alone = [m.match_frame(obs_at(9, x=20.0, y=30.0, theta=15.0), tiles) for m in backends]
     assert together == alone and together[0] != together[1]
+
+
+def test_seeds_frames_and_tiles_draw_apart():
+    hybrid5, _, _, _, hybrid6 = _backends()
+    obs = obs_at(11, x=20.0, y=30.0, theta=15.0)
+    tiles = [_tile(tid) for tid in range(16)]
+    assert hybrid5.match_frame(obs, tiles) != hybrid6.match_frame(obs, tiles)
+    # Tiles at one center differ only in their pair's stream.
+    twins = [TileRecord(tid, 0.0, 0.0) for tid in range(16)]
+    results = hybrid5.match_frame(obs, twins)
+    assert len({r.p_hat for r in results}) == len({r.d for r in results}) == 16
+    later = hybrid5.match_frame(obs_at(12, x=20.0, y=30.0, theta=15.0), twins)
+    assert {r.p_hat for r in results}.isdisjoint(r.p_hat for r in later)
+
+
+def test_matchers_reject_seeds_a_philox_key_cannot_hold():
+    for seed in (-1, 2**128, 1.0):
+        for make in (SyntheticMatcher, SceneMatcher):
+            with pytest.raises(ValueError, match=r"seed must be an integer in \[0, 2\*\*128\)"):
+                make(HYBRID, seed=seed)
+    assert SyntheticMatcher(HYBRID, seed=2**128 - 1).match_pair(obs_at(1), _tile(0))
 
 
 def test_distance_always_positive():

@@ -445,7 +445,7 @@ def test_single_candidate_fallback_follows_config(method):
 
 
 def test_lockstep_pipelines_equal_public_reference():
-    """All four backends stepped together, sharing each frame's streams."""
+    """All four backends stepped together, sharing each correction frame's observation."""
     cfg = small_config(correction_hz=4.0, outlier_prob=0.2, k_candidates=16)
     frames = gen_trajectory(cfg, seed=8)
     increments = simulate_vo(frames, cfg, seed=8)
@@ -473,7 +473,19 @@ def test_lockstep_seeds_each_stream_once(monkeypatch):
     frames = gen_trajectory(cfg, seed=3)
     increments = simulate_vo(frames, cfg, seed=3)
     tiles = tiles_for(frames)
-    backends = [AskedTiles(b) for b in _make_backends(cfg, 3).values() if b is not None]
+    inner = [b for b in _make_backends(cfg, 3).values() if b is not None]
+    reads = []
+    for matcher in inner:
+        at = matcher._noise_at
+        got = []
+
+        def counting_at(frame, slot, at=at, got=got):
+            got.append((frame, slot))
+            return at(frame, slot)
+
+        matcher._noise_at = counting_at
+        reads.append(got)
+    backends = [AskedTiles(b) for b in inner]
 
     seeded = []
     seed_sequence = np.random.SeedSequence
@@ -485,15 +497,17 @@ def test_lockstep_seeds_each_stream_once(monkeypatch):
     monkeypatch.setattr(np.random, "SeedSequence", counting)
     _run_pipelines(frames, increments, backends, cfg, tiles)
 
-    assert len(seeded) == len(set(seeded))  # no stream seeded twice
-    assert {entropy[0] for entropy in seeded} == {3}
+    assert seeded == []  # matchers read counter blocks; they seed no stream
     corrections = set(range(cfg.correction_stride, len(frames), cfg.correction_stride))
-    assert {e[1] for e in seeded if len(e) == 2} == corrections
-    asked = [pair for b in backends for pair in b.asked]
-    pair_streams = [e[1:] for e in seeded if len(e) == 3]
-    # one seeding per (frame, tile) any backend asked for, not one per request
-    assert set(pair_streams) == set(asked)
-    assert len(asked) == 3 * len(corrections) * cfg.k_candidates > len(pair_streams)
+    for backend, got in zip(backends, reads):
+        assert len(got) == len(set(got))  # no block read twice
+        pairs = [(frame, slot - 1) for frame, slot in got if slot > 0]
+        # one read per (frame, tile) the backend was asked for
+        assert sorted(pairs) == sorted(backend.asked)
+        assert {frame for frame, _ in got} == corrections
+    frame_reads = [(frame, slot) for got in reads[1:] for frame, slot in got if slot == 0]
+    assert sorted(frame_reads) == sorted(2 * [(f, 0) for f in corrections])
+    assert len(backends[0].asked) == len(corrections) * cfg.k_candidates
 
 
 def test_pipeline_rejects_mismatched_increments():

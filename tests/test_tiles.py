@@ -79,8 +79,10 @@ def test_load_rejects_overflowing_bounds_at_its_line(tmp_path):
 
 
 def test_tile_record_validation():
-    with pytest.raises(ValueError):
-        TileRecord(-1, 0.0, 0.0)
+    for tid in (-1, 2**63):  # tile_id + 1 must fit a Philox counter word
+        with pytest.raises(ValueError, match=r"tile_id must lie in \[0, 2\*\*63\)"):
+            TileRecord(tid, 0.0, 0.0)
+    assert TileRecord(2**63 - 1, 0.0, 0.0).tile_id == 2**63 - 1
     with pytest.raises(ValueError):
         TileRecord(0, float("nan"), 0.0)
     t = TileRecord(3, 10.0, 20.0)
