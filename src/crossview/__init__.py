@@ -43,11 +43,10 @@ from .losses import (
 from .matchers import (
     D_MIN,
     MatchResult,
-    MatcherNoiseModel,
     SceneMatcher,
     SyntheticMatcher,
     UavObservation,
-    noise_model,
+    match_variances,
 )
 from .sim import (
     METHODS,

@@ -12,6 +12,8 @@ import dataclasses
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .textfile import read_ascii
 
 __all__ = ["ConfigError", "SimConfig", "load_config", "parse_config"]
@@ -207,8 +209,15 @@ class SimConfig:
             raise ConfigError(
                 f"rate_hz/correction_hz must be a positive integer, got {stride}"
             )
-        if self.k_candidates < 1:
-            raise ConfigError(f"k_candidates must be >= 1, got {self.k_candidates}")
+        # Frame i is corrected when i % stride == 0, and frame 0 never is.
+        if self.correction_stride >= self.frame_count:
+            raise ConfigError(
+                f"correction_hz must give a correction within the flight: rate_hz/correction_hz"
+                f" = {self.correction_stride} must be below the {self.frame_count} frames"
+            )
+        k = self.k_candidates
+        if not isinstance(k, (int, np.integer)) or isinstance(k, bool) or k < 1:
+            raise ConfigError(f"k_candidates must be an integer >= 1, got {k!r}")
         if not 0.0 <= self.outlier_prob <= 1.0:
             raise ConfigError(f"outlier_prob must lie in [0, 1], got {self.outlier_prob}")
         if not 0.0 <= self.common_frac < 1.0:
@@ -222,7 +231,8 @@ class SimConfig:
             for f in dataclasses.fields(self)
             if f.name.startswith(("hybrid_", "regression_"))
         }
-        positive(scene_altitude_m=self.scene_altitude_m, **rms)
+        positive(scene_altitude_m=self.scene_altitude_m)
+        non_negative(**rms)
         worst = self.outlier_factor if self.outlier_prob > 0.0 else 1.0
         for name, value in rms.items():
             if name.endswith("_m"):

@@ -20,7 +20,7 @@ import numpy as np
 
 from .config import SimConfig
 from .geometry import _wrap_angle
-from .matchers import D_MIN, noise_model
+from .matchers import D_MIN, match_variances
 
 __all__ = [
     "COVARIANCE_RIDGE",
@@ -66,7 +66,7 @@ def default_fallback_variances() -> np.ndarray:
     The hybrid backend's variances at the default config: the smaller-variance
     of the two synthetic calibrations, so a lone candidate counts as a good one.
     """
-    return noise_model(SimConfig(), "hybrid").variances()
+    return match_variances(SimConfig(), "hybrid")
 
 
 def fuse(results, fallback_variances: np.ndarray | None = None) -> FusedMeasurement:

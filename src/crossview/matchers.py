@@ -4,7 +4,12 @@ A backend scores one UAV frame against one satellite tile and returns a
 ``MatchResult``: a feature-space distance d plus a camera pose estimate. Two
 synthetic backends are provided (a truth-plus-noise surrogate for the hybrid
 and regression-only networks, and a tile-center surrogate for scene-only
-retrieval).
+retrieval). Each is built from a ``SimConfig``, the one calibration source:
+every backend reads the distance model (``d0``, ``d_slope``, ``d_jitter``);
+the hybrid and regression surrogates read their ``<kind>_*_rms_*`` figures
+(:func:`match_variances` gives their squares), ``outlier_prob``,
+``outlier_factor`` and ``common_frac``; the scene surrogate reads the
+``scene_*`` priors.
 
 Each backend holds one Philox generator (Salmon et al., "Parallel random
 numbers: as easy as 1, 2, 3", SC'11) keyed by its seed, and reads its noise
@@ -36,11 +41,10 @@ from .tiles import TileRecord
 __all__ = [
     "D_MIN",
     "MatchResult",
-    "MatcherNoiseModel",
     "SceneMatcher",
     "SyntheticMatcher",
     "UavObservation",
-    "noise_model",
+    "match_variances",
 ]
 
 
@@ -96,75 +100,28 @@ class MatchResult:
         values["theta_hat"], values["tile_id"] = theta, tile_id
 
 
-@dataclass(frozen=True)
-class MatcherNoiseModel:
-    """Error calibration for the synthetic backends.
+def _sigmas(cfg: SimConfig, kind: str) -> tuple[float, float, float, float, float]:
+    """Per-match pose error sigmas (x, y, z, psi, theta) of a synthetic kind.
 
-    sigma_* are standard deviations of the pose estimate errors (meters for
-    position, degrees for angles). The feature distance follows
-    d0 + d_slope * (scene-center distance to the tile) plus a half-normal
-    jitter of scale d_jitter. With probability outlier_prob a pair's pose
-    noise is inflated by outlier_factor. common_frac is the fraction of noise
-    variance shared by all candidates of the same frame.
+    kind is "regression" or "hybrid"; the sigmas are the config's
+    ``<kind>_*_rms_*`` figures, the horizontal one split evenly over x and y.
     """
-
-    sigma_xy: float = 0.0
-    sigma_z: float = 0.0
-    sigma_psi: float = 0.0
-    sigma_theta: float = 0.0
-    d0: float = 5.0
-    d_slope: float = 1.0
-    d_jitter: float = 0.0
-    outlier_prob: float = 0.0
-    outlier_factor: float = 3.0
-    common_frac: float = 0.0
-
-    def __post_init__(self) -> None:
-        for name in ("sigma_xy", "sigma_z", "sigma_psi", "sigma_theta", "d_jitter"):
-            value = getattr(self, name)
-            if not math.isfinite(value) or value < 0.0:
-                raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
-        if not math.isfinite(self.d0) or self.d0 < D_MIN:
-            raise ValueError(f"d0 must be >= {D_MIN}, got {self.d0!r}")
-        if not math.isfinite(self.d_slope) or self.d_slope < 0.0:
-            raise ValueError(f"d_slope must be >= 0, got {self.d_slope!r}")
-        if not 0.0 <= self.outlier_prob <= 1.0:
-            raise ValueError(f"outlier_prob must lie in [0, 1], got {self.outlier_prob!r}")
-        if not math.isfinite(self.outlier_factor) or self.outlier_factor < 1.0:
-            raise ValueError(f"outlier_factor must be >= 1, got {self.outlier_factor!r}")
-        if not 0.0 <= self.common_frac < 1.0:
-            raise ValueError(f"common_frac must lie in [0, 1), got {self.common_frac!r}")
-
-    def variances(self) -> np.ndarray:
-        """Per-match pose error variances in measurement order (x, y, z, psi, theta)."""
-        sigmas = (self.sigma_xy, self.sigma_xy, self.sigma_z, self.sigma_psi, self.sigma_theta)
-        return np.array([s**2 for s in sigmas])
-
-
-def noise_model(cfg: SimConfig, kind: str) -> MatcherNoiseModel:
-    """The configured error calibration of one backend kind.
-
-    kind is "scene", "regression" or "hybrid". Every kind shares the
-    config's distance model. Scene retrieval only produces distances, so its
-    pose part stays zero; the other two take their per-match RMS errors from
-    the config's ``<kind>_*_rms_*`` figures, the horizontal one split evenly
-    over x and y.
-    """
-    distance = dict(d0=cfg.d0, d_slope=cfg.d_slope, d_jitter=cfg.d_jitter)
-    if kind == "scene":
-        return MatcherNoiseModel(**distance)
     if kind not in ("regression", "hybrid"):
         raise ValueError(f"unknown matcher kind {kind!r}")
-    return MatcherNoiseModel(
-        sigma_xy=getattr(cfg, f"{kind}_horizontal_rms_m") / math.sqrt(2.0),
-        sigma_z=getattr(cfg, f"{kind}_vertical_rms_m"),
-        sigma_psi=getattr(cfg, f"{kind}_heading_rms_deg"),
-        sigma_theta=getattr(cfg, f"{kind}_tilt_rms_deg"),
-        outlier_prob=cfg.outlier_prob,
-        outlier_factor=cfg.outlier_factor,
-        common_frac=cfg.common_frac,
-        **distance,
+    h = getattr(cfg, f"{kind}_horizontal_rms_m") / math.sqrt(2.0)
+    return (
+        h,
+        h,
+        getattr(cfg, f"{kind}_vertical_rms_m"),
+        getattr(cfg, f"{kind}_heading_rms_deg"),
+        getattr(cfg, f"{kind}_tilt_rms_deg"),
     )
+
+
+def match_variances(cfg: SimConfig, kind: str) -> np.ndarray:
+    """Per-match pose error variances of a synthetic kind, in measurement
+    order (x, y, z, psi, theta): the squares of its configured sigmas."""
+    return np.array([s**2 for s in _sigmas(cfg, kind)])
 
 
 def _check_seed(seed: int) -> int:
@@ -190,18 +147,50 @@ def _philox_at(seed: int):
     return at
 
 
-class SyntheticMatcher:
+class _Backend:
+    """What every backend reads from the config: the distance model, plus its
+    keyed noise stream.
+
+    The config is validated once, here, and each figure is copied into a
+    plain float, so a later edit to the (mutable) config never reaches a
+    built backend.
+    """
+
+    def __init__(self, cfg: SimConfig, seed: int):
+        cfg.validate()
+        self.d0, self.d_slope, self.d_jitter = map(float, (cfg.d0, cfg.d_slope, cfg.d_jitter))
+        self._noise_at = _philox_at(seed)
+
+    def _distance(self, scene: tuple[float, float], tile: TileRecord, jitter: float) -> float:
+        """d0 + d_slope * |scene center - tile center| + half-normal jitter, floored.
+
+        scene is the camera's ground point, from :func:`ground_intersection`.
+        """
+        sx, sy = scene
+        gap = math.hypot(sx - tile.x, sy - tile.y)
+        d = self.d0 + self.d_slope * gap + self.d_jitter * abs(jitter)
+        return max(d, D_MIN)
+
+
+class SyntheticMatcher(_Backend):
     """Truth-plus-noise surrogate for a trained cross-view network.
 
-    The pose estimate is the true camera pose corrupted by the configured
+    kind is "regression" or "hybrid", the config figures it reads. The pose
+    estimate is the true camera pose corrupted by that kind's configured
     noise; the feature distance grows linearly with how far the tile sits
     from the ground point the camera actually looks at, so nearby tiles score
     better, as a real matching network would.
     """
 
-    def __init__(self, noise: MatcherNoiseModel, seed: int = 0):
-        self.noise = noise
-        self._noise_at = _philox_at(seed)
+    def __init__(self, cfg: SimConfig, kind: str, seed: int):
+        super().__init__(cfg, seed)
+        self.sigma_xy, _, self.sigma_z, self.sigma_psi, self.sigma_theta = map(
+            float, _sigmas(cfg, kind)
+        )
+        self.outlier_prob, self.outlier_factor = float(cfg.outlier_prob), float(cfg.outlier_factor)
+        # common_frac of each error's variance is shared by the frame's tiles.
+        self.shared_scale = math.sqrt(cfg.common_frac)
+        self.own_scale = math.sqrt(1.0 - cfg.common_frac)
 
     def match_pair(self, obs: UavObservation, tile: TileRecord) -> MatchResult:
         return self.match_frame(obs, [tile])[0]
@@ -212,12 +201,11 @@ class SyntheticMatcher:
         Equal to ``[match_pair(obs, t) for t in tiles]``, but the per-frame
         draw and the camera's ground point are computed once, not per tile.
         """
-        noise, at = self.noise, self._noise_at
+        at = self._noise_at
         # Per-frame stream, 5 normals (x, y, z, psi, theta): the error
         # component shared by every tile paired with this frame.
-        c = math.sqrt(noise.common_frac)
+        c, i = self.shared_scale, self.own_scale
         shared = [c * v for v in at(obs.frame, 0).standard_normal(5).tolist()]
-        i = math.sqrt(1.0 - noise.common_frac)
         truth = obs.truth
         scene = ground_intersection(truth)
         results = []
@@ -227,48 +215,37 @@ class SyntheticMatcher:
             rng = at(obs.frame, tile.tile_id + 1)
             gate, own, jitter = rng.random(), rng.standard_normal(5).tolist(), rng.standard_normal()
             mixed = [a + i * b for a, b in zip(shared, own)]
-            if gate < noise.outlier_prob:
-                mixed = [v * noise.outlier_factor for v in mixed]
+            if gate < self.outlier_prob:
+                mixed = [v * self.outlier_factor for v in mixed]
             p_hat = (
-                truth.x + noise.sigma_xy * mixed[0],
-                truth.y + noise.sigma_xy * mixed[1],
-                truth.z + noise.sigma_z * mixed[2],
+                truth.x + self.sigma_xy * mixed[0],
+                truth.y + self.sigma_xy * mixed[1],
+                truth.z + self.sigma_z * mixed[2],
             )
             # Finite unless an extreme calibration overflows; the nan that
             # wrapping inf gives then fails MatchResult's range check.
-            psi_hat = _wrap_angle(truth.psi + noise.sigma_psi * mixed[3])
-            theta_hat = min(max(truth.theta + noise.sigma_theta * mixed[4], 0.0), 45.0)
-            d = _distance_score(scene, tile, noise, jitter)
+            psi_hat = _wrap_angle(truth.psi + self.sigma_psi * mixed[3])
+            theta_hat = min(max(truth.theta + self.sigma_theta * mixed[4], 0.0), 45.0)
+            d = self._distance(scene, tile, jitter)
             results.append(MatchResult(d, p_hat, psi_hat, theta_hat, tile.tile_id))
         return results
 
 
-class SceneMatcher:
+class SceneMatcher(_Backend):
     """Retrieval-only surrogate: the camera is assumed to sit over the tile.
 
     Scene retrieval knows which tile it matched but nothing else, so the
-    position estimate is the tile center at a configured nominal altitude and
-    the orientation estimate is a fixed prior. Only the feature distance
+    position estimate is the tile center at the configured nominal altitude
+    (``scene_altitude_m``) and the orientation estimate is a fixed prior
+    (``scene_heading_deg``, ``scene_tilt_deg``). Only the feature distance
     carries information about which candidate is right.
     """
 
-    def __init__(
-        self,
-        noise: MatcherNoiseModel,
-        seed: int = 0,
-        altitude: float = 150.0,
-        heading_prior: float = 0.0,
-        tilt_prior: float = 22.5,
-    ):
-        if not math.isfinite(altitude) or altitude <= 0.0:
-            raise ValueError(f"altitude must be positive, got {altitude!r}")
-        if not 0.0 <= tilt_prior <= 45.0:
-            raise ValueError(f"tilt_prior must lie in [0, 45], got {tilt_prior!r}")
-        self.noise = noise
-        self._noise_at = _philox_at(seed)
-        self.altitude = float(altitude)
-        self.heading_prior = wrap_angle(heading_prior)
-        self.tilt_prior = float(tilt_prior)
+    def __init__(self, cfg: SimConfig, seed: int):
+        super().__init__(cfg, seed)
+        self.altitude = float(cfg.scene_altitude_m)
+        self.heading_prior = wrap_angle(cfg.scene_heading_deg)
+        self.tilt_prior = float(cfg.scene_tilt_deg)
 
     def match_pair(self, obs: UavObservation, tile: TileRecord) -> MatchResult:
         return self.match_frame(obs, [tile])[0]
@@ -280,22 +257,9 @@ class SceneMatcher:
         for tile in tiles:
             # Per-pair stream, single draw: distance jitter normal.
             jitter = self._noise_at(obs.frame, tile.tile_id + 1).standard_normal()
-            d = _distance_score(scene, tile, self.noise, jitter)
+            d = self._distance(scene, tile, jitter)
             p_hat = (tile.x, tile.y, self.altitude)
             results.append(
                 MatchResult(d, p_hat, self.heading_prior, self.tilt_prior, tile.tile_id)
             )
         return results
-
-
-def _distance_score(
-    scene: tuple[float, float], tile: TileRecord, noise: MatcherNoiseModel, jitter: float
-) -> float:
-    """d0 + d_slope * |scene center - tile center| + half-normal jitter, floored.
-
-    scene is the camera's ground point, from :func:`ground_intersection`.
-    """
-    sx, sy = scene
-    gap = math.hypot(sx - tile.x, sy - tile.y)
-    d = noise.d0 + noise.d_slope * gap + noise.d_jitter * abs(jitter)
-    return max(d, D_MIN)

@@ -32,7 +32,7 @@ from .geometry import (
     wrap_angle,
     wrap_angles,
 )
-from .matchers import SceneMatcher, SyntheticMatcher, UavObservation, _check_seed, noise_model
+from .matchers import SceneMatcher, SyntheticMatcher, UavObservation, _check_seed, match_variances
 from .textfile import read_rows, write_rows
 from .tiles import TileSet, k_nearest
 
@@ -242,15 +242,9 @@ class ExperimentResult:
 def _make_backends(cfg: SimConfig, seed: int) -> dict[str, object]:
     return {
         "vo_only": None,
-        "vo_scene": SceneMatcher(
-            noise_model(cfg, "scene"),
-            seed=seed,
-            altitude=cfg.scene_altitude_m,
-            heading_prior=cfg.scene_heading_deg,
-            tilt_prior=cfg.scene_tilt_deg,
-        ),
-        "vo_regression": SyntheticMatcher(noise_model(cfg, "regression"), seed=seed),
-        "vo_hybrid": SyntheticMatcher(noise_model(cfg, "hybrid"), seed=seed),
+        "vo_scene": SceneMatcher(cfg, seed),
+        "vo_regression": SyntheticMatcher(cfg, "regression", seed),
+        "vo_hybrid": SyntheticMatcher(cfg, "hybrid", seed),
     }
 
 
@@ -277,7 +271,7 @@ def _run_pipelines(
     """
     if len(increments) != len(frames):
         raise ValueError(f"{len(increments)} increments for {len(frames)} frames")
-    fallback = noise_model(cfg, "hybrid").variances()
+    fallback = match_variances(cfg, "hybrid")
     Q = ProcessNoise(np.full(6, cfg.process_noise_var)).matrix
     start = FilterState.initial(frames[0].truth, cfg.init_cov_var)
     poses = [start.pose] * len(backends)

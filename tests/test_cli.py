@@ -1,5 +1,7 @@
 """CLI subcommands, exercised through cli.main with tmp_path outputs."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -208,6 +210,24 @@ def test_run_accepts_position_error_at_ceiling(tmp_path, tile_file):
     assert main(argv + ["--out", str(tmp_path / "out")]) == 0
 
 
+@pytest.mark.parametrize("k", [1, 16])
+def test_run_with_noiseless_matchers(tmp_path, tile_file, k):
+    # Every RMS figure at 0: exact pose estimates, and at k = 1 a zero
+    # fallback covariance, so only the ridge keeps the fused one invertible.
+    keys = [
+        f"{m}_{fig}"
+        for m in ("hybrid", "regression")
+        for fig in ("horizontal_rms_m", "vertical_rms_m", "heading_rms_deg", "tilt_rms_deg")
+    ]
+    cfg = tmp_path / "exact.cfg"
+    cfg.write_text(SMALL_CFG + f"k_candidates = {k}\n" + "".join(f"{key} = 0\n" for key in keys))
+    argv = ["run", "--config", str(cfg), "--tiles", tile_file, "--seed", "0"]
+    assert main(argv + ["--out", str(tmp_path / "out")]) == 0
+    rows = (tmp_path / "out" / "summary.csv").read_text().splitlines()[1:]
+    values = [float(v) for row in rows for v in row.split(",")[1:]]
+    assert len(values) == 16 and all(math.isfinite(v) for v in values)
+
+
 @pytest.mark.parametrize(
     "overrides, key",
     [
@@ -256,6 +276,18 @@ def test_simulate_rejects_overflowing_frame_counts(tmp_path, capsys, overrides, 
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and all(key in err for key in keys)
+    assert not out.exists()
+
+
+def test_simulate_rejects_a_schedule_without_corrections(tmp_path, capsys):
+    # A stride of 2000 for 1000 frames: run once reported dead reckoning for
+    # every corrected method.
+    cfg = tmp_path / "sparse.cfg"
+    cfg.write_text(SMALL_CFG + "correction_hz = 0.01\n")
+    out = tmp_path / "flight.txt"
+    rc = main(["simulate", "--config", str(cfg), "--out", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: correction_hz must give a correction")
     assert not out.exists()
 
 

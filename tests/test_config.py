@@ -94,7 +94,7 @@ def test_parse_error_carries_line_number():
         {"scene_tilt_deg": 50.0},
         {"d0": 0.0},
         {"d_slope": -0.1},
-        {"hybrid_horizontal_rms_m": 0.0},
+        {"hybrid_horizontal_rms_m": -1.0},             # 0 is a noiseless matcher
         {"outlier_factor": 0.5},                       # would shrink outliers
         {"outlier_factor": float("nan")},
         {"scene_heading_deg": float("nan")},
@@ -106,6 +106,11 @@ def test_parse_error_carries_line_number():
         {"regression_horizontal_rms_m": 1e308},
         {"regression_vertical_rms_m": 1.000001e5},     # above the position ceiling
         {"outlier_prob": 0.2, "outlier_factor": 1e4},  # outliers above it
+        {"correction_hz": 0.005},                      # stride 4000: no frame corrected
+        {"k_candidates": 9.0},
+        {"k_candidates": True},
+        {"scene_altitude_m": -5.0},
+        {"d_jitter": -1.0},
     ],
 )
 def test_validate_rejects(overrides):
@@ -145,6 +150,15 @@ def test_filter_variance_ceiling_is_inclusive():
     assert cfg.frame_count == 4000
     assert cfg.init_cov_var + 3999 * cfg.process_noise_var <= ceiling
     cfg.validate()
+
+
+def test_latest_correction_is_the_last_frame():
+    # Frame i is corrected when i % stride == 0, and frame 0 never is: a
+    # stride of frame_count - 1 corrects the last frame alone, one more none.
+    cfg = SimConfig(correction_hz=20.0 / 3999).validate()
+    assert cfg.correction_stride == cfg.frame_count - 1
+    with pytest.raises(ConfigError, match="^correction_hz must give a correction"):
+        SimConfig(correction_hz=20.0 / 4000).validate()
 
 
 def test_min_frames():

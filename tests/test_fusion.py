@@ -11,8 +11,9 @@ from crossview.fusion import (
     default_fallback_variances,
     fuse,
 )
+from crossview.config import SimConfig
 from crossview.geometry import wrap_angle
-from crossview.matchers import MatcherNoiseModel, MatchResult, SyntheticMatcher, UavObservation
+from crossview.matchers import MatchResult, SyntheticMatcher, UavObservation, match_variances
 from crossview.geometry import Pose6D
 from crossview.tiles import TileRecord, generate_grid, k_nearest
 
@@ -189,8 +190,10 @@ def test_single_candidate_fallback():
     np.testing.assert_allclose(
         M, np.diag(fallback) + COVARIANCE_RIDGE * np.eye(5), atol=1e-15
     )
-    # default fallback comes from the hybrid calibration
+    # default fallback comes from the hybrid calibration of the default config
     M_default = fuse([r]).M
+    hybrid = match_variances(SimConfig(), "hybrid")
+    np.testing.assert_array_equal(default_fallback_variances(), hybrid)
     np.testing.assert_allclose(
         np.diag(M_default), np.array(default_fallback_variances()) + COVARIANCE_RIDGE
     )
@@ -255,7 +258,14 @@ def test_noiseless_backend_fuses_to_truth():
     """Nine zero-noise candidates all estimate truth, so the fusion must too."""
     tiles = generate_grid(-500.0, 500.0, -500.0, 500.0, 50.0)
     truth = Pose6D(123.0, -47.0, 150.0, 20.0, 10.0, 0.0)
-    matcher = SyntheticMatcher(MatcherNoiseModel(), seed=0)
+    noiseless = SimConfig(
+        d_jitter=0.0,
+        hybrid_horizontal_rms_m=0.0,
+        hybrid_vertical_rms_m=0.0,
+        hybrid_heading_rms_deg=0.0,
+        hybrid_tilt_rms_deg=0.0,
+    )
+    matcher = SyntheticMatcher(noiseless, "hybrid", 0)
     obs = UavObservation(0, truth)
     results = [
         matcher.match_pair(obs, t) for t in k_nearest(tiles, (truth.x, truth.y), 9)

@@ -8,20 +8,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from crossview.config import SimConfig
+from crossview.config import ConfigError, SimConfig
 from crossview.geometry import Pose6D, ground_intersection
 from crossview.matchers import (
     D_MIN,
-    MatcherNoiseModel,
     MatchResult,
     SceneMatcher,
     SyntheticMatcher,
     UavObservation,
-    noise_model,
+    match_variances,
 )
 from crossview.tiles import TileRecord
 
-HYBRID = noise_model(SimConfig(), "hybrid")
+CFG = SimConfig()
+FIGURES = ("horizontal_rms_m", "vertical_rms_m", "heading_rms_deg", "tilt_rms_deg")
+RMS_KEYS = [f"{kind}_{figure}" for kind in ("hybrid", "regression") for figure in FIGURES]
+# Zero pose noise and no distance jitter: every estimate is exact.
+NOISELESS = SimConfig(d_jitter=0.0, **{key: 0.0 for key in RMS_KEYS})
 
 
 def obs_at(frame, x=0.0, y=0.0, z=150.0, psi=0.0, theta=0.0):
@@ -91,19 +94,6 @@ def test_match_result_rejection_messages(args, message):
     assert str(exc.value) == message
 
 
-def test_noise_model_validation():
-    with pytest.raises(ValueError):
-        MatcherNoiseModel(sigma_xy=-1.0)
-    with pytest.raises(ValueError):
-        MatcherNoiseModel(d0=0.0)  # below the distance floor
-    with pytest.raises(ValueError):
-        MatcherNoiseModel(common_frac=1.0)
-    with pytest.raises(ValueError):
-        MatcherNoiseModel(outlier_prob=1.5)
-    with pytest.raises(ValueError):
-        MatcherNoiseModel(outlier_factor=0.5)
-
-
 def test_observation_validation():
     for frame in (-1, 2**64):  # a Philox counter word
         with pytest.raises(ValueError, match=r"frame index must lie in \[0, 2\*\*64\)"):
@@ -113,7 +103,7 @@ def test_observation_validation():
 def test_counter_words_at_their_limits():
     last = obs_at(2**64 - 1)
     tile = TileRecord(2**63 - 1, 0.0, 0.0)
-    for matcher in (SyntheticMatcher(HYBRID, seed=1), SceneMatcher(HYBRID, seed=1)):
+    for matcher in (SyntheticMatcher(CFG, "hybrid", 1), SceneMatcher(CFG, 1)):
         assert matcher.match_pair(last, tile) == matcher.match_frame(last, [tile])[0]
 
 
@@ -122,43 +112,39 @@ def test_counter_words_at_their_limits():
 
 def test_zero_noise_at_scene_center_tile():
     """Noiseless matcher on the exact scene-center tile: truth pose, d = d0."""
-    noise = MatcherNoiseModel()  # all sigmas zero by default
-    matcher = SyntheticMatcher(noise, seed=0)
+    matcher = SyntheticMatcher(NOISELESS, "hybrid", 0)
     obs = obs_at(0, x=100.0, y=200.0, z=150.0, psi=30.0, theta=0.0)
     tile = TileRecord(12, 100.0, 200.0)  # nadir camera: scene center = (x, y)
     r = matcher.match_pair(obs, tile)
     assert r.p_hat == (100.0, 200.0, 150.0)
     assert r.psi_hat == 30.0
     assert r.theta_hat == 0.0
-    assert r.d == noise.d0
+    assert r.d == NOISELESS.d0
 
 
 def test_distance_linear_in_scene_offset():
-    noise = MatcherNoiseModel(d0=5.0, d_slope=1.0)
-    matcher = SyntheticMatcher(noise, seed=0)
+    matcher = SyntheticMatcher(NOISELESS, "hybrid", 0)
     obs = obs_at(3, x=0.0, y=0.0, theta=0.0)
     near = matcher.match_pair(obs, TileRecord(0, 30.0, 0.0))
     far = matcher.match_pair(obs, TileRecord(1, 130.0, 0.0))
-    assert far.d - near.d == pytest.approx(100.0 * noise.d_slope, abs=1e-12)
+    assert far.d - near.d == pytest.approx(100.0 * NOISELESS.d_slope, abs=1e-12)
 
 
 def test_distance_uses_ground_intersection_not_camera():
-    noise = MatcherNoiseModel(d0=5.0, d_slope=1.0)
-    matcher = SyntheticMatcher(noise, seed=0)
+    matcher = SyntheticMatcher(NOISELESS, "hybrid", 0)
     obs = obs_at(4, x=0.0, y=0.0, z=150.0, psi=0.0, theta=45.0)
     scene = ground_intersection(obs.truth)
     assert scene == pytest.approx((0.0, 150.0))
     at_scene = matcher.match_pair(obs, TileRecord(0, 0.0, 150.0))
     at_camera = matcher.match_pair(obs, TileRecord(1, 0.0, 0.0))
     # tan(45 deg) carries ~1e-16 of round-off, so approx rather than exact
-    assert at_scene.d == pytest.approx(noise.d0, abs=1e-9)
-    assert at_camera.d == pytest.approx(noise.d0 + 150.0, abs=1e-9)
+    assert at_scene.d == pytest.approx(NOISELESS.d0, abs=1e-9)
+    assert at_camera.d == pytest.approx(NOISELESS.d0 + 150.0, abs=1e-9)
 
 
 def test_noise_statistics_match_calibration():
-    """Empirical RMS of 1e4 matches within 5% of the configured sigmas."""
-    noise = HYBRID
-    matcher = SyntheticMatcher(noise, seed=5)
+    """Empirical RMS of 1e4 matches within 5% of the configured figures."""
+    matcher = SyntheticMatcher(CFG, "hybrid", 5)
     tile = TileRecord(0, 0.0, 0.0)
     errs = np.empty((10_000, 4))
     for frame in range(errs.shape[0]):
@@ -171,15 +157,15 @@ def test_noise_statistics_match_calibration():
             r.theta_hat - 22.5,
         )
     rms = np.sqrt(np.mean(errs**2, axis=0))
-    assert rms[0] == pytest.approx(noise.sigma_xy, rel=0.05)
-    assert rms[1] == pytest.approx(noise.sigma_z, rel=0.05)
-    assert rms[2] == pytest.approx(noise.sigma_psi, rel=0.05)
-    assert rms[3] == pytest.approx(noise.sigma_theta, rel=0.05)
+    # The horizontal figure is split evenly over x and y.
+    assert rms[0] == pytest.approx(CFG.hybrid_horizontal_rms_m / math.sqrt(2.0), rel=0.05)
+    assert rms[1] == pytest.approx(CFG.hybrid_vertical_rms_m, rel=0.05)
+    assert rms[2] == pytest.approx(CFG.hybrid_heading_rms_deg, rel=0.05)
+    assert rms[3] == pytest.approx(CFG.hybrid_tilt_rms_deg, rel=0.05)
 
 
 def test_common_fraction_correlates_same_frame_errors():
-    noise = HYBRID
-    matcher = SyntheticMatcher(noise, seed=6)
+    matcher = SyntheticMatcher(CFG, "hybrid", 6)
     tiles = (TileRecord(0, 0.0, 0.0), TileRecord(1, 50.0, 0.0))
     xa, xb = [], []
     for frame in range(3000):
@@ -187,12 +173,13 @@ def test_common_fraction_correlates_same_frame_errors():
         xa.append(matcher.match_pair(obs, tiles[0]).p_hat[0])
         xb.append(matcher.match_pair(obs, tiles[1]).p_hat[0])
     corr = np.corrcoef(xa, xb)[0, 1]
-    assert corr == pytest.approx(0.8, abs=0.05)
+    assert corr == pytest.approx(CFG.common_frac, abs=0.05)
 
 
 def test_outlier_inflation():
-    noise = MatcherNoiseModel(sigma_xy=10.0, outlier_prob=1.0, outlier_factor=3.0)
-    matcher = SyntheticMatcher(noise, seed=7)
+    xy = 10.0 * math.sqrt(2.0)  # 10 m on each axis
+    cfg = SimConfig(hybrid_horizontal_rms_m=xy, outlier_prob=1.0, outlier_factor=3.0)
+    matcher = SyntheticMatcher(cfg, "hybrid", 7)
     xs = [
         matcher.match_pair(obs_at(frame), TileRecord(0, 0.0, 0.0)).p_hat[0]
         for frame in range(4000)
@@ -201,9 +188,8 @@ def test_outlier_inflation():
 
 
 def test_matcher_determinism_bitwise():
-    noise = HYBRID
-    a = SyntheticMatcher(noise, seed=9)
-    b = SyntheticMatcher(noise, seed=9)
+    a = SyntheticMatcher(CFG, "hybrid", 9)
+    b = SyntheticMatcher(CFG, "hybrid", 9)
     obs = obs_at(17, x=3.0, y=4.0, theta=12.0)
     tile = TileRecord(5, 50.0, 100.0)
     ra = a.match_pair(obs, tile)
@@ -214,9 +200,9 @@ def test_matcher_determinism_bitwise():
 @pytest.mark.parametrize(
     "matcher",
     [
-        SyntheticMatcher(HYBRID, seed=3),
-        SyntheticMatcher(noise_model(SimConfig(outlier_prob=0.3), "regression"), seed=3),
-        SceneMatcher(HYBRID, seed=3),
+        SyntheticMatcher(CFG, "hybrid", 3),
+        SyntheticMatcher(SimConfig(outlier_prob=0.3), "regression", 3),
+        SceneMatcher(CFG, 3),
     ],
     ids=["hybrid", "regression-outliers", "scene"],
 )
@@ -231,13 +217,13 @@ def test_match_frame_equals_per_pair_calls(matcher, k):
 
 def _backends():
     """Fresh backends: two seeds, every draw path (outlier gate, scene jitter)."""
-    regression = noise_model(SimConfig(outlier_prob=0.3), "regression")
+    outliers = SimConfig(outlier_prob=0.3)
     return [
-        SyntheticMatcher(HYBRID, seed=5),
-        SceneMatcher(HYBRID, seed=6),
-        SyntheticMatcher(regression, seed=6),
-        SceneMatcher(HYBRID, seed=5),
-        SyntheticMatcher(HYBRID, seed=6),
+        SyntheticMatcher(CFG, "hybrid", 5),
+        SceneMatcher(CFG, 6),
+        SyntheticMatcher(outliers, "regression", 6),
+        SceneMatcher(CFG, 5),
+        SyntheticMatcher(CFG, "hybrid", 6),
     ]
 
 
@@ -298,8 +284,8 @@ def count_reads(matcher):
 def test_synthetic_matchers_on_one_seed_draw_each_stream_once():
     # Regression and hybrid share the run's seed: each reads the per-frame
     # block and each pair's block once per request, and nothing else.
-    regression = noise_model(SimConfig(outlier_prob=0.3), "regression")
-    backends = [SyntheticMatcher(regression, seed=4), SyntheticMatcher(HYBRID, seed=4)]
+    outliers = SimConfig(outlier_prob=0.3)
+    backends = [SyntheticMatcher(outliers, kind, 4) for kind in ("regression", "hybrid")]
     reads = [count_reads(matcher) for matcher in backends]
     tiles = [_tile(tid) for tid in range(16)]
     shared = obs_at(9, x=20.0, y=30.0, theta=15.0)
@@ -325,16 +311,15 @@ def test_seeds_frames_and_tiles_draw_apart():
 
 def test_matchers_reject_seeds_a_philox_key_cannot_hold():
     for seed in (-1, 2**128, 1.0):
-        for make in (SyntheticMatcher, SceneMatcher):
+        for make in (lambda s: SyntheticMatcher(CFG, "hybrid", s), lambda s: SceneMatcher(CFG, s)):
             with pytest.raises(ValueError, match=r"seed must be an integer in \[0, 2\*\*128\)"):
-                make(HYBRID, seed=seed)
-    assert SyntheticMatcher(HYBRID, seed=2**128 - 1).match_pair(obs_at(1), _tile(0))
+                make(seed)
+    assert SyntheticMatcher(CFG, "hybrid", 2**128 - 1).match_pair(obs_at(1), _tile(0))
 
 
 def test_distance_always_positive():
     rng = np.random.default_rng(33)
-    noise = MatcherNoiseModel(d0=D_MIN, d_slope=0.0, d_jitter=50.0)
-    matcher = SyntheticMatcher(noise, seed=1)
+    matcher = SyntheticMatcher(SimConfig(d0=D_MIN, d_slope=0.0, d_jitter=50.0), "hybrid", 1)
     for frame in range(200):
         tile = TileRecord(
             int(rng.integers(0, 100)),
@@ -346,8 +331,7 @@ def test_distance_always_positive():
 
 
 def test_theta_estimate_stays_in_range():
-    noise = MatcherNoiseModel(sigma_theta=30.0)
-    matcher = SyntheticMatcher(noise, seed=2)
+    matcher = SyntheticMatcher(SimConfig(hybrid_tilt_rms_deg=30.0), "hybrid", 2)
     thetas = [
         matcher.match_pair(obs_at(f, theta=1.0), TileRecord(0, 0.0, 0.0)).theta_hat
         for f in range(500)
@@ -359,62 +343,95 @@ def test_theta_estimate_stays_in_range():
 
 
 def test_scene_match_reports_tile_position():
-    matcher = SceneMatcher(MatcherNoiseModel(), seed=0)
+    matcher = SceneMatcher(CFG, 0)
     obs = obs_at(0, x=-321.0, y=77.0, z=180.0, psi=55.0, theta=10.0)
     r = matcher.match_pair(obs, TileRecord(9, 500.0, 700.0))
-    assert r.p_hat == (500.0, 700.0, 150.0)
-    assert r.psi_hat == 0.0
-    assert r.theta_hat == 22.5
+    assert r.p_hat == (500.0, 700.0, CFG.scene_altitude_m)
+    assert r.psi_hat == CFG.scene_heading_deg
+    assert r.theta_hat == CFG.scene_tilt_deg
 
 
 def test_scene_match_nearer_tile_scores_better():
-    noise = MatcherNoiseModel(d0=5.0, d_slope=1.0)  # no jitter: deterministic d
-    matcher = SceneMatcher(noise, seed=0)
+    matcher = SceneMatcher(NOISELESS, 0)  # no jitter: deterministic d
     obs = obs_at(0, x=0.0, y=0.0, theta=0.0)
     near = matcher.match_pair(obs, TileRecord(0, 10.0, 0.0))
     far = matcher.match_pair(obs, TileRecord(1, 200.0, 0.0))
     assert near.d < far.d
 
 
-def test_scene_prior_validation():
-    with pytest.raises(ValueError):
-        SceneMatcher(MatcherNoiseModel(), altitude=-5.0)
-    with pytest.raises(ValueError):
-        SceneMatcher(MatcherNoiseModel(), tilt_prior=50.0)
+def test_backends_validate_their_config():
+    for make in (lambda c: SyntheticMatcher(c, "hybrid", 0), lambda c: SceneMatcher(c, 0)):
+        with pytest.raises(ConfigError, match="^scene_altitude_m must be positive"):
+            make(SimConfig(scene_altitude_m=-5.0))
+        with pytest.raises(ConfigError, match="^hybrid_horizontal_rms_m must be >= 0"):
+            make(SimConfig(hybrid_horizontal_rms_m=-1.0))
+    with pytest.raises(ValueError, match="unknown matcher kind"):
+        SyntheticMatcher(CFG, "retrieval", 0)
+    with pytest.raises(ValueError, match="unknown matcher kind"):
+        match_variances(CFG, "scene")
 
 
 # --- calibrations ---------------------------------------------------------
 
 
 def test_calibration_models():
-    cfg = SimConfig()
-    hyb = noise_model(cfg, "hybrid")
-    reg = noise_model(cfg, "regression")
-    assert hyb.sigma_xy == cfg.hybrid_horizontal_rms_m / math.sqrt(2.0)
-    assert hyb.sigma_z == cfg.hybrid_vertical_rms_m
-    assert hyb.sigma_psi == cfg.hybrid_heading_rms_deg
-    assert hyb.sigma_theta == cfg.hybrid_tilt_rms_deg
-    assert reg.sigma_xy == cfg.regression_horizontal_rms_m / math.sqrt(2.0)
-    assert reg.sigma_psi == cfg.regression_heading_rms_deg
-    assert hyb.common_frac == reg.common_frac == cfg.common_frac
-    assert (hyb.d0, hyb.d_slope, hyb.d_jitter) == (cfg.d0, cfg.d_slope, cfg.d_jitter)
+    for kind in ("hybrid", "regression"):
+        h, z, psi, theta = (getattr(CFG, f"{kind}_{figure}") for figure in FIGURES)
+        # The horizontal figure is split evenly over x and y.
+        want = [(h / math.sqrt(2.0)) ** 2] * 2 + [z**2, psi**2, theta**2]
+        np.testing.assert_array_equal(match_variances(CFG, kind), want)
     # regression-grade is strictly noisier than hybrid-grade
-    assert reg.sigma_xy > hyb.sigma_xy
-    assert reg.sigma_z > hyb.sigma_z
-    assert reg.sigma_psi > hyb.sigma_psi
-    assert reg.sigma_theta > hyb.sigma_theta
-    np.testing.assert_array_equal(
-        hyb.variances(),
-        [hyb.sigma_xy**2, hyb.sigma_xy**2, hyb.sigma_z**2, hyb.sigma_psi**2,
-         hyb.sigma_theta**2],
-    )
+    assert np.all(match_variances(CFG, "regression") > match_variances(CFG, "hybrid"))
 
 
-def test_noise_model_follows_config():
-    cfg = SimConfig(hybrid_vertical_rms_m=8.0, outlier_prob=0.25, d_jitter=2.0)
-    hyb = noise_model(cfg, "hybrid")
-    assert hyb.sigma_z == 8.0 and hyb.outlier_prob == 0.25 and hyb.d_jitter == 2.0
-    scene = noise_model(cfg, "scene")
-    assert scene == MatcherNoiseModel(d0=cfg.d0, d_slope=cfg.d_slope, d_jitter=2.0)
-    with pytest.raises(ValueError, match="unknown matcher kind"):
-        noise_model(cfg, "retrieval")
+# Every key a backend reads, a second valid value for it, and the backends
+# that read it. BASE draws outliers, so outlier_factor shows.
+BASE = SimConfig(outlier_prob=0.3)
+SYNTHETIC = {"regression", "hybrid"}
+EVERY = {"scene", *SYNTHETIC}
+CALIBRATION = [
+    ("d0", 7.0, EVERY),
+    ("d_slope", 2.0, EVERY),
+    ("d_jitter", 1.0, EVERY),
+    ("outlier_prob", 0.6, SYNTHETIC),
+    ("outlier_factor", 5.0, SYNTHETIC),
+    ("common_frac", 0.2, SYNTHETIC),
+    *[(key, 3.0, {key.split("_")[0]}) for key in RMS_KEYS],
+    ("scene_altitude_m", 120.0, {"scene"}),
+    ("scene_heading_deg", 45.0, {"scene"}),
+    ("scene_tilt_deg", 10.0, {"scene"}),
+]
+
+
+def _build(cfg):
+    return {
+        "scene": SceneMatcher(cfg, 3),
+        "regression": SyntheticMatcher(cfg, "regression", 3),
+        "hybrid": SyntheticMatcher(cfg, "hybrid", 3),
+    }
+
+
+def _outputs(matchers):
+    tiles = [_tile(tid) for tid in range(16)]
+    return {
+        name: [matcher.match_frame(obs_at(f, x=20.0, y=30.0, theta=15.0), tiles)
+               for f in range(20)]
+        for name, matcher in matchers.items()
+    }
+
+
+@pytest.mark.parametrize("key, value, readers", CALIBRATION, ids=[c[0] for c in CALIBRATION])
+def test_each_calibration_key_reaches_exactly_its_backends(key, value, readers):
+    before = _outputs(_build(BASE))
+    after = _outputs(_build(dataclasses.replace(BASE, **{key: value})))
+    assert {name for name in before if after[name] != before[name]} == readers
+
+
+def test_built_matchers_ignore_later_config_edits():
+    cfg = dataclasses.replace(BASE)
+    matchers = _build(cfg)
+    before = _outputs(matchers)
+    for key, value, _ in CALIBRATION:
+        setattr(cfg, key, value)
+    assert _outputs(matchers) == before
+    assert _outputs(_build(cfg.validate())) != before

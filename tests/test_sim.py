@@ -9,7 +9,7 @@ from crossview.config import ConfigError, SimConfig
 from crossview.estimator import FilterState, ProcessNoise, VoIncrement, correct, predict
 from crossview.fusion import fuse
 from crossview.geometry import Pose6D, euler_to_rotmat, wrap_angle
-from crossview.matchers import UavObservation, noise_model
+from crossview.matchers import UavObservation, match_variances
 from crossview.sim import (
     _make_backends,
     _run_pipelines,
@@ -350,6 +350,17 @@ def test_run_experiment_rejects_small_tile_set():
         run_experiment(cfg, small, seed=0)
 
 
+def test_longest_correction_stride_corrects_the_last_frame_alone():
+    cfg = small_config(correction_hz=20.0 / 999)
+    assert cfg.correction_stride == cfg.frame_count - 1
+    frames = gen_trajectory(cfg, seed=2)
+    result = run_experiment(cfg, tiles_for(frames), seed=2)
+    vo_only = result.estimates["vo_only"]
+    for method in METHODS[1:]:
+        estimates = result.estimates[method]
+        assert estimates[:-1] == vo_only[:-1] and estimates[-1] != vo_only[-1], method
+
+
 def test_lower_matcher_noise_never_hurts():
     """Halving every matcher sigma can only improve the mean hybrid RMSE."""
     cfg = small_config()
@@ -379,7 +390,7 @@ def reference_pipeline(frames, increments, backend, cfg, tile_set):
     hybrid-grade variances.
     """
     noise = ProcessNoise(np.full(6, cfg.process_noise_var))
-    fallback = noise_model(cfg, "hybrid").variances()
+    fallback = match_variances(cfg, "hybrid")
     state = FilterState.initial(frames[0].truth, cfg.init_cov_var)
     poses = [state.pose]
     for i in range(1, len(frames)):
