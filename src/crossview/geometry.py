@@ -60,10 +60,15 @@ class Pose6D:
     phi: float = 0.0
 
     def __post_init__(self) -> None:
-        for name in ("x", "y", "z", "psi", "theta", "phi"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ValueError(f"Pose6D.{name} must be finite, got {value!r}")
+        isfinite = math.isfinite
+        if not (
+            isfinite(self.x) and isfinite(self.y) and isfinite(self.z)
+            and isfinite(self.psi) and isfinite(self.theta) and isfinite(self.phi)
+        ):
+            for name in ("x", "y", "z", "psi", "theta", "phi"):
+                value = getattr(self, name)
+                if not isfinite(value):
+                    raise ValueError(f"Pose6D.{name} must be finite, got {value!r}")
 
     @property
     def position(self) -> np.ndarray:
@@ -103,25 +108,24 @@ def euler_to_rotmat(psi: float, theta: float, phi: float) -> np.ndarray:
     Angles are degrees. The result is orthonormal to machine precision.
     """
     _require_finite(psi=psi, theta=theta, phi=phi)
-    return _euler_to_rotmat(psi, theta, phi)
+    return np.array(_euler_to_rotmat(psi, theta, phi))
 
 
-def _euler_to_rotmat(psi: float, theta: float, phi: float) -> np.ndarray:
-    # Unchecked kernel of euler_to_rotmat, for callers whose angles are
-    # already known finite (a validated Pose6D, or a kernel's own output).
+def _euler_to_rotmat(psi: float, theta: float, phi: float) -> list[list[float]]:
+    # Unchecked kernel of euler_to_rotmat, as plain rows, for callers whose
+    # angles are already known finite (a validated Pose6D, or a kernel's own
+    # output); callers stack the rows of many frames into one array.
     cz = math.cos(math.radians(psi))
     sz = math.sin(math.radians(psi))
     cy = math.cos(math.radians(theta))
     sy = math.sin(math.radians(theta))
     cx = math.cos(math.radians(phi))
     sx = math.sin(math.radians(phi))
-    return np.array(
-        [
-            [cz * cy, cz * sy * sx - sz * cx, cz * sy * cx + sz * sx],
-            [sz * cy, sz * sy * sx + cz * cx, sz * sy * cx - cz * sx],
-            [-sy, cy * sx, cy * cx],
-        ]
-    )
+    return [
+        [cz * cy, cz * sy * sx - sz * cx, cz * sy * cx + sz * sx],
+        [sz * cy, sz * sy * sx + cz * cx, sz * sy * cx - cz * sx],
+        [-sy, cy * sx, cy * cx],
+    ]
 
 
 def is_rotation_matrix(R: np.ndarray, tol: float = 1e-6) -> bool:
@@ -157,21 +161,22 @@ def rotmat_to_euler(R: np.ndarray) -> tuple[float, float, float]:
     R = np.asarray(R, dtype=float)
     if not is_rotation_matrix(R):
         raise ValueError("R is not a rotation matrix (orthonormal within 1e-6)")
-    return _rotmat_to_euler(R)
+    return _rotmat_to_euler(R.tolist())
 
 
-def _rotmat_to_euler(R: np.ndarray) -> tuple[float, float, float]:
-    # Unchecked kernel of rotmat_to_euler: R must be a float ndarray already
-    # known to be a rotation (validated, or a product of validated ones).
-    sy = math.hypot(R[0, 0], R[1, 0])
+def _rotmat_to_euler(rows: list[list[float]]) -> tuple[float, float, float]:
+    # Unchecked kernel of rotmat_to_euler, on a matrix's plain rows (R.tolist())
+    # already known to be a rotation (validated, or a product of validated ones).
+    (r00, r01, _), (r10, r11, _), (r20, r21, r22) = rows
+    sy = math.hypot(r00, r10)
     if sy < _GIMBAL_EPS:
-        theta = math.copysign(90.0, -R[2, 0])
-        psi = math.degrees(math.atan2(-R[0, 1], R[1, 1]))
+        theta = math.copysign(90.0, -r20)
+        psi = math.degrees(math.atan2(-r01, r11))
         phi = 0.0
     else:
-        theta = math.degrees(math.atan2(-R[2, 0], sy))
-        psi = math.degrees(math.atan2(R[1, 0], R[0, 0]))
-        phi = math.degrees(math.atan2(R[2, 1], R[2, 2]))
+        theta = math.degrees(math.atan2(-r20, sy))
+        psi = math.degrees(math.atan2(r10, r00))
+        phi = math.degrees(math.atan2(r21, r22))
     return (_wrap_angle(psi), theta, _wrap_angle(phi))
 
 

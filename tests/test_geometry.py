@@ -343,6 +343,16 @@ def test_pose_rejects_non_finite():
         Pose6D(0.0, 0.0, float("inf"), 0.0, 0.0)
 
 
+@pytest.mark.parametrize("name", ["x", "y", "z", "psi", "theta", "phi"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_pose_names_each_non_finite_field(name, value):
+    values = dict(x=1.0, y=2.0, z=3.0, psi=4.0, theta=5.0, phi=6.0)
+    values[name] = value
+    with pytest.raises(ValueError) as raised:
+        Pose6D(**values)
+    assert str(raised.value) == f"Pose6D.{name} must be finite, got {value!r}"
+
+
 def test_pose_accessors():
     pose = Pose6D(1.0, 2.0, 3.0, 4.0, 5.0, 6.0)
     np.testing.assert_allclose(pose.position, [1.0, 2.0, 3.0])

@@ -1,10 +1,15 @@
 """Flight simulation, VO drift, metrics, and the end-to-end experiment."""
 
 import math
+from dataclasses import astuple
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from crossview import sim
 from crossview.config import ConfigError, SimConfig
 from crossview.estimator import FilterState, ProcessNoise, VoIncrement, correct, predict
 from crossview.fusion import fuse
@@ -174,6 +179,132 @@ def test_increments_reconstruct_truth(default_frames):
     assert abs(finals.psi - default_frames[-1].truth.psi) < 1e-6
 
 
+# --- trusted flight builders against per-frame checked references -----------
+
+
+def reference_gen_trajectory(cfg, seed):
+    """gen_trajectory frame by frame, through the checked constructors."""
+    cfg.validate()
+    rng = np.random.default_rng(np.random.SeedSequence([seed, sim._TRAJ_STREAM]))
+    heading0 = wrap_angle(float(rng.uniform(-180.0, 180.0)))
+    first_turn = 1 if rng.random() < 0.5 else -1
+    alt_phase = float(rng.uniform(0.0, 2.0 * math.pi))
+    path = sim._flight_path(cfg, heading0, first_turn)
+    t0 = cfg.straight_init_m / cfg.speed
+    frames = []
+    for i in range(cfg.frame_count):
+        t = i * cfg.dt
+        x, y, heading = path(cfg.speed * t)
+        z = cfg.alt_base_m + cfg.alt_amp_m * math.sin(
+            2.0 * math.pi * t / cfg.alt_period_s + alt_phase
+        )
+        tilt_t = max(t - t0, 0.0)
+        theta = cfg.tilt_base_deg + cfg.tilt_amp_deg * math.sin(
+            2.0 * math.pi * tilt_t / cfg.tilt_period_s
+        )
+        pose = Pose6D(x, y, z, wrap_angle(heading), theta, 0.0)
+        R = euler_to_rotmat(*pose.angles)
+        if i == 0:
+            inc = VoIncrement.identity()
+        else:
+            inc = VoIncrement(pose.position - frames[-1].truth.position, R @ R_prev.T)
+        frames.append(TrajectoryFrame(t, pose, inc))
+        R_prev = R
+    return frames
+
+
+def reference_simulate_vo(frames, cfg, seed):
+    """simulate_vo step by step, three draws of 3 normals a step, checked increments."""
+    cfg.validate()
+    rng = np.random.default_rng(np.random.SeedSequence([seed, sim._VO_STREAM]))
+    out = [VoIncrement.identity()]
+    bias = np.zeros(3)
+    for frame in frames[1:]:
+        bias = bias + rng.standard_normal(3) * cfg.vo_bias_walk_m
+        pos_noise = rng.standard_normal(3) * cfg.vo_pos_noise_m
+        rot_noise = rng.standard_normal(3) * cfg.vo_rot_noise_deg
+        true_inc = frame.vo_increment
+        dp = (1.0 + cfg.vo_scale_error) * true_inc.dp + pos_noise + bias
+        dR = euler_to_rotmat(rot_noise[0], rot_noise[1], rot_noise[2]) @ true_inc.dR
+        out.append(VoIncrement(dp, dR))
+    return out
+
+
+def assert_same_increments(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a.dp.tobytes() == b.dp.tobytes() and a.dR.tobytes() == b.dR.tobytes()
+
+
+def assert_same_flight(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert np.array([a.t, *astuple(a.truth)]).tobytes() == np.array([b.t, *astuple(b.truth)]).tobytes()
+    assert_same_increments([f.vo_increment for f in got], [f.vo_increment for f in want])
+
+
+@st.composite
+def flight_configs(draw):
+    tilt_amp = draw(st.floats(0.0, 22.5))
+    return small_config(
+        # 2, 20 and 1000 frames; every frame corrected, so 2 frames are valid
+        duration_s=draw(st.sampled_from([0.1, 1.0, 50.0])),
+        correction_hz=20.0,
+        # the tilt profile touching its 0 deg floor, its 45 deg ceiling, or neither
+        tilt_base_deg=draw(st.sampled_from([tilt_amp, 45.0 - tilt_amp, 22.5])),
+        tilt_amp_deg=tilt_amp,
+        vo_scale_error=draw(st.floats(-0.5, 1.0)),
+        vo_pos_noise_m=draw(st.floats(0.0, 10.0)),
+        vo_rot_noise_deg=draw(st.one_of(st.just(0.0), st.floats(0.0, 180.0))),
+        vo_bias_walk_m=draw(st.one_of(st.just(0.0), st.floats(0.0, 1e3))),
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(cfg=flight_configs(), seed=st.integers(0, 2**63), block=st.sampled_from([1, 7, 512]))
+def test_trusted_builders_equal_checked_references(cfg, seed, block):
+    frames = gen_trajectory(cfg, seed)
+    assert_same_flight(frames, reference_gen_trajectory(cfg, seed))
+    with mock.patch.object(sim, "_VO_BLOCK", block):
+        got = simulate_vo(frames, cfg, seed)
+    assert_same_increments(got, reference_simulate_vo(frames, cfg, seed))
+
+
+def test_default_flight_equals_checked_references(default_frames):
+    cfg = SimConfig()
+    assert_same_flight(default_frames, reference_gen_trajectory(cfg, 0))
+    increments = simulate_vo(default_frames, cfg, 0)
+    assert_same_increments(increments, reference_simulate_vo(default_frames, cfg, 0))
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("dR", 2.0 * np.eye(3), "dR is not a rotation"),
+        ("dR", np.diag([1.0, 1.0, -1.0]), "dR is not a rotation"),  # a reflection
+        ("dR", np.full((3, 3), np.nan), "dR is not a rotation"),
+        ("dp", np.array([0.0, np.inf, 0.0]), "dp must be a finite"),
+    ],
+)
+@pytest.mark.parametrize("frame", [1, 600, 999])
+def test_simulate_vo_checks_the_increments_it_builds(field, value, message, frame):
+    cfg = small_config(**NO_DRIFT)
+    frames = gen_trajectory(cfg, seed=1)
+    object.__setattr__(frames[frame].vo_increment, field, value)
+    with pytest.raises(ValueError, match=message):
+        simulate_vo(frames, cfg, seed=1)
+
+
+def test_simulate_vo_rejects_an_empty_flight():
+    with pytest.raises(ValueError, match="at least one frame"):
+        simulate_vo([], small_config(), seed=0)
+
+
+def test_simulate_vo_of_one_frame_is_the_identity():
+    frames = gen_trajectory(small_config(), seed=0)[:1]
+    assert_same_increments(simulate_vo(frames, small_config(), seed=0), [VoIncrement.identity()])
+
+
 # --- VO drift ---------------------------------------------------------------
 
 
@@ -258,6 +389,11 @@ def test_rmse_length_mismatch():
     truth = [Pose6D(0, 0, 150, 0, 0)] * 3
     with pytest.raises(ValueError, match="mismatch"):
         rmse(truth[:2], truth)
+
+
+def test_rmse_rejects_empty_trajectories():
+    with pytest.raises(ValueError, match="trajectory is empty"):
+        rmse([], [])
 
 
 # --- end-to-end --------------------------------------------------------------
