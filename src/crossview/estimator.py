@@ -116,23 +116,33 @@ def correct(state: FilterState, measurement: FusedMeasurement) -> FilterState:
     gain K = P H^T (M + H P H^T)^-1, covariance P <- (I - K H) P symmetrized.
     Raises if the measurement covariance is not symmetric PSD or leaves the
     innovation covariance ill-conditioned.
-
-    H = [I5 | 0] only selects, so H P H^T is P[:5, :5], P H^T is P[:, :5],
-    H X is X[:5] and I - K H is the identity less K in its first five
-    columns: the same bits as the products, without them.
     """
     M = np.asarray(measurement.M, dtype=float)
     if M.shape != (5, 5) or not np.isfinite(M).all():
         raise ValueError("measurement covariance must be a finite 5x5 matrix")
     if np.abs(M - M.T).max() > 1e-9:
         raise ValueError("measurement covariance must be symmetric")
+    pose, P = _correct(state.pose, state.P, measurement.z_vector(), M)
+    return FilterState(pose, P)
+
+
+def _correct(pose: Pose6D, P: np.ndarray, z, M: np.ndarray) -> tuple[Pose6D, np.ndarray]:
+    """The kernel of :func:`correct`: the new pose and 6x6 covariance.
+
+    P is a finite symmetric 6x6 array, z the 5 measured values and M a finite
+    symmetric 5x5 array (a FilterState's and a fused measurement's, or
+    :func:`fusion._fuse_rows`' output). Only the data-dependent checks are
+    made here: M is PSD, S is well conditioned, and the new P is finite; it
+    is symmetric by construction, and the pose is a checked Pose6D.
+
+    H = [I5 | 0] only selects, so H P H^T is P[:5, :5], P H^T is P[:, :5],
+    H X is X[:5] and I - K H is the identity less K in its first five
+    columns: the same bits as the products, without them.
+    """
     # eigvalsh sorts ascending, so [0] is the smallest eigenvalue.
     if np.linalg.eigvalsh(M)[0] < -1e-9:
         raise ValueError("measurement covariance must be positive semidefinite")
-
-    p = state.pose
-    X = np.array([p.x, p.y, p.z, p.psi, p.theta, p.phi])
-    P = state.P
+    X = np.array([pose.x, pose.y, pose.z, pose.psi, pose.theta, pose.phi])
     S = M + P[:5, :5]
     # np.linalg.cond(S): the ratio of the largest to the smallest singular
     # value, infinite when the smallest is 0 or the SVD gives nan.
@@ -141,21 +151,15 @@ def correct(state: FilterState, measurement: FusedMeasurement) -> FilterState:
         raise np.linalg.LinAlgError(
             f"innovation covariance condition number exceeds {_COND_LIMIT:g}"
         )
-    innovation = measurement.z_vector() - X[:5]
+    innovation = np.array(z) - X[:5]
     innovation[3] = wrap_angle(innovation[3])
     innovation[4] = wrap_angle(innovation[4])
     K = np.linalg.solve(S.T, P[:, :5].T).T
-    updated = X + K @ innovation
+    updated = (X + K @ innovation).tolist()
     I_KH = np.eye(6)
     I_KH[:, :5] -= K
     P_new = I_KH @ P
     P_new = 0.5 * (P_new + P_new.T)
-    pose = Pose6D(
-        float(updated[0]),
-        float(updated[1]),
-        float(updated[2]),
-        wrap_angle(float(updated[3])),
-        wrap_angle(float(updated[4])),
-        wrap_angle(float(updated[5])),
-    )
-    return FilterState(pose, P_new)
+    if not np.isfinite(P_new).all():
+        raise ValueError("corrected covariance is not finite")
+    return Pose6D(*updated[:3], *map(wrap_angle, updated[3:])), P_new

@@ -9,6 +9,9 @@ matrix stays invertible even when every candidate agrees.
 Headings are circular, so they are averaged through residuals wrapped about
 the best-scoring candidate's heading; two candidates at 179 and -179 degrees
 fuse to +/-180, not to 0.
+
+Every sum runs left to right in plain floats, so the fused bits are the same
+whatever BLAS kernel numpy runs on.
 """
 
 from __future__ import annotations
@@ -81,63 +84,89 @@ def fuse(results, fallback_variances: np.ndarray | None = None) -> FusedMeasurem
     (default: :func:`default_fallback_variances`). Candidates are reduced in
     (d, tile_id) order, so the result is exactly permutation invariant.
     """
-    rs = sorted(results, key=lambda r: (r.d, r.tile_id))
-    if not rs:
+    if fallback_variances is None:
+        fallback_variances = default_fallback_variances()
+    rows = [(r.d, r.tile_id, *r.p_hat, r.psi_hat, r.theta_hat) for r in results]
+    z, M = _fuse_rows(rows, _checked_fallback(fallback_variances))
+    return FusedMeasurement(np.array(z[:3]), z[3], z[4], M)
+
+
+def _checked_fallback(variances) -> tuple[float, ...]:
+    """The k = 1 variances as 5 plain floats, if they are finite and >= 0."""
+    v = np.asarray(variances, dtype=float)
+    if v.shape != (5,) or np.any(v < 0.0) or not np.all(np.isfinite(v)):
+        raise ValueError("fallback_variances must be 5 finite non-negative values")
+    return tuple(v.tolist())
+
+
+def _fuse_rows(rows, fallback: tuple[float, ...]) -> tuple[list[float], np.ndarray]:
+    """The kernel of :func:`fuse`: (z, M) from a matcher's plain rows.
+
+    rows are (d, tile_id, x, y, z, psi, theta) tuples with psi in (-180, 180]
+    and theta clamped, as a backend's ``_match_rows`` builds them; fallback
+    is :func:`_checked_fallback`'s. z is [x, y, z, psi, theta]. Rows sort by
+    (d, tile_id) and every sum runs left to right over them in plain floats:
+    no BLAS call, no numpy reduction and no builtin ``sum`` (compensated
+    since Python 3.12), so the bits depend on neither the BLAS kernel nor the
+    interpreter. A row that overflowed (an infinite d, a non-finite position
+    or angle) raises ValueError rather than weigh in silently.
+    """
+    rows = sorted(rows)
+    if not rows:
         raise ValueError("cannot fuse an empty candidate list")
-    if rs[0].d < D_MIN:
-        raise ValueError(f"candidate distance {rs[0].d} below the {D_MIN} floor")
-    # Each MatchResult holds a heading in (-180, 180], so every residual is
-    # finite; the pose and the covariance share them.
-    inv = np.array([1.0 / r.d for r in rs])
-    w = inv / np.add.reduce(inv)
-    positions = np.array([r.p_hat for r in rs])
-    thetas = np.array([r.theta_hat for r in rs])
-    ref = rs[0].psi_hat
-    residuals = np.array([_wrap_angle(r.psi_hat - ref) for r in rs])
-    p_bar = w @ positions
-    theta_bar = float(w @ thetas)
-    psi_bar = _wrap_angle(ref + float(w @ residuals))
-
-    M = np.zeros((5, 5))
-    if len(rs) < 2:
-        variances = (
-            default_fallback_variances()
-            if fallback_variances is None
-            else np.asarray(fallback_variances, dtype=float)
-        )
-        if variances.shape != (5,) or np.any(variances < 0.0) or not np.all(
-            np.isfinite(variances)
-        ):
-            raise ValueError("fallback_variances must be 5 finite non-negative values")
-        M[np.diag_indices(5)] = variances
+    if not rows[0][0] >= D_MIN:
+        raise ValueError(f"candidate distance {rows[0][0]} below the {D_MIN} floor")
+    if not rows[-1][0] < math.inf:
+        raise ValueError(f"candidate distance {rows[-1][0]} is not finite")
+    k = len(rows)
+    ref = rows[0][5]
+    # Pass 1: the total weight, the plain sums, and the heading residuals.
+    total = sx = sy = sz = sr = st = 0.0
+    residuals = []
+    for d, _, x, y, z, psi, theta in rows:
+        r = _wrap_angle(psi - ref)
+        residuals.append(r)
+        total += 1.0 / d
+        sx += x
+        sy += y
+        sz += z
+        sr += r
+        st += theta
+    mx, my, mz, mr, mt = sx / k, sy / k, sz / k, sr / k, st / k
+    # Pass 2: the weighted means and the scatter about the plain means.
+    px = py = pz = pr = pt = 0.0
+    cxx = cxy = cxz = cyy = cyz = czz = crr = ctt = 0.0
+    for (d, _, x, y, z, _, theta), r in zip(rows, residuals):
+        w = 1.0 / d / total
+        px += w * x
+        py += w * y
+        pz += w * z
+        pr += w * r
+        pt += w * theta
+        ex, ey, ez, er, et = x - mx, y - my, z - mz, r - mr, theta - mt
+        cxx += ex * ex
+        cxy += ex * ey
+        cxz += ex * ez
+        cyy += ey * ey
+        cyz += ey * ez
+        czz += ez * ez
+        crr += er * er
+        ctt += et * et
+    if k < 2:
+        cxx, cyy, czz, crr, ctt = fallback
     else:
-        M[:3, :3] = _sample_cov(positions)
-        M[3, 3] = _sample_var(residuals)
-        M[4, 4] = _sample_var(thetas)
-    M.flat[::6] += COVARIANCE_RIDGE
-    if not math.isfinite(psi_bar) or not np.all(np.isfinite(p_bar)):
+        n = k - 1
+        cxx, cxy, cxz, cyy, cyz = cxx / n, cxy / n, cxz / n, cyy / n, cyz / n
+        czz, crr, ctt = czz / n, crr / n, ctt / n
+    z = [px, py, pz, _wrap_angle(ref + pr), pt]
+    if not all(map(math.isfinite, (*z, cxx, cxy, cxz, cyy, cyz, czz, crr, ctt))):
         raise ValueError("fused measurement is not finite")
-    return FusedMeasurement(p_bar, psi_bar, theta_bar, M)
-
-
-# np.cov(rows, rowvar=False) and np.var(v, ddof=1) without their argument
-# handling: the same numpy operations in the same order, so the same bits.
-
-
-def _sample_cov(rows: np.ndarray) -> np.ndarray:
-    X = np.array(rows).T
-    n = X.shape[1]
-    avg = np.add.reduce(X, axis=1)
-    avg /= n
-    X -= avg[:, None]
-    c = np.dot(X, X.T)
-    c *= np.true_divide(1, n - 1)
-    return c
-
-
-def _sample_var(v: np.ndarray) -> float:
-    n = v.shape[0]
-    mean = np.add.reduce(v, axis=None, keepdims=True)
-    mean /= n
-    x = np.square(v - mean)
-    return float(np.add.reduce(x, axis=None) / (n - 1))
+    ridge = COVARIANCE_RIDGE
+    M = np.array([
+        [cxx + ridge, cxy, cxz, 0.0, 0.0],
+        [cxy, cyy + ridge, cyz, 0.0, 0.0],
+        [cxz, cyz, czz + ridge, 0.0, 0.0],
+        [0.0, 0.0, 0.0, crr + ridge, 0.0],
+        [0.0, 0.0, 0.0, 0.0, ctt + ridge],
+    ])
+    return z, M

@@ -23,8 +23,10 @@ the two, leaving each match's total error variance unchanged. A backend keeps
 its generator's state, so threads matching concurrently should each build
 their own backend: one matcher per thread.
 
-Downstream consumers (fusion, filtering) only ever see MatchResults; the truth
-pose inside ``UavObservation`` is for backends alone.
+A backend's ``_match_rows`` is its one scoring kernel: it returns plain rows
+that the filter loop fuses directly, and ``match_frame`` checks each row into
+a MatchResult. Downstream consumers (fusion, filtering) see only those fields;
+the truth pose inside ``UavObservation`` is for backends alone.
 """
 
 from __future__ import annotations
@@ -100,6 +102,12 @@ class MatchResult:
         values["theta_hat"], values["tile_id"] = theta, tile_id
 
 
+# Every |standard_normal()| the jitter can draw lies below this: numpy's
+# ziggurat sampler draws its tail as r + x, with r = 3.654 and x at most
+# -log(2**-53) / r = 10.06.
+_MAX_JITTER = 14.0
+
+
 def _sigmas(cfg: SimConfig, kind: str) -> tuple[float, float, float, float, float]:
     """Per-match pose error sigmas (x, y, z, psi, theta) of a synthetic kind.
 
@@ -161,6 +169,14 @@ class _Backend:
         self.d0, self.d_slope, self.d_jitter = map(float, (cfg.d0, cfg.d_slope, cfg.d_jitter))
         self._noise_at = _philox_at(seed)
 
+    def match_frame(self, obs: UavObservation, tiles) -> list[MatchResult]:
+        """Score one frame against each tile, in the order given: a checked
+        MatchResult per row of the backend's ``_match_rows``."""
+        return [
+            MatchResult(d, (x, y, z), psi, theta, tile_id)
+            for d, tile_id, x, y, z, psi, theta in self._match_rows(obs, tiles)
+        ]
+
     def _distance(self, scene: tuple[float, float], tile: TileRecord, jitter: float) -> float:
         """d0 + d_slope * |scene center - tile center| + half-normal jitter, floored.
 
@@ -195,40 +211,46 @@ class SyntheticMatcher(_Backend):
     def match_pair(self, obs: UavObservation, tile: TileRecord) -> MatchResult:
         return self.match_frame(obs, [tile])[0]
 
-    def match_frame(self, obs: UavObservation, tiles) -> list[MatchResult]:
-        """Score one frame against each tile, in the order given.
+    def _match_rows(self, obs: UavObservation, tiles) -> list[tuple]:
+        """Score one frame against each tile, in the order given, as plain rows.
 
-        Equal to ``[match_pair(obs, t) for t in tiles]``, but the per-frame
-        draw and the camera's ground point are computed once, not per tile.
+        Each row is (d, tile_id, x, y, z, psi, theta), floats but tile_id,
+        MatchResult's fields before its checks: d is floored at D_MIN, psi
+        wrapped and theta clamped, but an extreme calibration can still
+        overflow a value to inf or nan; :func:`fusion._fuse_rows` rejects it.
+        The per-frame draw and the camera's ground point are computed once,
+        not per tile.
         """
-        at = self._noise_at
+        at, frame = self._noise_at, obs.frame
         # Per-frame stream, 5 normals (x, y, z, psi, theta): the error
         # component shared by every tile paired with this frame.
         c, i = self.shared_scale, self.own_scale
-        shared = [c * v for v in at(obs.frame, 0).standard_normal(5).tolist()]
+        s0, s1, s2, s3, s4 = [c * v for v in at(frame, 0).standard_normal(5).tolist()]
         truth = obs.truth
-        scene = ground_intersection(truth)
-        results = []
+        x, y, z, psi, theta = truth.x, truth.y, truth.z, truth.psi, truth.theta
+        sxy, sz, spsi, stheta = self.sigma_xy, self.sigma_z, self.sigma_psi, self.sigma_theta
+        outlier_prob, f = self.outlier_prob, self.outlier_factor
+        distance, scene = self._distance, ground_intersection(truth)
+        rows = []
         for tile in tiles:
-            # Per-pair stream: outlier gate, 5 normals for the rest of the
-            # pose error, distance jitter normal.
-            rng = at(obs.frame, tile.tile_id + 1)
-            gate, own, jitter = rng.random(), rng.standard_normal(5).tolist(), rng.standard_normal()
-            mixed = [a + i * b for a, b in zip(shared, own)]
-            if gate < self.outlier_prob:
-                mixed = [v * self.outlier_factor for v in mixed]
-            p_hat = (
-                truth.x + self.sigma_xy * mixed[0],
-                truth.y + self.sigma_xy * mixed[1],
-                truth.z + self.sigma_z * mixed[2],
-            )
-            # Finite unless an extreme calibration overflows; the nan that
-            # wrapping inf gives then fails MatchResult's range check.
-            psi_hat = _wrap_angle(truth.psi + self.sigma_psi * mixed[3])
-            theta_hat = min(max(truth.theta + self.sigma_theta * mixed[4], 0.0), 45.0)
-            d = self._distance(scene, tile, jitter)
-            results.append(MatchResult(d, p_hat, psi_hat, theta_hat, tile.tile_id))
-        return results
+            # Per-pair stream: outlier gate, then 6 normals, 5 for the rest
+            # of the pose error and the distance jitter.
+            rng = at(frame, tile.tile_id + 1)
+            gate = rng.random()
+            e0, e1, e2, e3, e4, jitter = rng.standard_normal(6).tolist()
+            m0, m1, m2, m3, m4 = s0 + i * e0, s1 + i * e1, s2 + i * e2, s3 + i * e3, s4 + i * e4
+            if gate < outlier_prob:
+                m0, m1, m2, m3, m4 = m0 * f, m1 * f, m2 * f, m3 * f, m4 * f
+            rows.append((
+                distance(scene, tile, jitter),
+                tile.tile_id,
+                x + sxy * m0,
+                y + sxy * m1,
+                z + sz * m2,
+                _wrap_angle(psi + spsi * m3),
+                min(max(theta + stheta * m4, 0.0), 45.0),
+            ))
+        return rows
 
 
 class SceneMatcher(_Backend):
@@ -250,16 +272,17 @@ class SceneMatcher(_Backend):
     def match_pair(self, obs: UavObservation, tile: TileRecord) -> MatchResult:
         return self.match_frame(obs, [tile])[0]
 
-    def match_frame(self, obs: UavObservation, tiles) -> list[MatchResult]:
-        """Score one frame against each tile, in the order given."""
+    def _match_rows(self, obs: UavObservation, tiles) -> list[tuple]:
+        """Score one frame against each tile, in the order given, as plain
+        rows (d, tile_id, x, y, z, psi, theta); see SyntheticMatcher's."""
         scene = ground_intersection(obs.truth)
-        results = []
-        for tile in tiles:
-            # Per-pair stream, single draw: distance jitter normal.
-            jitter = self._noise_at(obs.frame, tile.tile_id + 1).standard_normal()
-            d = self._distance(scene, tile, jitter)
-            p_hat = (tile.x, tile.y, self.altitude)
-            results.append(
-                MatchResult(d, p_hat, self.heading_prior, self.tilt_prior, tile.tile_id)
+        at, altitude = self._noise_at, self.altitude
+        psi, theta = self.heading_prior, self.tilt_prior
+        # Per-pair stream, single draw: distance jitter normal.
+        return [
+            (
+                self._distance(scene, tile, at(obs.frame, tile.tile_id + 1).standard_normal()),
+                tile.tile_id, tile.x, tile.y, altitude, psi, theta,
             )
-        return results
+            for tile in tiles
+        ]

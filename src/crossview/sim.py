@@ -13,7 +13,10 @@ makes batch runs byte-reproducible.
 
 The 20 Hz work is trusted: the config is validated once on entry, and the
 flight builders check their stacked increments once on the way out in place
-of a check per increment, keeping the bits of the per-frame form.
+of a check per increment, keeping the bits of the per-frame form. So are the
+corrections: the filter loop runs the matcher, fusion and correction kernels
+on plain rows and arrays, and the public calls are those kernels plus their
+boundary checks.
 """
 
 from __future__ import annotations
@@ -24,11 +27,12 @@ from itertools import chain
 
 import numpy as np
 
-from .config import SimConfig
-# predict is the reference _run_pipelines' steps reproduce; it stays
-# importable as sim.predict, the name perfbench/tracing.py wraps.
-from .estimator import FilterState, ProcessNoise, VoIncrement, correct, predict  # noqa: F401
-from .fusion import fuse
+from .config import ConfigError, SimConfig
+# predict, correct and fuse are the references _run_pipelines' kernels
+# reproduce; they stay importable as sim.predict, sim.correct and sim.fuse,
+# the names perfbench/tracing.py wraps.
+from .estimator import FilterState, ProcessNoise, VoIncrement, _correct, correct, predict  # noqa: F401
+from .fusion import _checked_fallback, _fuse_rows, fuse  # noqa: F401
 from .geometry import (
     Pose6D,
     _euler_to_rotmat,
@@ -39,7 +43,14 @@ from .geometry import (
     wrap_angle,
     wrap_angles,
 )
-from .matchers import SceneMatcher, SyntheticMatcher, UavObservation, _check_seed, match_variances
+from .matchers import (
+    _MAX_JITTER,
+    SceneMatcher,
+    SyntheticMatcher,
+    UavObservation,
+    _check_seed,
+    match_variances,
+)
 from .textfile import read_rows, write_rows
 from .tiles import TileSet, k_nearest
 
@@ -326,15 +337,17 @@ def _run_pipelines(
     :func:`predict`'s arithmetic, in the same order, through the unchecked
     geometry kernels, for all pipelines at once: one (m, 3, 3) stack of
     rotations takes the increment in one matmul, and the (m, 6, 6) stack of
-    covariances takes Q in one add. Each correction goes through a
-    FilterState and the unchanged :func:`correct`, and every output pose is
-    a checked Pose6D. When k_candidates = 1 leaves no scatter to measure,
-    every backend's fused covariance falls back to the configured
-    hybrid-grade variances.
+    covariances takes Q in one add. Each correction runs the kernels of
+    ``match_frame``, :func:`fuse` and :func:`correct` on plain rows and
+    arrays, with no MatchResult, FusedMeasurement or FilterState between
+    them; the kernels make the checks that depend on the data, and every
+    output pose is a checked Pose6D. When k_candidates = 1 leaves no scatter
+    to measure, every backend's fused covariance falls back to the
+    configured hybrid-grade variances, checked once here.
     """
     if len(increments) != len(frames):
         raise ValueError(f"{len(increments)} increments for {len(frames)} frames")
-    fallback = match_variances(cfg, "hybrid")
+    fallback = _checked_fallback(match_variances(cfg, "hybrid"))
     Q = ProcessNoise(np.full(6, cfg.process_noise_var)).matrix
     start = FilterState.initial(frames[0].truth, cfg.init_cov_var)
     poses = [start.pose] * len(backends)
@@ -353,9 +366,8 @@ def _run_pipelines(
             pose = Pose6D(pose.x + dx, pose.y + dy, pose.z + dz, *_rotmat_to_euler(rows[j]))
             if backend is not None and obs is not None:
                 candidates = k_nearest(tile_set, (pose.x, pose.y), cfg.k_candidates)
-                z = fuse(backend.match_frame(obs, candidates), fallback)
-                state = correct(FilterState(pose, Ps[j]), z)
-                pose, Ps[j] = state.pose, state.P
+                z, M = _fuse_rows(backend._match_rows(obs, candidates), fallback)
+                pose, Ps[j] = _correct(pose, Ps[j], z, M)
             poses[j] = pose
             tracks[j].append(pose)
     return list(zip(tracks, Ps))
@@ -373,6 +385,7 @@ def run_experiment(cfg: SimConfig, tile_set: TileSet, seed: int) -> ExperimentRe
         raise ValueError(
             f"k_candidates={cfg.k_candidates} exceeds tile count {len(tile_set)}"
         )
+    _check_distance_model(cfg, tile_set)
     frames = gen_trajectory(cfg, seed)
     increments = simulate_vo(frames, cfg, seed)
     backends = _make_backends(cfg, seed)
@@ -382,6 +395,29 @@ def run_experiment(cfg: SimConfig, tile_set: TileSet, seed: int) -> ExperimentRe
     length = _path_length(truth)
     summaries = {method: _score(poses, truth, length) for method, poses in estimates.items()}
     return ExperimentResult(seed, frames, estimates, summaries)
+
+
+def _check_distance_model(cfg: SimConfig, tile_set: TileSet) -> None:
+    """ConfigError unless every feature distance a matcher can draw on this
+    flight and grid is finite.
+
+    The camera's ground point lies within length_m of the start, plus its
+    offset z tan(theta) <= alt_base_m + alt_amp_m (tilt is at most 45
+    degrees), and every tile centre within the distance of the grid's
+    farthest corner, so their gap is at most the sum of the two; every
+    jitter draw lies below _MAX_JITTER in magnitude.
+    """
+    corner = math.hypot(
+        max(abs(tile_set.x_min), abs(tile_set.x_max)), max(abs(tile_set.y_min), abs(tile_set.y_max))
+    )
+    gap = cfg.length_m + cfg.alt_base_m + cfg.alt_amp_m + corner
+    slope, jitter = cfg.d_slope * gap, cfg.d_jitter * _MAX_JITTER
+    if not math.isfinite(cfg.d0 + slope + jitter):
+        name = "d_slope" if slope >= jitter else "d_jitter"
+        raise ConfigError(
+            f"{name} lets a feature distance overflow on this tile grid: d0 + d_slope x"
+            f" {gap:g} m + d_jitter x {_MAX_JITTER:g} must be finite"
+        )
 
 
 def suggested_tile_bounds(

@@ -228,6 +228,28 @@ def test_run_with_noiseless_matchers(tmp_path, tile_file, k):
     assert len(values) == 16 and all(math.isfinite(v) for v in values)
 
 
+@pytest.mark.parametrize("key", ["d_slope", "d_jitter"])
+def test_run_rejects_a_distance_model_that_overflows(tmp_path, capsys, tile_file, key):
+    # Both pass validate; each used to end run at its first correction with
+    # "d must be finite and > 0, got inf".
+    cfg = tmp_path / "huge.cfg"
+    cfg.write_text(SMALL_CFG + f"{key} = 1e308\n")
+    out = tmp_path / "out"
+    argv = ["run", "--config", str(cfg), "--tiles", tile_file, "--seed", "0", "--out", str(out)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {key} lets a feature distance overflow")
+    assert not out.exists()
+
+
+def test_run_accepts_a_huge_but_finite_distance_model(tmp_path, tile_file):
+    # d near 1e303: every inverse-distance weight is still a normal float.
+    cfg = tmp_path / "far.cfg"
+    cfg.write_text(SMALL_CFG + "d_slope = 1e300\nd_jitter = 1e300\n")
+    argv = ["run", "--config", str(cfg), "--tiles", tile_file, "--seed", "0"]
+    assert main(argv + ["--out", str(tmp_path / "out")]) == 0
+
+
 @pytest.mark.parametrize(
     "overrides, key",
     [

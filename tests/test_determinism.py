@@ -1,14 +1,20 @@
 """Pinned sha256 digests of the files `crossview run` and `simulate` write.
 
-The README promises byte-identical output, run to run and machine to machine.
+The README promises byte-identical output run to run on one BLAS kernel.
 These digests hold that promise against every later change: a refactor that
 moves any output bit fails here. Re-pin only on purpose, and record why.
+`fuse` is held to more: the same bits under every OpenBLAS kernel.
 """
 
 import hashlib
+import os
+import subprocess
+import sys
 
+import numpy as np
 import pytest
 
+import crossview
 from crossview.cli import main as cli_main
 
 RUN_FILES = (
@@ -28,20 +34,20 @@ CONFIGS = {"base": BASE_CONFIG, "dense_outliers": BASE_CONFIG + DENSE_OUTLIERS}
 
 GOLDEN = {
     "base": {
-        "summary.csv": "82ee7783827213d52dd290cbd4367841250bd3e2e3b266e34f72c3dfdb5d314d",
+        "summary.csv": "d5698e2c6b2eb03e89645ca773816d3f013d5856825b6b0699e09e4e2391c881",
         "truth.txt": "0e182074181e69005599c9dd95fe2f899bebaeca935000f5ef1c0452fa6f4ec3",
         "vo_only.txt": "c740eae628b59270deb60f793e1a5195e61446021596659859f608cf3092cf0e",
-        "vo_scene.txt": "9a9b799cd312f1b7a11c02457da1b0be8ff51fa5e2827281e66d221b835474cc",
-        "vo_regression.txt": "f9f079c8e7a0327bbf42c6a2bf9e4c2cd448b4cd7100ce0c8c59e9e2a41a02f8",
-        "vo_hybrid.txt": "91663216d52f58ab1ef1b6ca10d27018bfee0e97f6371fbff849c64bfcd20770",
+        "vo_scene.txt": "48a9f50cd41764768d174d9f41c609b5ca81dc6a671b5d29b0cfa8e99fd3d625",
+        "vo_regression.txt": "d94a0f77b7caa67ae98b3bbe1e82d77c8318931152ae73416e825180a85266c0",
+        "vo_hybrid.txt": "3e4da277fb8a8f20d0bb92ff20da748023eda48437d0be448f63438e686afee8",
     },
     "dense_outliers": {
-        "summary.csv": "75d115235c8644fa22be4e8d7cd6f425d67c4e4c947336cff686bf507d121878",
+        "summary.csv": "db538b7ae6ca85bf1ed8412f3d5b8cb51027c3ab9fc5a615b851bef0d01ebd87",
         "truth.txt": "0e182074181e69005599c9dd95fe2f899bebaeca935000f5ef1c0452fa6f4ec3",
         "vo_only.txt": "c740eae628b59270deb60f793e1a5195e61446021596659859f608cf3092cf0e",
-        "vo_scene.txt": "94432f0a94c874f3f2191d3f24ab8339de13c88f9b5df543e4dad43bb1764f84",
-        "vo_regression.txt": "f865df0a850771d839370ef747cb119bca0d503ea118e0a124e7dadb9b8a2659",
-        "vo_hybrid.txt": "95547e3bade3e13f64808baf0e93d24857c0c96362e4ddbac41d33edf5557aab",
+        "vo_scene.txt": "5ef0209c9aa715179878d64a59e0fc937d4158d17c5786a69af71ed33c05f539",
+        "vo_regression.txt": "4f35c82b91c83df2e4a4adb49a43d5ce40f4c790d9e8faa8974134833a8c10b7",
+        "vo_hybrid.txt": "02fd24ffcdfe806be5e3368e0b2291c0122859bca2370511451752423b556eff",
     },
 }
 
@@ -76,3 +82,50 @@ def test_simulate_output_matches_pinned_digest(tmp_path):
     out = tmp_path / "flight.txt"
     assert cli_main(["simulate", "--config", str(cfg_path), "--seed", "5", "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == SIMULATE_GOLDEN
+
+
+# Hashes fuse over fixed candidate lists, k = 1 to 19, in a child process.
+FUSE_DIGEST = """
+import hashlib
+import numpy as np
+from crossview.fusion import fuse
+from crossview.matchers import MatchResult
+
+rng = np.random.default_rng(2024)
+h = hashlib.sha256()
+for k in range(1, 20):
+    for _ in range(20):
+        results = [
+            MatchResult(float(rng.uniform(1e-3, 1e3)), rng.uniform(-1e4, 1e4, 3),
+                        float(rng.uniform(-179.9, 180.0)), float(rng.uniform(0.0, 45.0)), tid)
+            for tid in range(k)
+        ]
+        fused = fuse(results)
+        h.update(fused.z_vector().tobytes() + fused.M.tobytes())
+print(h.hexdigest())
+"""
+
+
+def _dynamic_arch_openblas() -> bool:
+    try:
+        config = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):  # numpy < 1.25 has no mode="dicts"
+        return False
+    return "DYNAMIC_ARCH" in config.get("openblas configuration", "")
+
+
+@pytest.mark.skipif(
+    not _dynamic_arch_openblas(),
+    reason="numpy's BLAS is not a DYNAMIC_ARCH OpenBLAS, so OPENBLAS_CORETYPE picks no kernel",
+)
+def test_fuse_is_the_same_under_every_openblas_kernel():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(crossview.__file__)))
+    digests = {}
+    for core in ("Prescott", "Haswell", "SkylakeX"):
+        env = dict(os.environ, OPENBLAS_CORETYPE=core)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        child = subprocess.run(
+            [sys.executable, "-c", FUSE_DIGEST], env=env, capture_output=True, text=True, check=True
+        )
+        digests[core] = child.stdout.strip()
+    assert len(set(digests.values())) == 1, digests

@@ -1,5 +1,7 @@
 """Fusion tests against a literal inverse-distance-weighting oracle."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +10,8 @@ from hypothesis import strategies as st
 from crossview.fusion import (
     COVARIANCE_RIDGE,
     FusedMeasurement,
+    _checked_fallback,
+    _fuse_rows,
     default_fallback_variances,
     fuse,
 )
@@ -240,6 +244,74 @@ def test_fuse_is_permutation_invariant_bitwise(candidates, data):
     a, b = fuse(results), fuse(shuffled)
     assert a.z_vector().tobytes() == b.z_vector().tobytes()
     assert a.M.tobytes() == b.M.tobytes()
+
+
+def left_to_right(results, fallback):
+    """Fixed-order oracle of fuse: (z, M) by plain loops over the candidates in
+    (d, tile_id) order, one float operation at a time, no numpy arithmetic."""
+    rs = sorted(results, key=lambda r: (r.d, r.tile_id))
+    k, ref = len(rs), rs[0].psi_hat
+    columns = [
+        [r.p_hat[0] for r in rs],
+        [r.p_hat[1] for r in rs],
+        [r.p_hat[2] for r in rs],
+        [wrap_angle(r.psi_hat - ref) for r in rs],
+        [r.theta_hat for r in rs],
+    ]
+
+    def total(values):
+        acc = 0.0
+        for v in values:
+            acc += v
+        return acc
+
+    inverse_total = total(1.0 / r.d for r in rs)
+    weights = [1.0 / r.d / inverse_total for r in rs]
+    z = [total(w * v for w, v in zip(weights, column)) for column in columns]
+    z[3] = wrap_angle(ref + z[3])
+    deviations = [[v - total(column) / k for v in column] for column in columns]
+    M = np.zeros((5, 5))
+    for a in range(5):
+        for b in range(5):
+            if a == b and k == 1:
+                M[a, b] = fallback[a]
+            elif a == b or (a < 3 and b < 3 and k > 1):
+                M[a, b] = total(u * v for u, v in zip(deviations[a], deviations[b])) / (k - 1)
+        M[a, a] += COVARIANCE_RIDGE
+    return z, M
+
+
+@settings(max_examples=300, deadline=None)
+@given(candidates=st.lists(_candidate, min_size=1, max_size=19))
+def test_fuse_equals_a_fixed_order_oracle_bitwise(candidates):
+    results = [MatchResult(d, p, psi, theta, i) for i, (d, p, psi, theta) in enumerate(candidates)]
+    fallback = match_variances(SimConfig(), "regression")
+    fused = fuse(results, fallback)
+    z, M = left_to_right(results, fallback.tolist())
+    assert fused.z_vector().tobytes() == np.array(z).tobytes()
+    assert fused.M.tobytes() == M.tobytes()
+
+
+GOOD_ROW = (2.0, 0, 10.0, 20.0, 150.0, 30.0, 10.0)
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        (math.inf, 1, 10.0, 20.0, 150.0, 30.0, 10.0),
+        (3.0, 1, math.nan, 20.0, 150.0, 30.0, 10.0),
+        (3.0, 1, 10.0, 20.0, math.inf, 30.0, 10.0),
+        (3.0, 1, 10.0, 20.0, 150.0, 30.0, math.nan),
+        (3.0, 1, 10.0, 20.0, 150.0, math.nan, 10.0),
+    ],
+    ids=["inf-d", "nan-x", "inf-z", "nan-theta", "nan-psi"],
+)
+@pytest.mark.parametrize("lone", [False, True], ids=["pair", "lone"])
+def test_fuse_kernel_rejects_rows_that_overflowed(bad, lone):
+    fallback = _checked_fallback(default_fallback_variances())
+    rows = [bad] if lone else [GOOD_ROW, bad]
+    with pytest.raises(ValueError, match="not finite"):
+        _fuse_rows(rows, fallback)
 
 
 def test_fuse_rejects_distance_below_floor():

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crossview.config import ConfigError, SimConfig
-from crossview.geometry import Pose6D, ground_intersection
+from crossview.geometry import Pose6D, ground_intersection, wrap_angle
 from crossview.matchers import (
     D_MIN,
     MatchResult,
@@ -307,6 +307,71 @@ def test_seeds_frames_and_tiles_draw_apart():
     assert len({r.p_hat for r in results}) == len({r.d for r in results}) == 16
     later = hybrid5.match_frame(obs_at(12, x=20.0, y=30.0, theta=15.0), twins)
     assert {r.p_hat for r in results}.isdisjoint(r.p_hat for r in later)
+
+
+def three_call_rows(matcher, obs, tiles):
+    """Reference rows (d, tile_id, x, y, z, psi, theta), drawn as the matchers
+    first drew them: per synthetic pair the gate, standard_normal(5) for the
+    pose error, then standard_normal() for the jitter, in three calls."""
+    at = matcher._noise_at
+    sx, sy = ground_intersection(obs.truth)
+
+    def distance(tile, jitter):
+        gap = math.hypot(sx - tile.x, sy - tile.y)
+        return max(matcher.d0 + matcher.d_slope * gap + matcher.d_jitter * abs(jitter), D_MIN)
+
+    if isinstance(matcher, SceneMatcher):
+        return [
+            (distance(tile, at(obs.frame, tile.tile_id + 1).standard_normal()), tile.tile_id,
+             tile.x, tile.y, matcher.altitude, matcher.heading_prior, matcher.tilt_prior)
+            for tile in tiles
+        ]
+    t = obs.truth
+    shared = [matcher.shared_scale * v for v in at(obs.frame, 0).standard_normal(5).tolist()]
+    rows = []
+    for tile in tiles:
+        rng = at(obs.frame, tile.tile_id + 1)
+        gate, own, jitter = rng.random(), rng.standard_normal(5).tolist(), rng.standard_normal()
+        mixed = [a + matcher.own_scale * b for a, b in zip(shared, own)]
+        if gate < matcher.outlier_prob:
+            mixed = [v * matcher.outlier_factor for v in mixed]
+        rows.append((
+            distance(tile, jitter),
+            tile.tile_id,
+            t.x + matcher.sigma_xy * mixed[0],
+            t.y + matcher.sigma_xy * mixed[1],
+            t.z + matcher.sigma_z * mixed[2],
+            wrap_angle(t.psi + matcher.sigma_psi * mixed[3]),
+            min(max(t.theta + matcher.sigma_theta * mixed[4], 0.0), 45.0),
+        ))
+    return rows
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    outlier_prob=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+    common_frac=st.one_of(st.just(0.0), st.floats(0.0, 0.99)),
+    noiseless=st.booleans(),
+    backend=st.sampled_from(["hybrid", "regression", "scene"]),
+    seed=st.integers(0, 2**32),
+    frame=st.integers(1, 10**6),
+    tile_ids=st.lists(st.integers(0, 10**4), min_size=1, max_size=16, unique=True),
+    theta=st.floats(0.0, 45.0),
+)
+def test_row_kernel_equals_three_call_draws_and_match_frame(
+    outlier_prob, common_frac, noiseless, backend, seed, frame, tile_ids, theta
+):
+    figures = {key: 0.0 for key in RMS_KEYS} if noiseless else {}
+    cfg = SimConfig(outlier_prob=outlier_prob, common_frac=common_frac, **figures)
+    matcher = SceneMatcher(cfg, seed) if backend == "scene" else SyntheticMatcher(cfg, backend, seed)
+    obs = obs_at(frame, x=37.0, y=-12.0, psi=-170.0, theta=theta)
+    tiles = [TileRecord(tid, 50.0 * (tid % 7) - 150.0, 50.0 * (tid // 7 % 7) - 150.0) for tid in tile_ids]
+    rows = matcher._match_rows(obs, tiles)
+    # repr tells every float apart, -0.0 from 0.0 included.
+    assert repr(rows) == repr(three_call_rows(matcher, obs, tiles))
+    fields = [(r.d, r.tile_id, *r.p_hat, r.psi_hat, r.theta_hat) for r in matcher.match_frame(obs, tiles)]
+    assert repr(fields) == repr(rows)
+    assert all(type(v) is float for row in rows for v in row[:1] + row[2:])
 
 
 def test_matchers_reject_seeds_a_philox_key_cannot_hold():

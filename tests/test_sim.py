@@ -610,9 +610,9 @@ class AskedTiles:
         self.inner = inner
         self.asked = []
 
-    def match_frame(self, obs, tiles):
+    def _match_rows(self, obs, tiles):
         self.asked += [(obs.frame, t.tile_id) for t in tiles]
-        return self.inner.match_frame(obs, tiles)
+        return self.inner._match_rows(obs, tiles)
 
 
 def test_lockstep_seeds_each_stream_once(monkeypatch):
