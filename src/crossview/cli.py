@@ -34,7 +34,7 @@ from .tiles import generate_grid, load_tiles, save_tiles
 
 def _load_config_arg(path: str | None) -> SimConfig:
     if path is None:
-        return SimConfig().validate()
+        return SimConfig()
     return load_config(path)
 
 

@@ -24,10 +24,10 @@ __all__ = ["ConfigError", "SimConfig", "load_config", "parse_config"]
 D_MIN = 1e-3
 
 # Ceiling on a matcher's worst position error: an RMS figure in metres, times
-# outlier_factor when outliers are drawn. From a few 1e6 m on, the filter's
-# innovation covariance can grow too ill-conditioned and `run` aborts; the
-# ceiling keeps a config that `simulate` accepts one that `run` accepts. Its
-# square caps the filter's variances the same way.
+# outlier_factor when outliers are drawn, or the scene altitude prior. From a
+# few 1e6 m on, the filter's innovation covariance can grow too ill-conditioned
+# and `run` aborts; the ceiling keeps a config that `simulate` accepts one that
+# `run` accepts. Its square caps the filter's variances the same way.
 MAX_POSITION_ERROR_M = 1e5
 
 # Ceiling on a flight's frame count, duration_s * rate_hz: 13.9 h at 20 Hz.
@@ -39,9 +39,10 @@ class ConfigError(ValueError):
     """Raised for unparseable, unknown, or infeasible configuration."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class SimConfig:
-    """Every knob of the simulated flight, drift model, and fusion pipeline."""
+    """Every knob of the simulated flight, drift model, and fusion pipeline:
+    frozen, and validated once, when built, so its readers never re-check it."""
 
     # Flight: a straight lead-out leg (36% of the path), a 90-degree
     # connecting turn, then a wide orbit around the start point, flown at
@@ -93,6 +94,9 @@ class SimConfig:
     regression_vertical_rms_m: float = 17.32
     regression_heading_rms_deg: float = 70.64
     regression_tilt_rms_deg: float = 7.94
+
+    def __post_init__(self) -> None:
+        self.validate()
 
     # Derived quantities -------------------------------------------------
 
@@ -232,6 +236,11 @@ class SimConfig:
             if f.name.startswith(("hybrid_", "regression_"))
         }
         positive(scene_altitude_m=self.scene_altitude_m)
+        if self.scene_altitude_m > MAX_POSITION_ERROR_M:
+            raise ConfigError(
+                f"scene_altitude_m must lie within {MAX_POSITION_ERROR_M:g} m,"
+                f" got {self.scene_altitude_m:g} m"
+            )
         non_negative(**rms)
         worst = self.outlier_factor if self.outlier_prob > 0.0 else 1.0
         for name, value in rms.items():
@@ -279,7 +288,7 @@ def parse_config(text: str, source: str = "<config>") -> SimConfig:
                 values[key] = float(value_text)
         except ValueError as exc:
             raise ConfigError(f"{source}:{lineno}: bad value for {key}: {exc}") from exc
-    return SimConfig(**values).validate()
+    return SimConfig(**values)
 
 
 def load_config(path: str) -> SimConfig:

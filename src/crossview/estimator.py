@@ -13,7 +13,7 @@ across the +/-180 heading seam.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -62,7 +62,7 @@ class VoIncrement:
 class ProcessNoise:
     """Diagonal process noise added to P once per prediction step."""
 
-    variances: np.ndarray = field(default_factory=lambda: np.full(6, 0.01))
+    variances: np.ndarray
 
     def __post_init__(self) -> None:
         v = np.asarray(self.variances, dtype=float)
@@ -91,7 +91,7 @@ class FilterState:
         object.__setattr__(self, "P", P)
 
     @classmethod
-    def initial(cls, pose: Pose6D, variance: float = 1.0) -> "FilterState":
+    def initial(cls, pose: Pose6D, variance: float) -> "FilterState":
         return cls(pose, np.eye(6) * float(variance))
 
 
@@ -101,9 +101,7 @@ def state_vector(state: FilterState) -> np.ndarray:
     return np.array([p.x, p.y, p.z, p.psi, p.theta, p.phi])
 
 
-def predict(
-    state: FilterState, increment: VoIncrement, noise: ProcessNoise = ProcessNoise()
-) -> FilterState:
+def predict(state: FilterState, increment: VoIncrement, noise: ProcessNoise) -> FilterState:
     """Propagate the state through one VO increment, inflating P by Q."""
     pose = compose_increment(state.pose, increment.dp, increment.dR)
     return FilterState(pose, state.P + noise.matrix)

@@ -21,16 +21,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import SimConfig
+from .config import D_MIN
 from .geometry import _wrap_angle
-from .matchers import D_MIN, match_variances
 
-__all__ = [
-    "COVARIANCE_RIDGE",
-    "FusedMeasurement",
-    "default_fallback_variances",
-    "fuse",
-]
+__all__ = ["COVARIANCE_RIDGE", "FusedMeasurement", "fuse"]
 
 COVARIANCE_RIDGE = 1e-6
 
@@ -63,16 +57,7 @@ class FusedMeasurement:
         )
 
 
-def default_fallback_variances() -> np.ndarray:
-    """Prior variances (x, y, z, psi, theta) used when k < 2 leaves no scatter.
-
-    The hybrid backend's variances at the default config: the smaller-variance
-    of the two synthetic calibrations, so a lone candidate counts as a good one.
-    """
-    return match_variances(SimConfig(), "hybrid")
-
-
-def fuse(results, fallback_variances: np.ndarray | None = None) -> FusedMeasurement:
+def fuse(results, fallback_variances) -> FusedMeasurement:
     """Weighted pose plus scatter covariance for one frame's candidate list.
 
     The pose is the inverse-distance weighted mean, weights (1/d_i) / sum(1/d_j),
@@ -80,12 +65,11 @@ def fuse(results, fallback_variances: np.ndarray | None = None) -> FusedMeasurem
     candidate's heading. The covariance is block-diagonal: the positions'
     sample covariance (divisor k-1), then the sample variances of the heading
     residuals and of the tilts, plus COVARIANCE_RIDGE on the diagonal. A lone
-    candidate has no scatter, so its variances are ``fallback_variances``
-    (default: :func:`default_fallback_variances`). Candidates are reduced in
-    (d, tile_id) order, so the result is exactly permutation invariant.
+    candidate has no scatter, so its variances (x, y, z, psi, theta) are
+    ``fallback_variances``: the filter loop passes the backend's own
+    ``_lone_variances``. Candidates are reduced in (d, tile_id) order, so the
+    result is exactly permutation invariant.
     """
-    if fallback_variances is None:
-        fallback_variances = default_fallback_variances()
     rows = [(r.d, r.tile_id, *r.p_hat, r.psi_hat, r.theta_hat) for r in results]
     z, M = _fuse_rows(rows, _checked_fallback(fallback_variances))
     return FusedMeasurement(np.array(z[:3]), z[3], z[4], M)
@@ -95,21 +79,22 @@ def _checked_fallback(variances) -> tuple[float, ...]:
     """The k = 1 variances as 5 plain floats, if they are finite and >= 0."""
     v = np.asarray(variances, dtype=float)
     if v.shape != (5,) or np.any(v < 0.0) or not np.all(np.isfinite(v)):
-        raise ValueError("fallback_variances must be 5 finite non-negative values")
+        raise ValueError(f"lone-candidate variances must be 5 finite values >= 0, got {v.tolist()}")
     return tuple(v.tolist())
 
 
-def _fuse_rows(rows, fallback: tuple[float, ...]) -> tuple[list[float], np.ndarray]:
+def _fuse_rows(rows, fallback: tuple[float, ...] | None) -> tuple[list[float], np.ndarray]:
     """The kernel of :func:`fuse`: (z, M) from a matcher's plain rows.
 
     rows are (d, tile_id, x, y, z, psi, theta) tuples with psi in (-180, 180]
     and theta clamped, as a backend's ``_match_rows`` builds them; fallback
-    is :func:`_checked_fallback`'s. z is [x, y, z, psi, theta]. Rows sort by
-    (d, tile_id) and every sum runs left to right over them in plain floats:
-    no BLAS call, no numpy reduction and no builtin ``sum`` (compensated
-    since Python 3.12), so the bits depend on neither the BLAS kernel nor the
-    interpreter. A row that overflowed (an infinite d, a non-finite position
-    or angle) raises ValueError rather than weigh in silently.
+    is :func:`_checked_fallback`'s, read for a lone row only. z is
+    [x, y, z, psi, theta]. Rows sort by (d, tile_id) and every sum runs left
+    to right over them in plain floats: no BLAS call, no numpy reduction and
+    no builtin ``sum`` (compensated since Python 3.12), so the bits depend on
+    neither the BLAS kernel nor the interpreter. A row that overflowed (an
+    infinite d, a non-finite position or angle) raises ValueError rather than
+    weigh in silently.
     """
     rows = sorted(rows)
     if not rows:

@@ -244,13 +244,15 @@ def compose_increment(pose: Pose6D, dp: np.ndarray, dR: np.ndarray) -> Pose6D:
     dR = np.asarray(dR, dtype=float)
     if not is_rotation_matrix(dR):
         raise ValueError("dR is not a rotation matrix (orthonormal within 1e-6)")
-    R = euler_to_rotmat(pose.psi, pose.theta, pose.phi)
-    psi, theta, phi = rotmat_to_euler(dR @ R)
-    return Pose6D(
-        pose.x + float(dp[0]),
-        pose.y + float(dp[1]),
-        pose.z + float(dp[2]),
-        psi,
-        theta,
-        phi,
-    )
+    return _compose([pose], dp.tolist(), dR)[0]
+
+
+def _compose(poses: list[Pose6D], dp: list[float], dR: np.ndarray) -> list[Pose6D]:
+    # Unchecked kernel of compose_increment: one increment, dp as 3 plain
+    # floats and dR a rotation, applied to each pose, their rotations stacked
+    # into one matmul. The product of two rotations needs no re-check.
+    dx, dy, dz = dp
+    rows = np.matmul(dR, np.array([_euler_to_rotmat(*p.angles) for p in poses])).tolist()
+    return [
+        Pose6D(p.x + dx, p.y + dy, p.z + dz, *_rotmat_to_euler(r)) for p, r in zip(poses, rows)
+    ]

@@ -9,7 +9,8 @@ every backend reads the distance model (``d0``, ``d_slope``, ``d_jitter``);
 the hybrid and regression surrogates read their ``<kind>_*_rms_*`` figures
 (:func:`match_variances` gives their squares), ``outlier_prob``,
 ``outlier_factor`` and ``common_frac``; the scene surrogate reads the
-``scene_*`` priors.
+``scene_*`` priors, and the flight's altitude and tilt profiles for its
+lone-candidate variances.
 
 Each backend holds one Philox generator (Salmon et al., "Parallel random
 numbers: as easy as 1, 2, 3", SC'11) keyed by its seed, and reads its noise
@@ -82,8 +83,8 @@ class MatchResult:
         # Coerce to builtin types, so a result built from numpy values (an
         # array p_hat, numpy scalars) compares, hashes and prints like one
         # built from plain floats. Written out rather than generated: the
-        # matchers build one per (frame, tile) pair, and the dataclass
-        # __init__ plus __post_init__ cost twice as much.
+        # public match_frame builds one per (frame, tile) pair, and the
+        # dataclass __init__ plus __post_init__ cost twice as much.
         d, psi, theta = float(d), float(psi_hat), float(theta_hat)
         p_hat, tile_id = tuple(map(float, p_hat)), int(tile_id)
         finite = math.isfinite
@@ -159,13 +160,11 @@ class _Backend:
     """What every backend reads from the config: the distance model, plus its
     keyed noise stream.
 
-    The config is validated once, here, and each figure is copied into a
-    plain float, so a later edit to the (mutable) config never reaches a
-    built backend.
+    Each backend owns its ``_lone_variances``: the (x, y, z, psi, theta)
+    error variances of one match, fused when k = 1 leaves no scatter.
     """
 
     def __init__(self, cfg: SimConfig, seed: int):
-        cfg.validate()
         self.d0, self.d_slope, self.d_jitter = map(float, (cfg.d0, cfg.d_slope, cfg.d_jitter))
         self._noise_at = _philox_at(seed)
 
@@ -207,6 +206,11 @@ class SyntheticMatcher(_Backend):
         # common_frac of each error's variance is shared by the frame's tiles.
         self.shared_scale = math.sqrt(cfg.common_frac)
         self.own_scale = math.sqrt(1.0 - cfg.common_frac)
+        self._variances = tuple(match_variances(cfg, kind).tolist())
+
+    def _lone_variances(self, spacing: float) -> tuple[float, ...]:
+        """Its kind's configured variances, :func:`match_variances`."""
+        return self._variances
 
     def match_pair(self, obs: UavObservation, tile: TileRecord) -> MatchResult:
         return self.match_frame(obs, [tile])[0]
@@ -268,6 +272,17 @@ class SceneMatcher(_Backend):
         self.altitude = float(cfg.scene_altitude_m)
         self.heading_prior = wrap_angle(cfg.scene_heading_deg)
         self.tilt_prior = float(cfg.scene_tilt_deg)
+        # The priors' mean squared errors (z, psi, theta): a profile
+        # base + amp sin(.) misses its prior by (base - prior)^2 + amp^2 / 2 on
+        # average, and a fixed heading misses a uniform one by 180^2 / 3.
+        dz, dt = cfg.alt_base_m - self.altitude, cfg.tilt_base_deg - self.tilt_prior
+        self._mse = (dz * dz + cfg.alt_amp_m**2 / 2, 180.0**2 / 3, dt * dt + cfg.tilt_amp_deg**2 / 2)
+
+    def _lone_variances(self, spacing: float) -> tuple[float, ...]:
+        """The priors' mean squared errors: a tile centre is off by up to half
+        a spacing on each axis, spacing^2 / 12 (inf if that overflows)."""
+        xy = spacing * spacing / 12.0
+        return (xy, xy, *self._mse)
 
     def match_pair(self, obs: UavObservation, tile: TileRecord) -> MatchResult:
         return self.match_frame(obs, [tile])[0]

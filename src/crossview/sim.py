@@ -11,12 +11,11 @@ backend (scene retrieval, pose regression, hybrid), and scores each against
 the truth. Everything is a pure function of (config, seed), which is what
 makes batch runs byte-reproducible.
 
-The 20 Hz work is trusted: the config is validated once on entry, and the
-flight builders check their stacked increments once on the way out in place
-of a check per increment, keeping the bits of the per-frame form. So are the
-corrections: the filter loop runs the matcher, fusion and correction kernels
-on plain rows and arrays, and the public calls are those kernels plus their
-boundary checks.
+The 20 Hz work is trusted: a SimConfig is valid once built, and the flight
+builders check their stacked increments once, keeping the bits of the
+per-frame form. The filter loop runs the kernels of the public calls, which
+are those kernels plus their boundary checks: ``geometry._compose`` predicts,
+and the matcher, fusion and correction kernels correct on plain rows.
 """
 
 from __future__ import annotations
@@ -35,22 +34,15 @@ from .estimator import FilterState, ProcessNoise, VoIncrement, _correct, correct
 from .fusion import _checked_fallback, _fuse_rows, fuse  # noqa: F401
 from .geometry import (
     Pose6D,
+    _compose,
     _euler_to_rotmat,
-    _rotmat_to_euler,
     _wrap_angle,
     euler_to_rotmat,
     rotmat_to_euler,
     wrap_angle,
     wrap_angles,
 )
-from .matchers import (
-    _MAX_JITTER,
-    SceneMatcher,
-    SyntheticMatcher,
-    UavObservation,
-    _check_seed,
-    match_variances,
-)
+from .matchers import _MAX_JITTER, SceneMatcher, SyntheticMatcher, UavObservation, _check_seed
 from .textfile import read_rows, write_rows
 from .tiles import TileSet, k_nearest
 
@@ -141,7 +133,6 @@ def gen_trajectory(cfg: SimConfig, seed: int) -> list[TrajectoryFrame]:
     the config alone. Increments attached to the frames are the exact truth
     increments (a drift-free VO); see :func:`simulate_vo` for the noisy ones.
     """
-    cfg.validate()
     rng = np.random.default_rng(np.random.SeedSequence([_check_seed(seed), _TRAJ_STREAM]))
     heading0 = wrap_angle(float(rng.uniform(-180.0, 180.0)))
     first_turn = 1 if rng.random() < 0.5 else -1
@@ -185,7 +176,6 @@ def simulate_vo(
     rotation noise, 3 values each) so runs are reproducible. Index 0 is the
     identity.
     """
-    cfg.validate()
     if not frames:
         raise ValueError("simulate_vo needs at least one frame")
     rng = np.random.default_rng(np.random.SeedSequence([_check_seed(seed), _VO_STREAM]))
@@ -332,22 +322,21 @@ def _run_pipelines(
     Every pipeline takes frame i, predicting it and correcting it every stride
     frames, before any takes frame i + 1; at a correction frame all backends
     get the same UavObservation. Returns one (pose per frame, final 6x6
-    covariance) per backend. This is a trusted loop: frames and increments
-    were validated when they were built, so each 20 Hz step runs
-    :func:`predict`'s arithmetic, in the same order, through the unchecked
-    geometry kernels, for all pipelines at once: one (m, 3, 3) stack of
-    rotations takes the increment in one matmul, and the (m, 6, 6) stack of
-    covariances takes Q in one add. Each correction runs the kernels of
-    ``match_frame``, :func:`fuse` and :func:`correct` on plain rows and
-    arrays, with no MatchResult, FusedMeasurement or FilterState between
-    them; the kernels make the checks that depend on the data, and every
-    output pose is a checked Pose6D. When k_candidates = 1 leaves no scatter
-    to measure, every backend's fused covariance falls back to the
-    configured hybrid-grade variances, checked once here.
+    covariance) per backend. Frames and increments were checked when built,
+    so each step runs :func:`predict`'s kernel, ``geometry._compose``, on all
+    poses at once and adds Q to the (m, 6, 6) covariances; a correction runs
+    the kernels of ``match_frame``, :func:`fuse` and :func:`correct`, which
+    make the checks that depend on the data. At k_candidates = 1, which
+    leaves no scatter, each backend's ``_lone_variances`` on this grid stand
+    in, checked once here.
     """
     if len(increments) != len(frames):
         raise ValueError(f"{len(increments)} increments for {len(frames)} frames")
-    fallback = _checked_fallback(match_variances(cfg, "hybrid"))
+    lone = [
+        _checked_fallback(b._lone_variances(tile_set.spacing))
+        if b is not None and cfg.k_candidates == 1 else None
+        for b in backends
+    ]
     Q = ProcessNoise(np.full(6, cfg.process_noise_var)).matrix
     start = FilterState.initial(frames[0].truth, cfg.init_cov_var)
     poses = [start.pose] * len(backends)
@@ -356,20 +345,18 @@ def _run_pipelines(
     stride = cfg.correction_stride
     for i in range(1, len(frames)):
         inc = increments[i]
-        dx, dy, dz = inc.dp.tolist()
-        Rs = np.array([_euler_to_rotmat(*pose.angles) for pose in poses])
-        rows = np.matmul(inc.dR, Rs).tolist()
+        poses = _compose(poses, inc.dp.tolist(), inc.dR)
         Ps += Q
-        obs = UavObservation(i, frames[i].truth) if i % stride == 0 else None
-        for j, backend in enumerate(backends):
-            pose = poses[j]
-            pose = Pose6D(pose.x + dx, pose.y + dy, pose.z + dz, *_rotmat_to_euler(rows[j]))
-            if backend is not None and obs is not None:
-                candidates = k_nearest(tile_set, (pose.x, pose.y), cfg.k_candidates)
-                z, M = _fuse_rows(backend._match_rows(obs, candidates), fallback)
-                pose, Ps[j] = _correct(pose, Ps[j], z, M)
-            poses[j] = pose
-            tracks[j].append(pose)
+        if i % stride == 0:
+            obs = UavObservation(i, frames[i].truth)
+            for j, backend in enumerate(backends):
+                if backend is not None:
+                    pose = poses[j]
+                    candidates = k_nearest(tile_set, (pose.x, pose.y), cfg.k_candidates)
+                    z, M = _fuse_rows(backend._match_rows(obs, candidates), lone[j])
+                    poses[j], Ps[j] = _correct(pose, Ps[j], z, M)
+        for track, pose in zip(tracks, poses):
+            track.append(pose)
     return list(zip(tracks, Ps))
 
 
@@ -380,7 +367,6 @@ def run_experiment(cfg: SimConfig, tile_set: TileSet, seed: int) -> ExperimentRe
     only the correction backend differs, so per-seed comparisons between
     methods are paired.
     """
-    cfg.validate()
     if cfg.k_candidates > len(tile_set):
         raise ValueError(
             f"k_candidates={cfg.k_candidates} exceeds tile count {len(tile_set)}"
@@ -398,8 +384,9 @@ def run_experiment(cfg: SimConfig, tile_set: TileSet, seed: int) -> ExperimentRe
 
 
 def _check_distance_model(cfg: SimConfig, tile_set: TileSet) -> None:
-    """ConfigError unless every feature distance a matcher can draw on this
-    flight and grid is finite.
+    """ValueError unless the squared gap between this flight and grid is
+    finite, and ConfigError unless every feature distance a matcher can draw
+    on them is.
 
     The camera's ground point lies within length_m of the start, plus its
     offset z tan(theta) <= alt_base_m + alt_amp_m (tilt is at most 45
@@ -411,6 +398,9 @@ def _check_distance_model(cfg: SimConfig, tile_set: TileSet) -> None:
         max(abs(tile_set.x_min), abs(tile_set.x_max)), max(abs(tile_set.y_min), abs(tile_set.y_max))
     )
     gap = cfg.length_m + cfg.alt_base_m + cfg.alt_amp_m + corner
+    if not math.isfinite(2.0 * gap * gap):  # k_nearest's dx^2 + dy^2
+        x, y = (tile_set.x_min, tile_set.x_max), (tile_set.y_min, tile_set.y_max)
+        raise ValueError(f"tile grid x {x}, y {y} lies too far from the flight to square its gaps")
     slope, jitter = cfg.d_slope * gap, cfg.d_jitter * _MAX_JITTER
     if not math.isfinite(cfg.d0 + slope + jitter):
         name = "d_slope" if slope >= jitter else "d_jitter"

@@ -32,9 +32,12 @@ from crossview.geometry import (
     wrap_angle,
 )
 from crossview.losses import gradient_self_test
-from crossview.matchers import MatchResult
+from crossview.matchers import MatchResult, match_variances
 from crossview.sim import gen_trajectory, run_experiment, suggested_tile_bounds
 from crossview.tiles import generate_grid, k_nearest
+
+# The lone-candidate variances fuse takes: the default config's hybrid ones.
+HYBRID = match_variances(SimConfig(), "hybrid")
 
 
 def report(n: int, ok: bool, detail: str) -> None:
@@ -139,7 +142,7 @@ def test_acceptance_3_fusion_oracle():
 
     for _ in range(1000):
         results = sample(int(rng.integers(1, 10)))
-        fused = fuse(results)
+        fused = fuse(results, HYBRID)
         got = np.concatenate([fused.p_bar, [fused.psi_bar, fused.theta_bar]])
         ref = literal(results)
         got[3] = ref[3] + wrap_angle(got[3] - ref[3])
@@ -147,12 +150,13 @@ def test_acceptance_3_fusion_oracle():
     oracle_ok = worst < 1e-12
 
     results = sample(6)
-    base = fuse(results)
+    base = fuse(results, HYBRID)
     scaled = fuse(
         [
             MatchResult(r.d * 7.3, r.p_hat, r.psi_hat, r.theta_hat, r.tile_id)
             for r in results
-        ]
+        ],
+        HYBRID,
     )
     scale_err = max(
         float(np.max(np.abs(base.p_bar - scaled.p_bar))),
@@ -165,7 +169,7 @@ def test_acceptance_3_fusion_oracle():
         MatchResult(4.0, r.p_hat, r.psi_hat, r.theta_hat, r.tile_id)
         for r in sample(5)
     ]
-    fused_eq = fuse(equal)
+    fused_eq = fuse(equal, HYBRID)
     mean_p = np.mean([np.asarray(r.p_hat) for r in equal], axis=0)
     mean_psi = float(np.mean([r.psi_hat for r in equal]))
     mean_theta = float(np.mean([r.theta_hat for r in equal]))
@@ -261,7 +265,7 @@ def test_acceptance_5_filter_algebra():
     min_eig = np.inf
     max_asym = 0.0
     for step in range(1, 4001):
-        state = predict(state, inc, ProcessNoise())
+        state = predict(state, inc, ProcessNoise(np.full(6, 0.01)))
         if step % 20 == 0:
             z = rng.uniform(-50, 50, 5)
             state = correct(state, FusedMeasurement(z[:3], z[3], z[4], psd(5, 1.0)))

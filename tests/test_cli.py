@@ -159,7 +159,11 @@ def test_unknown_config_key(tmp_path, capsys):
     assert "unknown key" in err and "bad.cfg:1" in err
 
 
-@pytest.mark.parametrize("key", ["hybrid_heading_rms_deg", "regression_tilt_rms_deg"])
+# scene_altitude_m = 1e200 once passed simulate, then ended run mid-flight
+# with "fused measurement is not finite".
+@pytest.mark.parametrize(
+    "key", ["hybrid_heading_rms_deg", "regression_tilt_rms_deg", "scene_altitude_m"]
+)
 def test_simulate_rejects_rms_whose_variance_overflows(tmp_path, capsys, key):
     cfg = tmp_path / "huge.cfg"
     cfg.write_text(f"{key} = 1e200\n")
@@ -239,6 +243,18 @@ def test_run_rejects_a_distance_model_that_overflows(tmp_path, capsys, tile_file
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {key} lets a feature distance overflow")
+    assert not out.exists()
+
+
+def test_run_rejects_a_grid_too_far_to_square(tmp_path, capsys):
+    # Once an uncaught OverflowError from k_nearest's squared distances.
+    tiles = tmp_path / "far.txt"
+    argv = ["gen-tiles", "--bounds", "0", "2e200", "0", "2e200", "--spacing", "1e200"]
+    assert main(argv + ["--out", str(tiles)]) == 0
+    out = tmp_path / "out"
+    assert main(["run", "--tiles", str(tiles), "--seed", "0", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: tile grid x (0.0, 2e+200), y (0.0, 2e+200) lies too far")
     assert not out.exists()
 
 

@@ -23,6 +23,27 @@ def test_defaults_validate():
     assert cfg.dt == pytest.approx(0.05)
 
 
+def test_a_config_cannot_change():
+    cfg = SimConfig()
+    for key, value in [("k_candidates", 1), ("d0", 0.0), ("scene_altitude_m", 120.0)]:
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(cfg, key, value)
+    assert cfg == SimConfig()
+
+
+def test_a_config_is_checked_when_built():
+    with pytest.raises(ConfigError, match="^k_candidates must be an integer >= 1"):
+        SimConfig(k_candidates=0)
+    with pytest.raises(ConfigError, match="^d0 must be >="):
+        dataclasses.replace(SimConfig(), d0=0.0)
+
+
+def test_scene_altitude_ceiling_is_inclusive():
+    SimConfig(scene_altitude_m=MAX_POSITION_ERROR_M)
+    with pytest.raises(ConfigError, match="^scene_altitude_m must lie within"):
+        SimConfig(scene_altitude_m=MAX_POSITION_ERROR_M * (1 + 1e-15))
+
+
 def test_derived_flight_geometry():
     cfg = SimConfig()
     assert cfg.lead_m == pytest.approx(900.0)

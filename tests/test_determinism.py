@@ -88,9 +88,11 @@ def test_simulate_output_matches_pinned_digest(tmp_path):
 FUSE_DIGEST = """
 import hashlib
 import numpy as np
+from crossview.config import SimConfig
 from crossview.fusion import fuse
-from crossview.matchers import MatchResult
+from crossview.matchers import MatchResult, match_variances
 
+lone = match_variances(SimConfig(), "hybrid")
 rng = np.random.default_rng(2024)
 h = hashlib.sha256()
 for k in range(1, 20):
@@ -100,7 +102,7 @@ for k in range(1, 20):
                         float(rng.uniform(-179.9, 180.0)), float(rng.uniform(0.0, 45.0)), tid)
             for tid in range(k)
         ]
-        fused = fuse(results)
+        fused = fuse(results, lone)
         h.update(fused.z_vector().tobytes() + fused.M.tobytes())
 print(h.hexdigest())
 """

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from crossview.config import SimConfig
 from crossview.estimator import (
     OBSERVATION_MATRIX,
     FilterState,
@@ -19,7 +20,7 @@ from crossview.estimator import (
 )
 from crossview.fusion import FusedMeasurement, fuse
 from crossview.geometry import Pose6D, euler_to_rotmat, wrap_angle
-from crossview.matchers import MatchResult
+from crossview.matchers import MatchResult, match_variances
 
 
 def literal_correct(X, P, z, M):
@@ -48,6 +49,11 @@ def measurement(z, M):
     return FusedMeasurement(np.asarray(z[:3], dtype=float), float(z[3]), float(z[4]), M)
 
 
+# The default config's process noise and hybrid lone-candidate variances.
+DEFAULT_Q = ProcessNoise(np.full(6, SimConfig().process_noise_var))
+HYBRID = match_variances(SimConfig(), "hybrid")
+
+
 def state_at(x=0.0, y=0.0, z=150.0, psi=0.0, theta=0.0, phi=0.0, P=None):
     P = np.eye(6) if P is None else P
     return FilterState(Pose6D(x, y, z, psi, theta, phi), P)
@@ -67,8 +73,9 @@ def test_vo_increment_validation():
 
 
 def test_process_noise_default_and_validation():
-    q = ProcessNoise()
-    np.testing.assert_allclose(q.matrix, np.eye(6) * 0.01)
+    np.testing.assert_allclose(DEFAULT_Q.matrix, np.eye(6) * 0.01)
+    with pytest.raises(TypeError):  # the caller's config sets Q, not a default
+        ProcessNoise()
     with pytest.raises(ValueError):
         ProcessNoise(np.full(6, -0.1))
     with pytest.raises(ValueError):
@@ -99,21 +106,21 @@ def test_predict_identity_zero_noise():
 
 def test_predict_adds_default_q():
     s = state_at()
-    out = predict(s, VoIncrement.identity())
+    out = predict(s, VoIncrement.identity(), DEFAULT_Q)
     np.testing.assert_allclose(out.P, np.eye(6) + np.eye(6) * 0.01)
 
 
 def test_predict_accumulates_q_linearly():
     s = state_at()
     for _ in range(7):
-        s = predict(s, VoIncrement.identity())
+        s = predict(s, VoIncrement.identity(), DEFAULT_Q)
     np.testing.assert_allclose(s.P, np.eye(6) * 1.07)
 
 
 def test_predict_composes_pose():
     s = state_at(x=1.0, psi=10.0)
     inc = VoIncrement(np.array([1.0, 2.0, 3.0]), euler_to_rotmat(20.0, 0.0, 0.0))
-    out = predict(s, inc)
+    out = predict(s, inc, DEFAULT_Q)
     np.testing.assert_allclose(out.pose.position, [2.0, 2.0, 153.0])
     assert out.pose.psi == pytest.approx(30.0, abs=1e-9)
 
@@ -275,7 +282,7 @@ def fused_candidates(rng, k):
         )
         for tid in range(k)
     ]
-    return fuse(results)
+    return fuse(results, HYBRID)
 
 
 @settings(max_examples=300, deadline=None)
@@ -353,7 +360,7 @@ def filter_loop(increments, corrections=None):
     state = state_at()
     states = []
     for step, inc in enumerate(increments, start=1):
-        state = predict(state, inc)
+        state = predict(state, inc, DEFAULT_Q)
         if step in corrections:
             state = correct(state, corrections[step])
         states.append(state)
@@ -399,7 +406,7 @@ def test_symmetric_psd_through_long_run():
     """P stays symmetric PSD through thousands of mixed steps."""
     rng = np.random.default_rng(53)
     s = state_at()
-    q = ProcessNoise()
+    q = DEFAULT_Q
     inc = VoIncrement(np.array([0.1, 0.6, 0.0]), euler_to_rotmat(0.05, 0.0, 0.0))
     for step in range(1, 2001):
         s = predict(s, inc, q)

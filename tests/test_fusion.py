@@ -12,7 +12,6 @@ from crossview.fusion import (
     FusedMeasurement,
     _checked_fallback,
     _fuse_rows,
-    default_fallback_variances,
     fuse,
 )
 from crossview.config import SimConfig
@@ -20,6 +19,10 @@ from crossview.geometry import wrap_angle
 from crossview.matchers import MatchResult, SyntheticMatcher, UavObservation, match_variances
 from crossview.geometry import Pose6D
 from crossview.tiles import TileRecord, generate_grid, k_nearest
+
+# The lone-candidate variances these tests fuse with: the hybrid backend's at
+# the default config.
+HYBRID = match_variances(SimConfig(), "hybrid")
 
 
 def literal_weighted(results):
@@ -41,7 +44,7 @@ def literal_weighted(results):
 
 
 def fused_pose(results):
-    fused = fuse(results)
+    fused = fuse(results, HYBRID)
     return fused.p_bar, fused.psi_bar, fused.theta_bar
 
 
@@ -142,7 +145,7 @@ def test_convexity_componentwise():
 
 def test_fuse_rejects_empty():
     with pytest.raises(ValueError, match="empty"):
-        fuse([])
+        fuse([], HYBRID)
 
 
 # --- the fused covariance -------------------------------------------------
@@ -153,14 +156,14 @@ def test_identical_estimates_epsilon_covariance():
     clones = [
         MatchResult(5.0, r.p_hat, r.psi_hat, r.theta_hat, i) for i in range(9)
     ]
-    M = fuse(clones).M
+    M = fuse(clones, HYBRID).M
     np.testing.assert_allclose(M, COVARIANCE_RIDGE * np.eye(5), atol=1e-15)
 
 
 def test_two_sample_hand_covariance():
     a = MatchResult(1.0, (0.0, 0.0, 0.0), 0.0, 0.0, 0)
     b = MatchResult(1.0, (2.0, 0.0, 0.0), 0.0, 0.0, 1)
-    M = fuse([a, b]).M
+    M = fuse([a, b], HYBRID).M
     expected = COVARIANCE_RIDGE * np.eye(5)
     expected[0, 0] += 2.0  # sample variance with divisor k-1
     np.testing.assert_allclose(M, expected, atol=1e-15)
@@ -169,7 +172,7 @@ def test_two_sample_hand_covariance():
 def test_heading_variance_wraps():
     a = MatchResult(1.0, (0.0, 0.0, 0.0), 179.0, 0.0, 0)
     b = MatchResult(1.0, (0.0, 0.0, 0.0), -179.0, 0.0, 1)
-    M = fuse([a, b]).M
+    M = fuse([a, b], HYBRID).M
     # residuals are 0 and 2 about the first candidate, sample variance 2
     assert M[3, 3] == pytest.approx(2.0 + COVARIANCE_RIDGE, abs=1e-12)
 
@@ -178,7 +181,7 @@ def test_covariance_symmetric_psd_random():
     rng = np.random.default_rng(45)
     for _ in range(1000):
         results = random_results(rng, int(rng.integers(2, 12)))
-        M = fuse(results).M
+        M = fuse(results, HYBRID).M
         assert M.shape == (5, 5)
         np.testing.assert_allclose(M, M.T, atol=1e-12)
         # eigensolver round-off scales with the largest variance, so the
@@ -194,13 +197,9 @@ def test_single_candidate_fallback():
     np.testing.assert_allclose(
         M, np.diag(fallback) + COVARIANCE_RIDGE * np.eye(5), atol=1e-15
     )
-    # default fallback comes from the hybrid calibration of the default config
-    M_default = fuse([r]).M
-    hybrid = match_variances(SimConfig(), "hybrid")
-    np.testing.assert_array_equal(default_fallback_variances(), hybrid)
-    np.testing.assert_allclose(
-        np.diag(M_default), np.array(default_fallback_variances()) + COVARIANCE_RIDGE
-    )
+    # no default stands in for the caller's own variances
+    with pytest.raises(TypeError):
+        fuse([r])
 
 
 def test_fallback_validation():
@@ -217,11 +216,11 @@ def test_fallback_validation():
 def test_fuse_permutation_invariant_bitwise():
     rng = np.random.default_rng(46)
     results = random_results(rng, 9)
-    base = fuse(results)
+    base = fuse(results, HYBRID)
     for _ in range(5):
         perm = list(results)
         rng.shuffle(perm)
-        other = fuse(perm)
+        other = fuse(perm, HYBRID)
         assert np.array_equal(base.z_vector(), other.z_vector())
         assert np.array_equal(base.M, other.M)
 
@@ -241,7 +240,7 @@ _candidate = st.tuples(
 def test_fuse_is_permutation_invariant_bitwise(candidates, data):
     results = [MatchResult(d, p, psi, theta, i) for i, (d, p, psi, theta) in enumerate(candidates)]
     shuffled = data.draw(st.permutations(results))
-    a, b = fuse(results), fuse(shuffled)
+    a, b = fuse(results, HYBRID), fuse(shuffled, HYBRID)
     assert a.z_vector().tobytes() == b.z_vector().tobytes()
     assert a.M.tobytes() == b.M.tobytes()
 
@@ -308,7 +307,7 @@ GOOD_ROW = (2.0, 0, 10.0, 20.0, 150.0, 30.0, 10.0)
 )
 @pytest.mark.parametrize("lone", [False, True], ids=["pair", "lone"])
 def test_fuse_kernel_rejects_rows_that_overflowed(bad, lone):
-    fallback = _checked_fallback(default_fallback_variances())
+    fallback = _checked_fallback(HYBRID)
     rows = [bad] if lone else [GOOD_ROW, bad]
     with pytest.raises(ValueError, match="not finite"):
         _fuse_rows(rows, fallback)
@@ -317,12 +316,12 @@ def test_fuse_kernel_rejects_rows_that_overflowed(bad, lone):
 def test_fuse_rejects_distance_below_floor():
     r = MatchResult(1e-4, (0.0, 0.0, 0.0), 0.0, 0.0, 0)
     with pytest.raises(ValueError):
-        fuse([r])
+        fuse([r], HYBRID)
 
 
 def test_fuse_z_vector_order():
     r = MatchResult(2.0, (1.0, 2.0, 3.0), 4.0, 5.0, 0)
-    z = fuse([r]).z_vector()
+    z = fuse([r], HYBRID).z_vector()
     np.testing.assert_allclose(z, [1.0, 2.0, 3.0, 4.0, 5.0])
 
 
@@ -342,7 +341,7 @@ def test_noiseless_backend_fuses_to_truth():
     results = [
         matcher.match_pair(obs, t) for t in k_nearest(tiles, (truth.x, truth.y), 9)
     ]
-    fused = fuse(results)
+    fused = fuse(results, HYBRID)
     np.testing.assert_allclose(fused.p_bar, truth.position, atol=1e-9)
     assert fused.psi_bar == pytest.approx(truth.psi, abs=1e-9)
     assert fused.theta_bar == pytest.approx(truth.theta, abs=1e-9)

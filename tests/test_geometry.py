@@ -1,6 +1,7 @@
 """Geometry unit tests: angle wrapping, Euler conversions, ground rays, cells."""
 
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from crossview.geometry import (
+    _compose,
     CELLS_PER_SIDE,
     CELL_SIZE,
     Pose6D,
@@ -388,3 +390,32 @@ def test_compose_rejects_bad_increment():
         compose_increment(pose, np.zeros(3), 2.0 * np.eye(3))
     with pytest.raises(ValueError):
         compose_increment(pose, np.array([1.0, np.nan, 0.0]), np.eye(3))
+
+
+_heading = st.floats(-180.0, 180.0)
+# Tilts anywhere, and within a hair of the +/-90 gimbal lock.
+_tilt = st.one_of(st.floats(-90.0, 90.0), st.floats(89.999999, 90.0), st.floats(-90.0, -89.999999))
+_pose = st.builds(Pose6D, *[st.floats(-1e6, 1e6)] * 3, _heading, _tilt, _heading)
+
+
+def _bits(pose):
+    return np.array(astuple(pose)).tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    poses=st.lists(_pose, min_size=1, max_size=4),
+    dp=st.lists(st.floats(-100.0, 100.0), min_size=3, max_size=3),
+    angles=st.tuples(_heading, _tilt, _heading),
+)
+def test_compose_kernel_equals_compose_increment_bitwise(poses, dp, angles):
+    """The loop's stacked predict gives each pose compose_increment's bits,
+    and those of the plain 2-D product dR @ R."""
+    dR = euler_to_rotmat(*angles)
+    got = _compose(poses, dp, dR)
+    assert len(got) == len(poses)
+    for pose, out in zip(poses, got):
+        assert _bits(out) == _bits(compose_increment(pose, np.array(dp), dR))
+        p = [pose.x + dp[0], pose.y + dp[1], pose.z + dp[2]]
+        R = dR @ euler_to_rotmat(*pose.angles)
+        assert _bits(out) == _bits(Pose6D(*p, *rotmat_to_euler(R)))

@@ -490,13 +490,3 @@ def test_each_calibration_key_reaches_exactly_its_backends(key, value, readers):
     before = _outputs(_build(BASE))
     after = _outputs(_build(dataclasses.replace(BASE, **{key: value})))
     assert {name for name in before if after[name] != before[name]} == readers
-
-
-def test_built_matchers_ignore_later_config_edits():
-    cfg = dataclasses.replace(BASE)
-    matchers = _build(cfg)
-    before = _outputs(matchers)
-    for key, value, _ in CALIBRATION:
-        setattr(cfg, key, value)
-    assert _outputs(matchers) == before
-    assert _outputs(_build(cfg.validate())) != before

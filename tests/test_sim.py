@@ -522,11 +522,11 @@ def test_lower_matcher_noise_never_hurts():
 def reference_pipeline(frames, increments, backend, cfg, tile_set):
     """The filter loop built from the public, fully checked calls.
 
-    A lone candidate has no scatter, so fusion falls back to the configured
-    hybrid-grade variances.
+    A lone candidate has no scatter, so fusion falls back to the backend's
+    own lone-candidate variances on this grid.
     """
     noise = ProcessNoise(np.full(6, cfg.process_noise_var))
-    fallback = match_variances(cfg, "hybrid")
+    fallback = None if backend is None else backend._lone_variances(tile_set.spacing)
     state = FilterState.initial(frames[0].truth, cfg.init_cov_var)
     poses = [state.pose]
     for i in range(1, len(frames)):
@@ -574,7 +574,7 @@ def test_corrected_pipeline_equals_public_reference(method):
 
 @pytest.mark.parametrize("method", ["vo_scene", "vo_regression", "vo_hybrid"])
 def test_single_candidate_fallback_follows_config(method):
-    """With k = 1, fusion falls back to the config's hybrid figures, not the defaults."""
+    """With k = 1, fusion falls back to each backend's own variances from the config."""
     base = SimConfig()
     cfg = small_config(
         k_candidates=1,
@@ -589,6 +589,54 @@ def test_single_candidate_fallback_follows_config(method):
     backend = _make_backends(cfg, 4)[method]
     got = _run_pipeline(frames, increments, backend, cfg, tiles)
     assert_same_run(got, reference_pipeline(frames, increments, backend, cfg, tiles))
+
+
+@pytest.mark.parametrize(
+    "method, variances",
+    [
+        ("vo_scene", lambda cfg, s: [
+            s * s / 12.0, s * s / 12.0,
+            (cfg.alt_base_m - cfg.scene_altitude_m) ** 2 + cfg.alt_amp_m**2 / 2.0,
+            180.0**2 / 3.0,
+            (cfg.tilt_base_deg - cfg.scene_tilt_deg) ** 2 + cfg.tilt_amp_deg**2 / 2.0,
+        ]),
+        ("vo_regression", lambda cfg, s: match_variances(cfg, "regression")),
+        ("vo_hybrid", lambda cfg, s: match_variances(cfg, "hybrid")),
+    ],
+    ids=["vo_scene", "vo_regression", "vo_hybrid"],
+)
+def test_each_backend_owns_its_lone_candidate_variances(method, variances):
+    cfg = small_config(scene_altitude_m=120.0, scene_tilt_deg=30.0)
+    got = _make_backends(cfg, 0)[method]._lone_variances(20.0)
+    np.testing.assert_allclose(got, variances(cfg, 20.0), rtol=1e-15)
+
+
+def test_single_candidate_scene_pipeline_is_not_held_to_hybrid_figures():
+    """At k = 1 the scene backend weighs its lone tile by its own priors' errors.
+
+    Held to the hybrid figures, a zero-noise hybrid calibration made the scene
+    pipeline trust every lone tile centre exactly: 38.11 %path against 6.10
+    for dead reckoning on this flight.
+    """
+    rms = {f"{m}_{fig}": 0.0 for m in ("hybrid", "regression")
+           for fig in ("horizontal_rms_m", "vertical_rms_m", "heading_rms_deg", "tilt_rms_deg")}
+    cfg = small_config(k_candidates=1, **rms)
+    frames = gen_trajectory(cfg, seed=0)
+    pct = run_experiment(cfg, tiles_for(frames), seed=0).summaries
+    assert pct["vo_scene"].pos_pct == pytest.approx(pct["vo_only"].pos_pct, rel=0.05)
+
+
+def test_single_candidate_refuses_an_infinite_lone_variance():
+    """A one-tile grid whose spacing squares to inf fails before the flight."""
+    cfg = small_config(k_candidates=1)
+    frames = gen_trajectory(cfg, seed=0)
+    increments = simulate_vo(frames, cfg, seed=0)
+    backends = [_make_backends(cfg, 0)["vo_scene"]]
+    tiles = generate_grid(0.0, 0.0, 0.0, 0.0, 1e200)
+    ran = mock.Mock(side_effect=sim._compose)
+    with mock.patch.object(sim, "_compose", ran), pytest.raises(ValueError, match="finite"):
+        _run_pipelines(frames, increments, backends, cfg, tiles)
+    assert not ran.called
 
 
 def test_lockstep_pipelines_equal_public_reference():
