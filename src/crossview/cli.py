@@ -29,7 +29,7 @@ from .sim import (
     summary_table,
     write_summary,
 )
-from .tiles import generate_grid, load_tiles, save_tiles
+from .tiles import DEFAULT_SPACING_M, generate_grid, load_tiles, save_tiles
 
 
 def _load_config_arg(path: str | None) -> SimConfig:
@@ -115,7 +115,7 @@ def build_parser() -> argparse.ArgumentParser:
         required=True,
         metavar=("X_MIN", "X_MAX", "Y_MIN", "Y_MAX"),
     )
-    p.add_argument("--spacing", type=float, default=50.0)
+    p.add_argument("--spacing", type=float, default=DEFAULT_SPACING_M)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_gen_tiles)
 

@@ -30,6 +30,9 @@ D_MIN = 1e-3
 # `run` accepts. Its square caps the filter's variances the same way.
 MAX_POSITION_ERROR_M = 1e5
 
+# Ceiling on the tilt from nadir of the flight, the scene prior and every match.
+MAX_TILT_DEG = 45.0
+
 # Ceiling on a flight's frame count, duration_s * rate_hz: 13.9 h at 20 Hz.
 # Every frame is built and held in memory, and the product can overflow.
 MAX_FRAMES = 10**6
@@ -193,9 +196,9 @@ class SimConfig:
                 "altitude profile must stay within [100, 200] m:"
                 f" base {self.alt_base_m} +/- {self.alt_amp_m}"
             )
-        if self.tilt_base_deg - self.tilt_amp_deg < 0.0 or self.tilt_base_deg + self.tilt_amp_deg > 45.0:
+        if self.tilt_base_deg - self.tilt_amp_deg < 0.0 or self.tilt_base_deg + self.tilt_amp_deg > MAX_TILT_DEG:
             raise ConfigError(
-                "tilt profile must stay within [0, 45] deg:"
+                f"tilt profile must stay within [0, {MAX_TILT_DEG:g}] deg:"
                 f" base {self.tilt_base_deg} +/- {self.tilt_amp_deg}"
             )
         if self.orbit_m < 0.0:
@@ -254,15 +257,15 @@ class SimConfig:
             elif not math.isfinite(value * value):
                 raise ConfigError(f"{name} must square to a finite variance, got {value}")
         non_negative(d_slope=self.d_slope, d_jitter=self.d_jitter)
-        if not 0.0 <= self.scene_tilt_deg <= 45.0:
+        if not 0.0 <= self.scene_tilt_deg <= MAX_TILT_DEG:
             raise ConfigError(
-                f"scene_tilt_deg must lie in [0, 45], got {self.scene_tilt_deg}"
+                f"scene_tilt_deg must lie in [0, {MAX_TILT_DEG:g}], got {self.scene_tilt_deg}"
             )
         return self
 
 
-_INT_FIELDS = {"k_candidates"}
-_FIELD_NAMES = {f.name for f in dataclasses.fields(SimConfig)}
+# Each key's annotation, as a string: annotations are postponed here.
+_FIELD_TYPES = {f.name: f.type for f in dataclasses.fields(SimConfig)}
 
 
 def parse_config(text: str, source: str = "<config>") -> SimConfig:
@@ -277,15 +280,12 @@ def parse_config(text: str, source: str = "<config>") -> SimConfig:
         key, _, value_text = line.partition("=")
         key = key.strip()
         value_text = value_text.strip()
-        if key not in _FIELD_NAMES:
+        if key not in _FIELD_TYPES:
             raise ConfigError(f"{source}:{lineno}: unknown key {key!r}")
         if key in values:
             raise ConfigError(f"{source}:{lineno}: duplicate key {key!r}")
         try:
-            if key in _INT_FIELDS:
-                values[key] = int(value_text)
-            else:
-                values[key] = float(value_text)
+            values[key] = int(value_text) if _FIELD_TYPES[key] == "int" else float(value_text)
         except ValueError as exc:
             raise ConfigError(f"{source}:{lineno}: bad value for {key}: {exc}") from exc
     return SimConfig(**values)

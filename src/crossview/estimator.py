@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fusion import FusedMeasurement
-from .geometry import Pose6D, compose_increment, is_rotation_matrix, wrap_angle
+from .geometry import _NOT_A_ROTATION, Pose6D, compose_increment, is_rotation_matrix, wrap_angle
 
 __all__ = [
     "OBSERVATION_MATRIX",
@@ -34,6 +34,8 @@ __all__ = [
 OBSERVATION_MATRIX = np.hstack([np.eye(5), np.zeros((5, 1))])
 
 _COND_LIMIT = 1e12
+# How far P and M may be from symmetric, and M's least eigenvalue below 0.
+_SYMMETRY_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -49,7 +51,7 @@ class VoIncrement:
             raise ValueError("dp must be a finite 3-vector")
         dR = np.asarray(self.dR, dtype=float)
         if not is_rotation_matrix(dR):
-            raise ValueError("dR is not a rotation matrix (orthonormal within 1e-6)")
+            raise ValueError(f"dR {_NOT_A_ROTATION}")
         object.__setattr__(self, "dp", dp)
         object.__setattr__(self, "dR", dR)
 
@@ -86,7 +88,7 @@ class FilterState:
         P = np.asarray(self.P, dtype=float)
         if P.shape != (6, 6) or not np.isfinite(P).all():
             raise ValueError("P must be a finite 6x6 matrix")
-        if np.abs(P - P.T).max() > 1e-9:
+        if np.abs(P - P.T).max() > _SYMMETRY_TOL:
             raise ValueError("P must be symmetric")
         object.__setattr__(self, "P", P)
 
@@ -118,7 +120,7 @@ def correct(state: FilterState, measurement: FusedMeasurement) -> FilterState:
     M = np.asarray(measurement.M, dtype=float)
     if M.shape != (5, 5) or not np.isfinite(M).all():
         raise ValueError("measurement covariance must be a finite 5x5 matrix")
-    if np.abs(M - M.T).max() > 1e-9:
+    if np.abs(M - M.T).max() > _SYMMETRY_TOL:
         raise ValueError("measurement covariance must be symmetric")
     pose, P = _correct(state.pose, state.P, measurement.z_vector(), M)
     return FilterState(pose, P)
@@ -138,7 +140,7 @@ def _correct(pose: Pose6D, P: np.ndarray, z, M: np.ndarray) -> tuple[Pose6D, np.
     columns: the same bits as the products, without them.
     """
     # eigvalsh sorts ascending, so [0] is the smallest eigenvalue.
-    if np.linalg.eigvalsh(M)[0] < -1e-9:
+    if np.linalg.eigvalsh(M)[0] < -_SYMMETRY_TOL:
         raise ValueError("measurement covariance must be positive semidefinite")
     X = np.array([pose.x, pose.y, pose.z, pose.psi, pose.theta, pose.phi])
     S = M + P[:5, :5]

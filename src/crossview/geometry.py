@@ -37,6 +37,10 @@ CELL_GRID_HALF_EXTENT = 200.0
 CELL_SIZE = 50.0
 CELLS_PER_SIDE = 8
 
+# The most any entry of R^T R - I may be off for R to count as a rotation.
+_ROTATION_TOL = 1e-6
+_NOT_A_ROTATION = f"is not a rotation matrix (orthonormal within {_ROTATION_TOL:g})"
+
 # Below this value of hypot(R00, R10) the tilt is within ~1e-9 deg of +/-90
 # and heading/roll are no longer separable.
 _GIMBAL_EPS = 1e-10
@@ -128,8 +132,8 @@ def _euler_to_rotmat(psi: float, theta: float, phi: float) -> list[list[float]]:
     ]
 
 
-def is_rotation_matrix(R: np.ndarray, tol: float = 1e-6) -> bool:
-    """True when R is 3x3, orthonormal within tol, and right-handed."""
+def is_rotation_matrix(R: np.ndarray) -> bool:
+    """True when R is 3x3, orthonormal within _ROTATION_TOL, and right-handed."""
     R = np.asarray(R, dtype=float)
     if R.shape != (3, 3):
         return False
@@ -144,11 +148,20 @@ def is_rotation_matrix(R: np.ndarray, tol: float = 1e-6) -> bool:
         abs(c * c + f * f + i * i - 1.0), abs(a * b + d * e + g * h),
         abs(a * c + d * f + g * i), abs(b * c + e * f + h * i),
     )
-    # Within rounding of tol the summation order decides the verdict; there,
-    # defer to numpy's R.T @ R, so this check and the numpy form always agree.
+    # Within rounding of the tolerance the summation order decides the verdict;
+    # there, defer to numpy's R.T @ R, so this check and the numpy form agree.
+    tol = _ROTATION_TOL
     if abs(worst - tol) <= 1e-12 * (1.0 + tol):
         worst = float(np.max(np.abs(R.T @ R - np.eye(3))))
     return worst <= tol and a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g) > 0.0
+
+
+def _are_rotations(R: np.ndarray) -> bool:
+    """is_rotation_matrix, in its numpy form, over an (n, 3, 3) stack, n >= 1."""
+    if not np.isfinite(R).all():
+        return False
+    worst = np.abs(np.matmul(R.transpose(0, 2, 1), R) - np.eye(3)).max()
+    return bool(worst <= _ROTATION_TOL and np.linalg.det(R).min() > 0.0)
 
 
 def rotmat_to_euler(R: np.ndarray) -> tuple[float, float, float]:
@@ -160,7 +173,7 @@ def rotmat_to_euler(R: np.ndarray) -> tuple[float, float, float]:
     """
     R = np.asarray(R, dtype=float)
     if not is_rotation_matrix(R):
-        raise ValueError("R is not a rotation matrix (orthonormal within 1e-6)")
+        raise ValueError(f"R {_NOT_A_ROTATION}")
     return _rotmat_to_euler(R.tolist())
 
 
@@ -233,8 +246,8 @@ def compose_increment(pose: Pose6D, dp: np.ndarray, dR: np.ndarray) -> Pose6D:
     """Apply a relative motion to a pose: p + dp and R_new = dR @ R.
 
     dp is a world-frame 3-vector in meters; dR must be a rotation matrix
-    (caller's contract, validated within 1e-6). Angles in the result are
-    wrapped to (-180, 180].
+    (caller's contract, validated by :func:`is_rotation_matrix`). Angles in
+    the result are wrapped to (-180, 180].
     """
     dp = np.asarray(dp, dtype=float)
     if dp.shape != (3,):
@@ -243,7 +256,7 @@ def compose_increment(pose: Pose6D, dp: np.ndarray, dR: np.ndarray) -> Pose6D:
         raise ValueError("dp must be finite")
     dR = np.asarray(dR, dtype=float)
     if not is_rotation_matrix(dR):
-        raise ValueError("dR is not a rotation matrix (orthonormal within 1e-6)")
+        raise ValueError(f"dR {_NOT_A_ROTATION}")
     return _compose([pose], dp.tolist(), dR)[0]
 
 

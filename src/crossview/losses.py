@@ -28,6 +28,7 @@ __all__ = [
 ]
 
 NUM_CELLS = CELLS_PER_SIDE * CELLS_PER_SIDE
+CONTRASTIVE_MARGIN = 100.0
 
 
 def feature_distance(u: np.ndarray, v: np.ndarray) -> float:
@@ -52,7 +53,7 @@ def _check_pair_args(d: float, label: int, margin: float) -> None:
         raise ValueError(f"margin must be finite and >= 0, got {margin!r}")
 
 
-def contrastive_loss(d: float, label: int, margin: float = 100.0) -> float:
+def contrastive_loss(d: float, label: int, margin: float = CONTRASTIVE_MARGIN) -> float:
     """Pairwise metric loss: pull matching pairs together, push others apart.
 
     For a matching pair (label 1) the loss is d^2; for a non-matching pair it
@@ -65,7 +66,7 @@ def contrastive_loss(d: float, label: int, margin: float = 100.0) -> float:
     return float(gap * gap) if gap > 0.0 else 0.0
 
 
-def contrastive_loss_grad(d: float, label: int, margin: float = 100.0) -> float:
+def contrastive_loss_grad(d: float, label: int, margin: float = CONTRASTIVE_MARGIN) -> float:
     """d(contrastive_loss)/dd. At the hinge point d == margin returns 0."""
     _check_pair_args(d, label, margin)
     if label == 1:
@@ -121,10 +122,9 @@ class CameraLossWeights:
     alpha: float = 30.0
     beta: float = 1.0
     gamma: float = 0.5
-    margin: float = 100.0
 
     def __post_init__(self) -> None:
-        for name in ("alpha", "beta", "gamma", "margin"):
+        for name in ("alpha", "beta", "gamma"):
             value = getattr(self, name)
             if not math.isfinite(value) or value < 0.0:
                 raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
@@ -170,9 +170,7 @@ def _central_difference(f, x: float, h: float) -> float:
     return (f(x + h) - f(x - h)) / (2.0 * h)
 
 
-def gradient_self_test(
-    points: int = 100, seed: int = 0, h: float = 1e-5, tol: float = 1e-6
-) -> list[dict]:
+def gradient_self_test(points: int = 100, seed: int = 0) -> list[dict]:
     """Check the analytic gradients against central finite differences.
 
     Draws ``points`` random evaluation points per loss, skips the hinge
@@ -184,10 +182,11 @@ def gradient_self_test(
         raise ValueError(f"points must be >= 1, got {points}")
     rng = np.random.default_rng(seed)
     results = []
+    h, tol = 1e-5, 1e-6  # finite-difference step, bound on the relative error
 
     worst = 0.0
     checked = 0
-    margin = 100.0
+    margin = CONTRASTIVE_MARGIN
     while checked < points:
         d = float(rng.uniform(0.0, 200.0))
         if abs(margin - d) < 1e-3 or d < h:

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import D_MIN, SimConfig
+from .config import D_MIN, MAX_TILT_DEG, SimConfig
 from .geometry import Pose6D, _wrap_angle, ground_intersection, wrap_angle
 from .tiles import TileRecord
 
@@ -64,13 +64,17 @@ class UavObservation:
             raise ValueError(f"frame index must lie in [0, 2**64), got {self.frame}")
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class MatchResult:
-    """Backend output for one (frame, tile) pair.
+    """Backend output for one (frame, tile) pair, as ``match_frame`` checks a
+    ``_match_rows`` row into it.
 
     d is the feature-space distance (always > 0, smaller means more alike).
     p_hat is the estimated camera position in meters, psi_hat/theta_hat the
-    estimated heading and tilt in degrees (tilt already clamped to [0, 45]).
+    estimated heading and tilt in degrees (tilt already clamped to
+    [0, MAX_TILT_DEG]). Values are coerced to builtin types, so a result built
+    from numpy values (an array p_hat, numpy scalars) compares, hashes and
+    prints like one built from plain floats.
     """
 
     d: float
@@ -79,33 +83,27 @@ class MatchResult:
     theta_hat: float
     tile_id: int
 
-    def __init__(self, d, p_hat, psi_hat, theta_hat, tile_id) -> None:
-        # Coerce to builtin types, so a result built from numpy values (an
-        # array p_hat, numpy scalars) compares, hashes and prints like one
-        # built from plain floats. Written out rather than generated: the
-        # public match_frame builds one per (frame, tile) pair, and the
-        # dataclass __init__ plus __post_init__ cost twice as much.
-        d, psi, theta = float(d), float(psi_hat), float(theta_hat)
-        p_hat, tile_id = tuple(map(float, p_hat)), int(tile_id)
-        finite = math.isfinite
+    def __post_init__(self) -> None:
+        d, psi, theta = float(self.d), float(self.psi_hat), float(self.theta_hat)
+        p_hat, tile_id = tuple(map(float, self.p_hat)), int(self.tile_id)
         if not 0.0 < d < math.inf:
             raise ValueError(f"d must be finite and > 0, got {d!r}")
-        if len(p_hat) != 3 or not (finite(p_hat[0]) and finite(p_hat[1]) and finite(p_hat[2])):
+        if len(p_hat) != 3 or not all(map(math.isfinite, p_hat)):
             raise ValueError(f"p_hat must be a finite 3-vector, got {p_hat!r}")
         if not -180.0 < psi <= 180.0:
             raise ValueError(f"psi_hat must lie in (-180, 180], got {psi!r}")
-        if not 0.0 <= theta <= 45.0:
-            raise ValueError(f"theta_hat must lie in [0, 45], got {theta!r}")
+        if not 0.0 <= theta <= MAX_TILT_DEG:
+            raise ValueError(f"theta_hat must lie in [0, {MAX_TILT_DEG:g}], got {theta!r}")
         if tile_id < 0:
             raise ValueError(f"tile_id must be >= 0, got {tile_id}")
-        values = self.__dict__
-        values["d"], values["p_hat"], values["psi_hat"] = d, p_hat, psi
-        values["theta_hat"], values["tile_id"] = theta, tile_id
+        for name, value in zip(("d", "p_hat", "psi_hat", "theta_hat", "tile_id"),
+                               (d, p_hat, psi, theta, tile_id)):
+            object.__setattr__(self, name, value)
 
 
-# Every |standard_normal()| the jitter can draw lies below this: numpy's
-# ziggurat sampler draws its tail as r + x, with r = 3.654 and x at most
-# -log(2**-53) / r = 10.06.
+# Every |standard_normal()| numpy draws (a distance jitter, a VO drift step)
+# lies below this: numpy's ziggurat sampler draws its tail as r + x, with
+# r = 3.654 and x at most -log(2**-53) / r = 10.06.
 _MAX_JITTER = 14.0
 
 
@@ -252,7 +250,7 @@ class SyntheticMatcher(_Backend):
                 y + sxy * m1,
                 z + sz * m2,
                 _wrap_angle(psi + spsi * m3),
-                min(max(theta + stheta * m4, 0.0), 45.0),
+                min(max(theta + stheta * m4, 0.0), MAX_TILT_DEG),
             ))
         return rows
 

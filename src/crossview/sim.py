@@ -26,14 +26,16 @@ from itertools import chain
 
 import numpy as np
 
-from .config import ConfigError, SimConfig
+from .config import MAX_TILT_DEG, ConfigError, SimConfig
 # predict, correct and fuse are the references _run_pipelines' kernels
 # reproduce; they stay importable as sim.predict, sim.correct and sim.fuse,
 # the names perfbench/tracing.py wraps.
 from .estimator import FilterState, ProcessNoise, VoIncrement, _correct, correct, predict  # noqa: F401
 from .fusion import _checked_fallback, _fuse_rows, fuse  # noqa: F401
 from .geometry import (
+    _NOT_A_ROTATION,
     Pose6D,
+    _are_rotations,
     _compose,
     _euler_to_rotmat,
     _wrap_angle,
@@ -44,7 +46,7 @@ from .geometry import (
 )
 from .matchers import _MAX_JITTER, SceneMatcher, SyntheticMatcher, UavObservation, _check_seed
 from .textfile import read_rows, write_rows
-from .tiles import TileSet, k_nearest
+from .tiles import DEFAULT_SPACING_M, TileSet, k_nearest
 
 __all__ = [
     "METHODS",
@@ -210,17 +212,12 @@ def _trusted_increments(dp: np.ndarray, dR: np.ndarray) -> list[VoIncrement]:
     """One VoIncrement per row of dp (n, 3) and dR (n, 3, 3), built unchecked.
 
     One batched check stands in for VoIncrement's per-object one: every dp
-    finite, every dR finite, orthonormal within 1e-6 (max |R^T R - I|, the
-    form is_rotation_matrix defers to) and right-handed.
+    finite, and geometry's stacked rotation check, ``_are_rotations``, on dR.
     """
     if not np.isfinite(dp).all():
         raise ValueError("dp must be a finite 3-vector")
-    ok = np.isfinite(dR).all()
-    if ok:
-        worst = np.abs(np.matmul(dR.transpose(0, 2, 1), dR) - np.eye(3)).max()
-        ok = worst <= 1e-6 and np.linalg.det(dR).min() > 0.0
-    if not ok:
-        raise ValueError("dR is not a rotation matrix (orthonormal within 1e-6)")
+    if not _are_rotations(dR):
+        raise ValueError(f"dR {_NOT_A_ROTATION}")
     increments = []
     for row_dp, row_dR in zip(dp, dR):
         # Fields set one by one, as the generated __init__ does, keep the
@@ -384,23 +381,39 @@ def run_experiment(cfg: SimConfig, tile_set: TileSet, seed: int) -> ExperimentRe
 
 
 def _check_distance_model(cfg: SimConfig, tile_set: TileSet) -> None:
-    """ValueError unless the squared gap between this flight and grid is
-    finite, and ConfigError unless every feature distance a matcher can draw
-    on them is.
+    """ValueError unless every squared gap between this flight's estimates
+    and the grid is finite, and ConfigError unless every feature distance a
+    matcher can draw on them is; a refusal names the grid or the dominant key.
 
-    The camera's ground point lies within length_m of the start, plus its
-    offset z tan(theta) <= alt_base_m + alt_amp_m (tilt is at most 45
-    degrees), and every tile centre within the distance of the grid's
-    farthest corner, so their gap is at most the sum of the two; every
-    jitter draw lies below _MAX_JITTER in magnitude.
+    Every normal draw lies below _MAX_JITTER in magnitude. The camera's ground
+    point lies within length_m + (alt_base_m + alt_amp_m) tan(MAX_TILT_DEG) of
+    the start and every tile centre within the grid's farthest corner, so a
+    match's gap is at most their sum. Over n frames a dead-reckoned estimate
+    strays at most |1 + vo_scale_error| length_m + _MAX_JITTER sqrt(2)
+    (n vo_pos_noise_m + n^2 vo_bias_walk_m); k_nearest's query, an estimate,
+    lies within that reach plus the matches' gap.
     """
     corner = math.hypot(
         max(abs(tile_set.x_min), abs(tile_set.x_max)), max(abs(tile_set.y_min), abs(tile_set.y_max))
     )
-    gap = cfg.length_m + cfg.alt_base_m + cfg.alt_amp_m + corner
-    if not math.isfinite(2.0 * gap * gap):  # k_nearest's dx^2 + dy^2
-        x, y = (tile_set.x_min, tile_set.x_max), (tile_set.y_min, tile_set.y_max)
-        raise ValueError(f"tile grid x {x}, y {y} lies too far from the flight to square its gaps")
+    tan_tilt = math.ceil(math.tan(math.radians(MAX_TILT_DEG)))  # 1 at 45 degrees
+    gap = cfg.length_m + tan_tilt * cfg.alt_base_m + tan_tilt * cfg.alt_amp_m + corner
+    n, per_step = cfg.frame_count, _MAX_JITTER * math.sqrt(2.0)
+    drift = {
+        "vo_scale_error": abs(1.0 + cfg.vo_scale_error) * cfg.length_m,
+        "vo_pos_noise_m": per_step * n * cfg.vo_pos_noise_m,
+        "vo_bias_walk_m": per_step * n * n * cfg.vo_bias_walk_m,
+    }
+    reach = sum(drift.values()) + gap
+    if not math.isfinite(2.0 * reach * reach):  # k_nearest's dx^2 + dy^2
+        name = max(drift, key=drift.get)
+        if drift[name] <= corner:
+            x, y = (tile_set.x_min, tile_set.x_max), (tile_set.y_min, tile_set.y_max)
+            raise ValueError(f"tile grid x {x}, y {y} lies too far from the flight to square its gaps")
+        raise ConfigError(
+            f"{name} lets the dead-reckoned track stray too far to square its gaps to the tile"
+            f" grid: it can reach {reach:g} m from the start"
+        )
     slope, jitter = cfg.d_slope * gap, cfg.d_jitter * _MAX_JITTER
     if not math.isfinite(cfg.d0 + slope + jitter):
         name = "d_slope" if slope >= jitter else "d_jitter"
@@ -410,12 +423,12 @@ def _check_distance_model(cfg: SimConfig, tile_set: TileSet) -> None:
         )
 
 
-def suggested_tile_bounds(
-    frames: list[TrajectoryFrame], margin: float = 300.0, spacing: float = 50.0
-) -> tuple[float, float, float, float]:
-    """Grid bounds covering the flight with margin, snapped to the spacing."""
+def suggested_tile_bounds(frames: list[TrajectoryFrame]) -> tuple[float, float, float, float]:
+    """Grid bounds covering the flight with a margin, snapped to the default
+    tile spacing."""
     xs = [f.truth.x for f in frames]
     ys = [f.truth.y for f in frames]
+    margin, spacing = 300.0, DEFAULT_SPACING_M
     snap = lambda v, up: (math.ceil(v / spacing) if up else math.floor(v / spacing)) * spacing
     return (
         snap(min(xs) - margin, False),

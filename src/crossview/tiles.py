@@ -30,6 +30,9 @@ __all__ = [
 
 _HEADER = "#crossview-tiles-v2"
 
+# Tile spacing in meters when none is given: generate_grid, `gen-tiles`.
+DEFAULT_SPACING_M = 50.0
+
 
 @dataclass(frozen=True)
 class TileRecord:
@@ -109,7 +112,7 @@ class TileSet(Sequence):
 
 
 def generate_grid(
-    x_min: float, x_max: float, y_min: float, y_max: float, spacing: float = 50.0
+    x_min: float, x_max: float, y_min: float, y_max: float, spacing: float = DEFAULT_SPACING_M
 ) -> TileSet:
     """Lay out tiles on a regular grid covering the bounds.
 
@@ -133,11 +136,19 @@ def k_nearest(tile_set: TileSet, point: tuple[float, float], k: int) -> list[Til
     px, py = float(point[0]), float(point[1])
     if not (math.isfinite(px) and math.isfinite(py)):
         raise ValueError("query point must be finite")
+    # The squared gaps below raise OverflowError past the float range.
+    dx = max(abs(px - tile_set.x_min), abs(px - tile_set.x_max))
+    dy = max(abs(py - tile_set.y_min), abs(py - tile_set.y_max))
+    if not math.isfinite(2.0 * (dx * dx + dy * dy)):
+        raise ValueError(
+            f"query point ({px!r}, {py!r}) lies too far from the tile grid to square its gaps"
+        )
 
     nx, ny, s = tile_set.nx, tile_set.ny, tile_set.spacing
     x0, y0 = tile_set.x_min, tile_set.y_min
-    ix0 = min(max(int(round((px - x0) / s)), 0), nx - 1)
-    iy0 = min(max(int(round((py - y0) / s)), 0), ny - 1)
+    # Clamped before rounding, which raises on an index past the float range.
+    ix0 = round(min(max((px - x0) / s, 0.0), nx - 1))
+    iy0 = round(min(max((py - y0) / s, 0.0), ny - 1))
     # Distance from the query to its anchor node; rings at index distance m
     # can contain nothing closer than m*s - anchor_gap. Distances are computed
     # in floats, so a tile on that bound can round below it: the slack, far

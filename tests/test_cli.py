@@ -1,10 +1,12 @@
 """CLI subcommands, exercised through cli.main with tmp_path outputs."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from crossview import sim
 from crossview.cli import main
 from crossview.config import MAX_POSITION_ERROR_M
 from crossview.sim import load_trajectory
@@ -255,6 +257,25 @@ def test_run_rejects_a_grid_too_far_to_square(tmp_path, capsys):
     assert main(["run", "--tiles", str(tiles), "--seed", "0", "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: tile grid x (0.0, 2e+200), y (0.0, 2e+200) lies too far")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "key, value", [("vo_pos_noise_m", 1e306), ("vo_bias_walk_m", 1e305), ("vo_scale_error", 1e306)]
+)
+def test_run_refuses_vo_drift_too_far_to_square_before_flying(tmp_path, capsys, tile_file, key, value):
+    # simulate takes each; run once ended in an OverflowError from k_nearest.
+    cfg = tmp_path / "drift.cfg"
+    cfg.write_text(SMALL_CFG + f"{key} = {value!r}\n")
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "flight.txt")]) == 0
+    out = tmp_path / "out"
+    argv = ["run", "--config", str(cfg), "--tiles", tile_file, "--seed", "0", "--out", str(out)]
+    ran = mock.Mock(side_effect=sim._compose)
+    with mock.patch.object(sim, "_compose", ran):
+        assert main(argv) == 2
+    assert not ran.called
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {key} lets the dead-reckoned track stray too far")
     assert not out.exists()
 
 

@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from crossview.geometry import (
+    _are_rotations,
     _compose,
     CELLS_PER_SIDE,
     CELL_SIZE,
@@ -182,19 +183,30 @@ def rotation_candidates(draw):
     return R
 
 
+# (R^T R)[0, 1] a few 1e-18 from 1e-6: summed in plain floats it reads just
+# above tol, through numpy's R.T @ R just below.
+TIE = np.array([
+    [0.9975639805033505, -0.0697564737441253, 0.0],
+    [0.06975747130817556, 0.9975640502598242, 0.0],
+    [0.0, 0.0, 1.0],
+])
+
+
 @settings(max_examples=500, deadline=None)
 @given(R=rotation_candidates())
 @example(R=-np.eye(3))
 @example(R=np.eye(4))
-# (R^T R)[0, 1] a few 1e-18 from 1e-6: summed in plain floats it reads just
-# above tol, through numpy's R.T @ R just below.
-@example(R=np.array([
-    [0.9975639805033505, -0.0697564737441253, 0.0],
-    [0.06975747130817556, 0.9975640502598242, 0.0],
-    [0.0, 0.0, 1.0],
-]))
+@example(R=TIE)
 def test_scalar_rotation_check_matches_numpy_form(R):
     assert is_rotation_matrix(R) == numpy_is_rotation_matrix(R)
+
+
+@settings(max_examples=500, deadline=None)
+@given(R=rotation_candidates())
+@example(R=-np.eye(3))
+@example(R=TIE)
+def test_stacked_rotation_check_matches_scalar_one(R):
+    assert _are_rotations(R[None]) == is_rotation_matrix(R)
 
 
 @pytest.mark.parametrize("j, k", [(0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2)])

@@ -243,7 +243,7 @@ def test_camera_loss_monotone_in_each_residual():
 
 def test_camera_loss_default_weights():
     w = CameraLossWeights()
-    assert (w.alpha, w.beta, w.gamma, w.margin) == (30.0, 1.0, 0.5, 100.0)
+    assert (w.alpha, w.beta, w.gamma) == (30.0, 1.0, 0.5)
     with pytest.raises(ValueError):
         CameraLossWeights(alpha=-1.0)
 

@@ -200,6 +200,26 @@ def test_k_nearest_far_outside_query(grid_861):
     assert got[0].tile_id == 0
 
 
+@pytest.mark.parametrize(
+    "grid, point",
+    [
+        (generate_grid(0.0, 100.0, 0.0, 100.0, 10.0), (1e200, 0.0)),  # its squared gap overflows
+        (generate_grid(0.0, 100.0, 0.0, 100.0, 10.0), (0.0, -1e200)),
+        (generate_grid(-1e308, -1e308, 0.0, 0.0, 1.0), (1e308, 0.0)),  # its gap overflows
+    ],
+)
+def test_k_nearest_rejects_a_finite_query_too_far_to_square(grid, point):
+    # Once an uncaught OverflowError.
+    with pytest.raises(ValueError, match="^" + re.escape(f"query point {point!r} lies too far")):
+        k_nearest(grid, point, 1)
+
+
+def test_k_nearest_clamps_an_anchor_index_past_the_float_range():
+    # (1e10 - 0) / 1e-300 overflows: once an uncaught OverflowError from round.
+    grid = generate_grid(0.0, 0.0, 0.0, 0.0, 1e-300)
+    assert k_nearest(grid, (1e10, -1e10), 1) == [grid[0]]
+
+
 # --- save / load ----------------------------------------------------------
 
 
