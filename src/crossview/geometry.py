@@ -133,34 +133,19 @@ def _euler_to_rotmat(psi: float, theta: float, phi: float) -> list[list[float]]:
 
 
 def is_rotation_matrix(R: np.ndarray) -> bool:
-    """True when R is 3x3, orthonormal within _ROTATION_TOL, and right-handed."""
+    """True when R is 3x3, orthonormal within _ROTATION_TOL, and right-handed:
+    the 3x3 case of the stacked check, ``_are_rotations``."""
     R = np.asarray(R, dtype=float)
-    if R.shape != (3, 3):
-        return False
-    # Plain floats: on a 3x3 matrix, numpy's per-call overhead is the cost.
-    (a, b, c), (d, e, f), (g, h, i) = R.tolist()
-    if not all(map(math.isfinite, (a, b, c, d, e, f, g, h, i))):
-        return False
-    # R^T R - I, diagonal first: max() keeps its first value over a nan, and
-    # an off-diagonal entry overflows to nan only when a diagonal one is inf.
-    worst = max(
-        abs(a * a + d * d + g * g - 1.0), abs(b * b + e * e + h * h - 1.0),
-        abs(c * c + f * f + i * i - 1.0), abs(a * b + d * e + g * h),
-        abs(a * c + d * f + g * i), abs(b * c + e * f + h * i),
-    )
-    # Within rounding of the tolerance the summation order decides the verdict;
-    # there, defer to numpy's R.T @ R, so this check and the numpy form agree.
-    tol = _ROTATION_TOL
-    if abs(worst - tol) <= 1e-12 * (1.0 + tol):
-        worst = float(np.max(np.abs(R.T @ R - np.eye(3))))
-    return worst <= tol and a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g) > 0.0
+    return R.shape == (3, 3) and _are_rotations(R[None])
 
 
 def _are_rotations(R: np.ndarray) -> bool:
-    """is_rotation_matrix, in its numpy form, over an (n, 3, 3) stack, n >= 1."""
+    """Whether every matrix of an (n, 3, 3) stack, n >= 1, is a rotation."""
     if not np.isfinite(R).all():
         return False
-    worst = np.abs(np.matmul(R.transpose(0, 2, 1), R) - np.eye(3)).max()
+    # A finite matrix whose R^T R overflows is simply not a rotation.
+    with np.errstate(over="ignore", invalid="ignore"):
+        worst = np.abs(np.matmul(R.transpose(0, 2, 1), R) - np.eye(3)).max()
     return bool(worst <= _ROTATION_TOL and np.linalg.det(R).min() > 0.0)
 
 

@@ -28,19 +28,19 @@ import numpy as np
 
 from .config import MAX_TILT_DEG, ConfigError, SimConfig
 # predict, correct and fuse are the references _run_pipelines' kernels
-# reproduce; they stay importable as sim.predict, sim.correct and sim.fuse,
-# the names perfbench/tracing.py wraps.
+# reproduce, euler_to_rotmat and rotmat_to_euler those of the trajectory
+# reader and writer; perfbench/tracing.py wraps each of them as sim.<name>.
 from .estimator import FilterState, ProcessNoise, VoIncrement, _correct, correct, predict  # noqa: F401
 from .fusion import _checked_fallback, _fuse_rows, fuse  # noqa: F401
+from .geometry import euler_to_rotmat, rotmat_to_euler  # noqa: F401
 from .geometry import (
     _NOT_A_ROTATION,
     Pose6D,
     _are_rotations,
     _compose,
     _euler_to_rotmat,
+    _rotmat_to_euler,
     _wrap_angle,
-    euler_to_rotmat,
-    rotmat_to_euler,
     wrap_angle,
     wrap_angles,
 )
@@ -68,6 +68,7 @@ __all__ = [
 METHODS = ("vo_only", "vo_scene", "vo_regression", "vo_hybrid")
 
 _TRAJ_HEADER = "#crossview-traj-v1"
+_TRAJ_COLUMNS = "t x y z psi theta phi dpx dpy dpz dpsi dtheta dphi".split()
 # Stream tags keep the trajectory and drift generators apart.
 _TRAJ_STREAM = 1_000_003
 _VO_STREAM = 1_000_033
@@ -213,6 +214,8 @@ def _trusted_increments(dp: np.ndarray, dR: np.ndarray) -> list[VoIncrement]:
 
     One batched check stands in for VoIncrement's per-object one: every dp
     finite, and geometry's stacked rotation check, ``_are_rotations``, on dR.
+    ``gen_trajectory``, ``simulate_vo`` and the trajectory reader build their
+    increments here.
     """
     if not np.isfinite(dp).all():
         raise ValueError("dp must be a finite 3-vector")
@@ -382,8 +385,9 @@ def run_experiment(cfg: SimConfig, tile_set: TileSet, seed: int) -> ExperimentRe
 
 def _check_distance_model(cfg: SimConfig, tile_set: TileSet) -> None:
     """ValueError unless every squared gap between this flight's estimates
-    and the grid is finite, and ConfigError unless every feature distance a
-    matcher can draw on them is; a refusal names the grid or the dominant key.
+    and the grid, and the scored sum of their squared errors, is finite, and
+    ConfigError unless every feature distance a matcher can draw on them is;
+    a refusal names the grid or the dominant key.
 
     Every normal draw lies below _MAX_JITTER in magnitude. The camera's ground
     point lies within length_m + (alt_base_m + alt_amp_m) tan(MAX_TILT_DEG) of
@@ -391,7 +395,10 @@ def _check_distance_model(cfg: SimConfig, tile_set: TileSet) -> None:
     match's gap is at most their sum. Over n frames a dead-reckoned estimate
     strays at most |1 + vo_scale_error| length_m + _MAX_JITTER sqrt(2)
     (n vo_pos_noise_m + n^2 vo_bias_walk_m); k_nearest's query, an estimate,
-    lies within that reach plus the matches' gap.
+    lies within that reach plus the matches' gap. With the truth within
+    length_m of the start and alt_base_m + alt_amp_m of the ground, n squared
+    3-D errors sum to at most 3n (reach + length_m + alt_base_m + alt_amp_m)^2,
+    which also bounds k_nearest's dx^2 + dy^2.
     """
     corner = math.hypot(
         max(abs(tile_set.x_min), abs(tile_set.x_max)), max(abs(tile_set.y_min), abs(tile_set.y_max))
@@ -405,14 +412,15 @@ def _check_distance_model(cfg: SimConfig, tile_set: TileSet) -> None:
         "vo_bias_walk_m": per_step * n * n * cfg.vo_bias_walk_m,
     }
     reach = sum(drift.values()) + gap
-    if not math.isfinite(2.0 * reach * reach):  # k_nearest's dx^2 + dy^2
+    err = reach + cfg.length_m + cfg.alt_base_m + cfg.alt_amp_m
+    if not math.isfinite(3.0 * n * err * err):
         name = max(drift, key=drift.get)
         if drift[name] <= corner:
             x, y = (tile_set.x_min, tile_set.x_max), (tile_set.y_min, tile_set.y_max)
             raise ValueError(f"tile grid x {x}, y {y} lies too far from the flight to square its gaps")
         raise ConfigError(
             f"{name} lets the dead-reckoned track stray too far to square its gaps to the tile"
-            f" grid: it can reach {reach:g} m from the start"
+            f" grid and its errors against the truth: it can reach {reach:g} m from the start"
         )
     slope, jitter = cfg.d_slope * gap, cfg.d_jitter * _MAX_JITTER
     if not math.isfinite(cfg.d0 + slope + jitter):
@@ -446,7 +454,8 @@ def _pose_columns(t: float, p: Pose6D) -> str:
 
 
 def _increment_columns(inc: VoIncrement) -> str:
-    return " ".join(map(repr, (*inc.dp.tolist(), *rotmat_to_euler(inc.dR))))
+    # A VoIncrement's dR was checked when it was built, and nothing mutates it.
+    return " ".join(map(repr, (*inc.dp.tolist(), *_rotmat_to_euler(inc.dR.tolist()))))
 
 
 # Every estimate row ends with these columns: "0.0 0.0 0.0 0.0 -0.0 0.0".
@@ -471,23 +480,31 @@ def save_estimates(path: str, times: list[float], poses: list[Pose6D]) -> None:
 
 
 def load_trajectory(path: str) -> list[TrajectoryFrame]:
-    """Parse a file written by :func:`save_trajectory`; errors carry path:line."""
+    """Parse a file written by :func:`save_trajectory`; errors carry path:line.
+
+    Each row is checked once, a non-finite value naming its column; the
+    increments are then built in bulk, as the flight builders build theirs.
+    """
     return read_rows(path, _TRAJ_HEADER, _parse_frames)
 
 
 def _parse_frames(rows) -> list[TrajectoryFrame]:
-    frames = []
+    times, truth, dps, angles = [], [], [], []
     for tokens in rows:
         if len(tokens) != 13:
             raise ValueError(f"expected 13 columns, got {len(tokens)}")
         v = [float(tok) for tok in tokens]
-        if not math.isfinite(v[0]):
-            raise ValueError(f"t must be finite, got {v[0]!r}")
-        inc = VoIncrement(np.array(v[7:10]), euler_to_rotmat(v[10], v[11], v[12]))
-        frames.append(TrajectoryFrame(v[0], Pose6D(*v[1:7]), inc))
-    if not frames:
+        if not all(map(math.isfinite, v)):
+            name, value = next((c, x) for c, x in zip(_TRAJ_COLUMNS, v) if not math.isfinite(x))
+            raise ValueError(f"{name} must be finite, got {value!r}")
+        times.append(v[0])
+        truth.append(Pose6D(*v[1:7]))
+        dps.append(v[7:10])
+        angles.append(v[10:13])
+    if not times:
         raise ValueError("file contains no frames")
-    return frames
+    increments = _trusted_increments(np.array(dps), _rotations(angles))
+    return list(map(TrajectoryFrame, times, truth, increments))
 
 
 def summary_table(summaries: dict[str, RmseSummary], fmt) -> list[str]:

@@ -261,7 +261,15 @@ def test_run_rejects_a_grid_too_far_to_square(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "key, value", [("vo_pos_noise_m", 1e306), ("vo_bias_walk_m", 1e305), ("vo_scale_error", 1e306)]
+    "key, value",
+    [
+        ("vo_pos_noise_m", 1e306),
+        ("vo_bias_walk_m", 1e305),
+        ("vo_scale_error", 1e306),
+        # run once scored this drift as inf: the squared gaps are finite, the
+        # sum of 1000 squared errors is not
+        ("vo_scale_error", 2e150),
+    ],
 )
 def test_run_refuses_vo_drift_too_far_to_square_before_flying(tmp_path, capsys, tile_file, key, value):
     # simulate takes each; run once ended in an OverflowError from k_nearest.

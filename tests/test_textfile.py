@@ -1,13 +1,16 @@
 """The shared versioned-text reader/writer and the two formats built on it."""
 
 import struct
+from dataclasses import astuple
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crossview.config import ConfigError, SimConfig, load_config
-from crossview.sim import gen_trajectory, load_trajectory, save_trajectory
+from crossview.estimator import VoIncrement
+from crossview.geometry import Pose6D, euler_to_rotmat
+from crossview.sim import TrajectoryFrame, gen_trajectory, load_trajectory, save_trajectory
 from crossview.textfile import FileFormatError, read_rows
 from crossview.tiles import (
     TileSet,
@@ -76,11 +79,28 @@ def poisoned_timestamp(path):
     return load, lineno, 0  # column 0 is t
 
 
+def poisoned_dp(path):
+    load, lineno, _ = poisoned_trajectory(path)
+    return load, lineno, 7  # column 7 is dpx
+
+
+def poisoned_rotation(path):
+    load, lineno, _ = poisoned_trajectory(path)
+    return load, lineno, 10  # column 10 is dpsi
+
+
 @pytest.mark.parametrize(
-    "write", [poisoned_tiles, poisoned_trajectory, poisoned_timestamp],
-    ids=["tiles", "trajectory", "trajectory_t"],
+    "write, message",
+    [
+        (poisoned_tiles, "must be finite"),
+        (poisoned_trajectory, "x must be finite"),
+        (poisoned_timestamp, "t must be finite"),
+        (poisoned_dp, "dpx must be finite"),
+        (poisoned_rotation, "dpsi must be finite"),
+    ],
+    ids=["tiles", "trajectory", "trajectory_t", "trajectory_dp", "trajectory_dR"],
 )
-def test_nan_value_reports_its_line(tmp_path, write):
+def test_nan_value_reports_its_line(tmp_path, write, message):
     path = str(tmp_path / "data.txt")
     load, lineno, column = write(path)
     load(path)  # the untouched file loads
@@ -95,6 +115,7 @@ def test_nan_value_reports_its_line(tmp_path, write):
         load(path)
     assert str(err.value).startswith(f"{path}:{lineno}: ")
     assert "nan" in str(err.value) or "finite" in str(err.value)
+    assert message in str(err.value)  # the bad column names itself
 
 
 @pytest.mark.parametrize("t", ["inf", "-inf"])
@@ -170,3 +191,34 @@ def test_tile_file_round_trips_floats_bit_exactly(tmp_path_factory, x, y, spacin
     assert flat(back) == flat(tile_set)
     # the one tile sits where the grid formula puts it (-0.0 + 0 * s is 0.0)
     assert flat(back)[5:] == [bits(x + 0 * spacing), bits(y + 0 * spacing)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    rows=st.lists(
+        st.tuples(values, st.tuples(*[values] * 6), st.tuples(*[values] * 3), st.tuples(*[values] * 3)),
+        min_size=1,
+        max_size=4,
+    )
+)
+def test_trajectory_file_round_trips_and_rebuilds_each_rotation(tmp_path_factory, rows):
+    # The reader builds its increments in bulk; each must be the checked
+    # per-row one: t, pose and dp bit-exact, dR euler_to_rotmat of the row's
+    # angle columns, byte for byte.
+    path = tmp_path_factory.getbasetemp() / "flight.txt"
+    frames = [
+        TrajectoryFrame(t, Pose6D(*pose), VoIncrement(dp, euler_to_rotmat(*angles)))
+        for t, pose, dp, angles in rows
+    ]
+    save_trajectory(path, frames)
+    back = load_trajectory(path)
+    assert len(back) == len(frames)
+    columns = [line.split() for line in path.read_text().splitlines()[1:]]
+
+    def flat(f):
+        return [bits(v) for v in (f.t, *astuple(f.truth), *f.vo_increment.dp)]
+
+    for frame, loaded, row in zip(frames, back, columns):
+        assert flat(loaded) == flat(frame)
+        rebuilt = euler_to_rotmat(*map(float, row[10:13]))
+        assert loaded.vo_increment.dR.tobytes() == rebuilt.tobytes()
