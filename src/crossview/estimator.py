@@ -14,10 +14,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import add
 
 import numpy as np
 
-from .fusion import FusedMeasurement
+from .fusion import FusedMeasurement, _block_entries, _block_matrix
 from .geometry import _NOT_A_ROTATION, Pose6D, compose_increment, is_rotation_matrix, wrap_angle
 
 __all__ = [
@@ -36,6 +37,9 @@ OBSERVATION_MATRIX = np.hstack([np.eye(5), np.zeros((5, 1))])
 _COND_LIMIT = 1e12
 # How far P and M may be from symmetric, and M's least eigenvalue below 0.
 _SYMMETRY_TOL = 1e-9
+_NOT_PSD = "measurement covariance must be positive semidefinite"
+_ILL_CONDITIONED = f"innovation covariance condition number exceeds {_COND_LIMIT:g}"
+_NOT_FINITE = "corrected covariance is not finite"
 
 
 @dataclass(frozen=True)
@@ -115,43 +119,33 @@ def correct(state: FilterState, measurement: FusedMeasurement) -> FilterState:
     Innovation y = z - H X with the heading and tilt components wrapped,
     gain K = P H^T (M + H P H^T)^-1, covariance P <- (I - K H) P symmetrized.
     Raises if the measurement covariance is not symmetric PSD or leaves the
-    innovation covariance ill-conditioned.
+    innovation covariance ill-conditioned. Exactly symmetric P and M that are
+    0.0 off their blocks take :func:`_correct_blocks`; others, LAPACK's form.
     """
     M = np.asarray(measurement.M, dtype=float)
     if M.shape != (5, 5) or not np.isfinite(M).all():
         raise ValueError("measurement covariance must be a finite 5x5 matrix")
     if np.abs(M - M.T).max() > _SYMMETRY_TOL:
         raise ValueError("measurement covariance must be symmetric")
-    pose, P = _correct(state.pose, state.P, measurement.z_vector(), M)
-    return FilterState(pose, P)
-
-
-def _correct(pose: Pose6D, P: np.ndarray, z, M: np.ndarray) -> tuple[Pose6D, np.ndarray]:
-    """The kernel of :func:`correct`: the new pose and 6x6 covariance.
-
-    P is a finite symmetric 6x6 array, z the 5 measured values and M a finite
-    symmetric 5x5 array (a FilterState's and a fused measurement's, or
-    :func:`fusion._fuse_rows`' output). Only the data-dependent checks are
-    made here: M is PSD, S is well conditioned, and the new P is finite; it
-    is symmetric by construction, and the pose is a checked Pose6D.
-
-    H = [I5 | 0] only selects, so H P H^T is P[:5, :5], P H^T is P[:, :5],
-    H X is X[:5] and I - K H is the identity less K in its first five
-    columns: the same bits as the products, without them.
-    """
+    pose, P, z = state.pose, state.P, measurement.z_vector()
+    P9, M8 = _block_entries(P), _block_entries(M)
+    if np.array_equal(P, _block_matrix(P9)) and np.array_equal(M, _block_matrix(M8)):
+        pose, P9 = _correct_blocks(pose, P9, z.tolist(), M8)
+        return FilterState(pose, _block_matrix(P9))
+    # H = [I5 | 0] only selects, so H P H^T is P[:5, :5], P H^T is P[:, :5],
+    # H X is X[:5] and I - K H is the identity less K in its first five
+    # columns: the same bits as the products, without them.
     # eigvalsh sorts ascending, so [0] is the smallest eigenvalue.
     if np.linalg.eigvalsh(M)[0] < -_SYMMETRY_TOL:
-        raise ValueError("measurement covariance must be positive semidefinite")
-    X = np.array([pose.x, pose.y, pose.z, pose.psi, pose.theta, pose.phi])
+        raise ValueError(_NOT_PSD)
+    X = state_vector(state)
     S = M + P[:5, :5]
     # np.linalg.cond(S): the ratio of the largest to the smallest singular
     # value, infinite when the smallest is 0 or the SVD gives nan.
     s_max, *_, s_min = np.linalg.svd(S, compute_uv=False).tolist()
     if not (s_min > 0.0 and s_max / s_min <= _COND_LIMIT):
-        raise np.linalg.LinAlgError(
-            f"innovation covariance condition number exceeds {_COND_LIMIT:g}"
-        )
-    innovation = np.array(z) - X[:5]
+        raise np.linalg.LinAlgError(_ILL_CONDITIONED)
+    innovation = z - X[:5]
     innovation[3] = wrap_angle(innovation[3])
     innovation[4] = wrap_angle(innovation[4])
     K = np.linalg.solve(S.T, P[:, :5].T).T
@@ -161,5 +155,55 @@ def _correct(pose: Pose6D, P: np.ndarray, z, M: np.ndarray) -> tuple[Pose6D, np.
     P_new = I_KH @ P
     P_new = 0.5 * (P_new + P_new.T)
     if not np.isfinite(P_new).all():
-        raise ValueError("corrected covariance is not finite")
-    return Pose6D(*updated[:3], *map(wrap_angle, updated[3:])), P_new
+        raise ValueError(_NOT_FINITE)
+    return FilterState(Pose6D(*updated[:3], *map(wrap_angle, updated[3:])), P_new)
+
+
+def _correct_blocks(pose: Pose6D, P9, z, M8) -> tuple[Pose6D, tuple[float, ...]]:
+    """:func:`correct` on P's and M's blocks (``fusion._block_matrix``) in plain
+    floats, so no BLAS sets its bits: the new pose and P9. One ``eigvalsh`` of
+    [M_pos, S_pos] runs correct's gates; an indefinite S_pos raises. Position:
+    S = L L^T (Cholesky, Golub & Van Loan 4.2), K = P S^-1, x += K y and
+    P <- (I - K) P, off-diagonals averaged; psi, theta: gain p / (p + m)."""
+    pxx, pxy, pxz, pyy, pyz, pzz, pp, pt, pf = P9
+    mxx, mxy, mxz, myy, myz, mzz, mp, mt = M8
+    sxx, sxy, sxz, syy, syz, szz, sp, st = map(add, P9, M8)
+    (m0, _, _), (s0, s1, s2) = np.linalg.eigvalsh(np.array(
+        [mxx, mxy, mxz, mxy, myy, myz, mxz, myz, mzz, sxx, sxy, sxz, sxy, syy, syz, sxz, syz, szz]
+    ).reshape(2, 3, 3)).tolist()
+    if min(m0, mp, mt) < -_SYMMETRY_TOL:
+        raise ValueError(_NOT_PSD)
+    # An S that overflowed has nan eigenvalues; s0 leads, so min and max keep it.
+    s_abs = (abs(s0), abs(s1), abs(s2), abs(sp), abs(st))
+    s_max, s_min = max(s_abs), min(s_abs)
+    if not (s_min > 0.0 and s_max / s_min <= _COND_LIMIT):
+        raise np.linalg.LinAlgError(_ILL_CONDITIONED)
+    if s0 < 0.0:
+        raise np.linalg.LinAlgError("innovation covariance must be positive definite")
+    l11 = math.sqrt(sxx)
+    l21, l31 = sxy / l11, sxz / l11
+    l22 = math.sqrt(syy - l21 * l21)
+    l32 = (syz - l31 * l21) / l22
+    l33 = math.sqrt(szz - l31 * l31 - l32 * l32)
+    # Row i of K = P S^-1 solves S k = P's column i (P, S symmetric): L, then L^T.
+    e0, e1, e2 = z[0] - pose.x, z[1] - pose.y, z[2] - pose.z
+    cols, X, A = ((pxx, pxy, pxz), (pxy, pyy, pyz), (pxz, pyz, pzz)), [], []
+    for (b0, b1, b2), x in zip(cols, (pose.x, pose.y, pose.z)):
+        w0 = b0 / l11
+        w1 = (b1 - l21 * w0) / l22
+        k2 = (b2 - l31 * w0 - l32 * w1) / l33 / l33
+        k1 = (w1 - l32 * k2) / l22
+        k0 = (w0 - l21 * k1 - l31 * k2) / l11
+        X.append(x + (k0 * e0 + k1 * e1 + k2 * e2))
+        A.append((b0 - (k0 * pxx + k1 * pxy + k2 * pxz),
+                  b1 - (k0 * pxy + k1 * pyy + k2 * pyz),
+                  b2 - (k0 * pxz + k1 * pyz + k2 * pzz)))
+    (a00, a01, a02), (a10, a11, a12), (a20, a21, a22) = A
+    kp, kt = pp / sp, pt / st
+    P9 = (a00, 0.5 * (a01 + a10), 0.5 * (a02 + a20), a11, 0.5 * (a12 + a21), a22,
+          (1.0 - kp) * pp, (1.0 - kt) * pt, pf)
+    if not all(map(math.isfinite, P9)):
+        raise ValueError(_NOT_FINITE)
+    psi = pose.psi + kp * wrap_angle(z[3] - pose.psi)
+    theta = pose.theta + kt * wrap_angle(z[4] - pose.theta)
+    return Pose6D(*X, *map(wrap_angle, (psi, theta, pose.phi))), P9

@@ -27,6 +27,8 @@ from .geometry import _wrap_angle
 __all__ = ["COVARIANCE_RIDGE", "FusedMeasurement", "fuse"]
 
 COVARIANCE_RIDGE = 1e-6
+# (rows, columns) of a block covariance's entries: xx xy xz yy yz zz, variances.
+_BLOCK = [0, 0, 0, 1, 1, 2, 3, 4, 5], [0, 1, 2, 1, 2, 2, 3, 4, 5]
 
 
 @dataclass(frozen=True, eq=False)
@@ -71,8 +73,8 @@ def fuse(results, fallback_variances) -> FusedMeasurement:
     result is exactly permutation invariant.
     """
     rows = [(r.d, r.tile_id, *r.p_hat, r.psi_hat, r.theta_hat) for r in results]
-    z, M = _fuse_rows(rows, _checked_fallback(fallback_variances))
-    return FusedMeasurement(np.array(z[:3]), z[3], z[4], M)
+    z, M8 = _fuse_rows(rows, _checked_fallback(fallback_variances))
+    return FusedMeasurement(np.array(z[:3]), z[3], z[4], _block_matrix(M8))
 
 
 def _checked_fallback(variances) -> tuple[float, ...]:
@@ -83,18 +85,31 @@ def _checked_fallback(variances) -> tuple[float, ...]:
     return tuple(v.tolist())
 
 
-def _fuse_rows(rows, fallback: tuple[float, ...] | None) -> tuple[list[float], np.ndarray]:
-    """The kernel of :func:`fuse`: (z, M) from a matcher's plain rows.
+def _block_matrix(b) -> np.ndarray:
+    """M's 5x5 (8 entries b) or P's 6x6 (9), symmetric and 0.0 off the blocks."""
+    rows, cols = _BLOCK[0][: len(b)], _BLOCK[1][: len(b)]
+    A = np.zeros((len(b) - 3,) * 2)
+    A[rows, cols] = A[cols, rows] = b
+    return A
+
+
+def _block_entries(A: np.ndarray) -> tuple[float, ...]:
+    """The inverse of :func:`_block_matrix`: A's block entries as plain floats."""
+    return tuple(A[_BLOCK[0][: len(A) + 3], _BLOCK[1][: len(A) + 3]].tolist())
+
+
+def _fuse_rows(rows, fallback: tuple[float, ...] | None) -> tuple[list[float], tuple[float, ...]]:
+    """The kernel of :func:`fuse`: (z, M8) from a matcher's plain rows.
 
     rows are (d, tile_id, x, y, z, psi, theta) tuples with psi in (-180, 180]
     and theta clamped, as a backend's ``_match_rows`` builds them; fallback
     is :func:`_checked_fallback`'s, read for a lone row only. z is
-    [x, y, z, psi, theta]. Rows sort by (d, tile_id) and every sum runs left
-    to right over them in plain floats: no BLAS call, no numpy reduction and
-    no builtin ``sum`` (compensated since Python 3.12), so the bits depend on
-    neither the BLAS kernel nor the interpreter. A row that overflowed (an
-    infinite d, a non-finite position or angle) raises ValueError rather than
-    weigh in silently.
+    [x, y, z, psi, theta], M8 M's :func:`_block_matrix` entries. Rows sort by
+    (d, tile_id) and every sum runs left to right over them in plain floats:
+    no BLAS call, no numpy reduction and no builtin ``sum`` (compensated since
+    Python 3.12), so the bits depend on neither the BLAS kernel nor the
+    interpreter. A row that overflowed (an infinite d, a non-finite position
+    or angle) raises ValueError rather than weigh in silently.
     """
     rows = sorted(rows)
     if not rows:
@@ -147,11 +162,4 @@ def _fuse_rows(rows, fallback: tuple[float, ...] | None) -> tuple[list[float], n
     if not all(map(math.isfinite, (*z, cxx, cxy, cxz, cyy, cyz, czz, crr, ctt))):
         raise ValueError("fused measurement is not finite")
     ridge = COVARIANCE_RIDGE
-    M = np.array([
-        [cxx + ridge, cxy, cxz, 0.0, 0.0],
-        [cxy, cyy + ridge, cyz, 0.0, 0.0],
-        [cxz, cyz, czz + ridge, 0.0, 0.0],
-        [0.0, 0.0, 0.0, crr + ridge, 0.0],
-        [0.0, 0.0, 0.0, 0.0, ctt + ridge],
-    ])
-    return z, M
+    return z, (cxx + ridge, cxy, cxz, cyy + ridge, cyz, czz + ridge, crr + ridge, ctt + ridge)

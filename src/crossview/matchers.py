@@ -141,9 +141,11 @@ def _check_seed(seed: int) -> int:
 def _philox_at(seed: int):
     """at(frame, slot): a Philox generator keyed by seed, set to counter [0, 0, slot, frame]."""
     rng = np.random.Generator(np.random.Philox(key=_check_seed(seed)))
-    # A fresh state (empty buffer, counter zero); each call changes only the
-    # counter's top two words and loads the whole state back.
+    # A fresh state (empty buffer, counter zero) whose arrays, as int lists, load
+    # fast; each call changes only the counter's top two words and loads it back.
     state = rng.bit_generator.state
+    state["state"] = {k: v.tolist() for k, v in state["state"].items()}
+    state["buffer"] = state["buffer"].tolist()
     counter = state["state"]["counter"]
 
     def at(frame: int, slot: int) -> np.random.Generator:

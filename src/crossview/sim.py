@@ -30,8 +30,8 @@ from .config import MAX_TILT_DEG, ConfigError, SimConfig
 # predict, correct and fuse are the references _run_pipelines' kernels
 # reproduce, euler_to_rotmat and rotmat_to_euler those of the trajectory
 # reader and writer; perfbench/tracing.py wraps each of them as sim.<name>.
-from .estimator import FilterState, ProcessNoise, VoIncrement, _correct, correct, predict  # noqa: F401
-from .fusion import _checked_fallback, _fuse_rows, fuse  # noqa: F401
+from .estimator import FilterState, VoIncrement, _correct_blocks, correct, predict  # noqa: F401
+from .fusion import _block_entries, _block_matrix, _checked_fallback, _fuse_rows, fuse  # noqa: F401
 from .geometry import euler_to_rotmat, rotmat_to_euler  # noqa: F401
 from .geometry import (
     _NOT_A_ROTATION,
@@ -260,8 +260,11 @@ def path_length(truth: list[Pose6D]) -> float:
 
 def _score(estimates: list[Pose6D], truth: np.ndarray, length: float) -> RmseSummary:
     # truth: _columns of a trajectory as long as estimates, length its path length.
-    err = _columns(estimates) - truth
-    pos_rmse = float(np.sqrt(np.mean(np.sum(err[:, :3] ** 2, axis=1))))
+    with np.errstate(over="ignore"):
+        err = _columns(estimates) - truth
+        pos_rmse = float(np.sqrt(np.mean(np.sum(err[:, :3] ** 2, axis=1))))
+    if not math.isfinite(pos_rmse):
+        raise ValueError("position errors too large to score: their mean square overflows")
     psi_err = wrap_angles(err[:, 3])
     theta_err = wrap_angles(err[:, 4])
     return RmseSummary(
@@ -276,7 +279,7 @@ def rmse(estimates: list[Pose6D], truth: list[Pose6D]) -> RmseSummary:
     """Compare an estimated trajectory against truth, frame by frame.
 
     Angle residuals are wrapped, so an estimate at -179 deg against a truth
-    of +179 deg counts as 2 degrees of error, not 358.
+    of +179 deg counts as 2 degrees of error, not 358. An overflow raises.
     """
     if len(estimates) != len(truth):
         raise ValueError(
@@ -324,8 +327,9 @@ def _run_pipelines(
     get the same UavObservation. Returns one (pose per frame, final 6x6
     covariance) per backend. Frames and increments were checked when built,
     so each step runs :func:`predict`'s kernel, ``geometry._compose``, on all
-    poses at once and adds Q to the (m, 6, 6) covariances; a correction runs
-    the kernels of ``match_frame``, :func:`fuse` and :func:`correct`, which
+    poses at once and adds q to the variances of each P, held as its nine
+    block entries (``fusion._block_matrix``); a correction runs the kernels of
+    ``match_frame``, :func:`fuse` and :func:`correct`'s block branch, which
     make the checks that depend on the data. At k_candidates = 1, which
     leaves no scatter, each backend's ``_lone_variances`` on this grid stand
     in, checked once here.
@@ -337,27 +341,28 @@ def _run_pipelines(
         if b is not None and cfg.k_candidates == 1 else None
         for b in backends
     ]
-    Q = ProcessNoise(np.full(6, cfg.process_noise_var)).matrix
+    q = float(cfg.process_noise_var)
     start = FilterState.initial(frames[0].truth, cfg.init_cov_var)
     poses = [start.pose] * len(backends)
-    Ps = np.array([start.P] * len(backends))
+    P9s = [_block_entries(start.P)] * len(backends)
     tracks = [[start.pose] for _ in backends]
     stride = cfg.correction_stride
     for i in range(1, len(frames)):
         inc = increments[i]
         poses = _compose(poses, inc.dp.tolist(), inc.dR)
-        Ps += Q
+        P9s = [(xx + q, xy, xz, yy + q, yz, zz + q, pp + q, pt + q, pf + q)
+               for xx, xy, xz, yy, yz, zz, pp, pt, pf in P9s]
         if i % stride == 0:
             obs = UavObservation(i, frames[i].truth)
             for j, backend in enumerate(backends):
                 if backend is not None:
                     pose = poses[j]
                     candidates = k_nearest(tile_set, (pose.x, pose.y), cfg.k_candidates)
-                    z, M = _fuse_rows(backend._match_rows(obs, candidates), lone[j])
-                    poses[j], Ps[j] = _correct(pose, Ps[j], z, M)
+                    z, M8 = _fuse_rows(backend._match_rows(obs, candidates), lone[j])
+                    poses[j], P9s[j] = _correct_blocks(pose, P9s[j], z, M8)
         for track, pose in zip(tracks, poses):
             track.append(pose)
-    return list(zip(tracks, Ps))
+    return [(track, _block_matrix(P9)) for track, P9 in zip(tracks, P9s)]
 
 
 def run_experiment(cfg: SimConfig, tile_set: TileSet, seed: int) -> ExperimentResult:

@@ -1,6 +1,7 @@
 """CLI subcommands, exercised through cli.main with tmp_path outputs."""
 
 import math
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -127,6 +128,25 @@ def test_eval_missing_file(tmp_path, capsys):
     rc = main(["eval", "--est", str(tmp_path / "no.txt"), "--truth", str(tmp_path / "no.txt")])
     assert rc == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_eval_refuses_errors_whose_square_overflows(tmp_path, small_cfg, capsys):
+    """An estimate 1e200 m off squares past the float range: eval exits 2
+    with an error line, where it printed inf (and a RuntimeWarning) and exited 0."""
+    truth = tmp_path / "flight.txt"
+    assert main(["simulate", "--config", small_cfg, "--out", str(truth)]) == 0
+    header, first, *rest = truth.read_text().splitlines()
+    t, _, *columns = first.split()
+    far = tmp_path / "far.txt"
+    far.write_text("\n".join([header, " ".join([t, "1e200", *columns]), *rest]) + "\n")
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["eval", "--est", str(far), "--truth", str(truth)])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and "overflows" in captured.err
 
 
 def test_losses_self_test(capsys):

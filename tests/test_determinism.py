@@ -7,6 +7,7 @@ moves any output bit fails here. Re-pin only on purpose, and record why.
 """
 
 import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -37,17 +38,17 @@ GOLDEN = {
         "summary.csv": "d5698e2c6b2eb03e89645ca773816d3f013d5856825b6b0699e09e4e2391c881",
         "truth.txt": "0e182074181e69005599c9dd95fe2f899bebaeca935000f5ef1c0452fa6f4ec3",
         "vo_only.txt": "c740eae628b59270deb60f793e1a5195e61446021596659859f608cf3092cf0e",
-        "vo_scene.txt": "48a9f50cd41764768d174d9f41c609b5ca81dc6a671b5d29b0cfa8e99fd3d625",
-        "vo_regression.txt": "d94a0f77b7caa67ae98b3bbe1e82d77c8318931152ae73416e825180a85266c0",
-        "vo_hybrid.txt": "3e4da277fb8a8f20d0bb92ff20da748023eda48437d0be448f63438e686afee8",
+        "vo_scene.txt": "b40358fea8640278552625934b402aadece4c6ea59cd7d430db3b22a19e20e59",
+        "vo_regression.txt": "757aa8832c4a832c1286a5ab57569e7b5c85d2f51b594252e2c59cdd7a89cb57",
+        "vo_hybrid.txt": "8d98acaeed7fa6c4421b8e24c4f5e284bf7a26e59357f52e1484e527e5f13ef1",
     },
     "dense_outliers": {
-        "summary.csv": "db538b7ae6ca85bf1ed8412f3d5b8cb51027c3ab9fc5a615b851bef0d01ebd87",
+        "summary.csv": "1c9d5ba8a66cef808cd944f001cc7343cf29cf61c9d731ea79cbb02bc223915e",
         "truth.txt": "0e182074181e69005599c9dd95fe2f899bebaeca935000f5ef1c0452fa6f4ec3",
         "vo_only.txt": "c740eae628b59270deb60f793e1a5195e61446021596659859f608cf3092cf0e",
-        "vo_scene.txt": "5ef0209c9aa715179878d64a59e0fc937d4158d17c5786a69af71ed33c05f539",
-        "vo_regression.txt": "4f35c82b91c83df2e4a4adb49a43d5ce40f4c790d9e8faa8974134833a8c10b7",
-        "vo_hybrid.txt": "02fd24ffcdfe806be5e3368e0b2291c0122859bca2370511451752423b556eff",
+        "vo_scene.txt": "2e3002f301c9cfa87cf84324fba5abe894d3fa62399074bbb2ceb6387ae5a3e2",
+        "vo_regression.txt": "cf066f3ca1f5fc95aef8438a2fa9ded513cafc251fe3cec2b2177f81eb7b8e98",
+        "vo_hybrid.txt": "f61ca1c185e0effa512a6da7988e5b6c8734c6d9bf71a43adf140a87d5a6efe9",
     },
 }
 
@@ -131,3 +132,44 @@ def test_fuse_is_the_same_under_every_openblas_kernel():
         )
         digests[core] = child.stdout.strip()
     assert len(set(digests.values())) == 1, digests
+
+
+# Reruns both `run` digest configs in a child process and prints their digests.
+RUN_DIGESTS = """
+import contextlib, hashlib, io, json, pathlib, sys, tempfile
+from crossview.cli import main
+
+configs, files = json.loads(sys.argv[1]), json.loads(sys.argv[2])
+digests = {}
+with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
+    tmp = pathlib.Path(tmp)
+    tiles = str(tmp / "tiles.txt")
+    assert main(["gen-tiles", "--bounds", "-800", "800", "-800", "800", "--out", tiles]) == 0
+    for name, text in configs.items():
+        cfg, out = tmp / (name + ".cfg"), tmp / name
+        cfg.write_text(text)
+        argv = ["run", "--config", str(cfg), "--tiles", tiles, "--seed", "5", "--out", str(out)]
+        assert main(argv) == 0
+        digests[name] = {f: hashlib.sha256((out / f).read_bytes()).hexdigest() for f in files}
+print(json.dumps(digests))
+"""
+
+
+@pytest.mark.skipif(
+    not _dynamic_arch_openblas(),
+    reason="numpy's BLAS is not a DYNAMIC_ARCH OpenBLAS, so OPENBLAS_CORETYPE picks no kernel",
+)
+@pytest.mark.parametrize("core", ["Haswell", "SkylakeX"])
+def test_run_outputs_are_the_same_under_fma_openblas_kernels(core):
+    """The filter loop's correction runs in plain floats, so the `run` bytes
+    are GOLDEN's under each FMA kernel. Prescott is left out: the builders'
+    and predict's stacked 3x3 np.matmul still take its kernel's bits."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(crossview.__file__)))
+    env = dict(os.environ, OPENBLAS_CORETYPE=core)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    args = [json.dumps(CONFIGS), json.dumps(RUN_FILES)]
+    child = subprocess.run(
+        [sys.executable, "-c", RUN_DIGESTS, *args], env=env, capture_output=True, text=True,
+        check=True,
+    )
+    assert json.loads(child.stdout) == GOLDEN

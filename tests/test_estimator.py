@@ -1,5 +1,6 @@
 """Kalman filter tests: literal-algebra oracle, hand cases, consistency."""
 
+import re
 import warnings
 
 import numpy as np
@@ -8,17 +9,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from crossview.config import SimConfig
+from crossview.config import MAX_TILT_DEG, SimConfig
 from crossview.estimator import (
     OBSERVATION_MATRIX,
     FilterState,
     ProcessNoise,
     VoIncrement,
+    _correct_blocks,
     correct,
     predict,
     state_vector,
 )
-from crossview.fusion import FusedMeasurement, fuse
+from crossview.fusion import FusedMeasurement, _block_entries, _block_matrix, fuse
 from crossview.geometry import Pose6D, euler_to_rotmat, wrap_angle
 from crossview.matchers import MatchResult, match_variances
 
@@ -339,6 +341,104 @@ def test_correct_matches_literal_algebra():
             got[i] = X_ref[i]
         np.testing.assert_allclose(got, X_ref, atol=1e-9)
         np.testing.assert_allclose(out.P, 0.5 * (P_ref + P_ref.T), atol=1e-9)
+
+
+# --- correct: the block form against the general form ---------------------
+
+
+def general_form(state, fused):
+    """correct's general LAPACK branch on the same values: one subnormal
+    off-block entry in P, far below anything it can move, routes it there."""
+    P = state.P.copy()
+    P[0, 5] = P[5, 0] = 5e-324
+    return correct(FilterState(state.pose, P), fused)
+
+
+def random_spd3(rng, scale):
+    """A 3x3 SPD block with eigenvalues in [0.5, 2] x scale, randomly turned."""
+    Q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+    return (Q * rng.uniform(0.5, 2.0, size=3)) @ Q.T * scale
+
+
+def block_state(rng, psi, p_scale):
+    P = np.zeros((6, 6))
+    P[:3, :3] = random_spd3(rng, p_scale)
+    P[3:, 3:] = np.diag(rng.uniform(0.5, 2.0, size=3) * p_scale)
+    P = 0.5 * (P + P.T)
+    x, y, z = rng.uniform(-500.0, 500.0, size=3)
+    pose = Pose6D(x, y, 150.0 + z, psi, float(rng.uniform(0.0, 45.0)), float(rng.uniform(-10, 10)))
+    return FilterState(pose, P)
+
+
+scales = st.sampled_from([1e-6, 1e-2, 1.0, 1e2, 1e4])
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), p_scale=scales, m_scale=scales, lone=st.booleans(),
+       psi=near_seam, z_psi=near_seam)
+def test_block_form_agrees_with_general_form(seed, p_scale, m_scale, lone, psi, z_psi):
+    """The loop's plain-float kernel and correct's LAPACK form, on block
+    inputs: within 1e-12 of the inputs' scale, pose and P. That is the error
+    scale of the (I - K) P form, whose cancellation both forms share."""
+    rng = np.random.default_rng(seed)
+    state = block_state(rng, psi, p_scale)
+    p_bar = np.array([state.pose.x, state.pose.y, state.pose.z]) + rng.normal(0.0, 30.0, size=3)
+    if lone:  # k = 1: the hybrid lone-candidate variances, plus the ridge
+        M = fuse([MatchResult(5.0, p_bar, z_psi, 10.0, 0)], HYBRID).M
+    else:
+        M = np.zeros((5, 5))
+        M[:3, :3] = random_spd3(rng, m_scale)
+        M[3:, 3:] = np.diag(rng.uniform(0.5, 2.0, size=2) * m_scale)
+        M = 0.5 * (M + M.T)
+    fused = FusedMeasurement(p_bar, z_psi, float(rng.uniform(0.0, 45.0)), M)
+    pose, P9 = _correct_blocks(state.pose, _block_entries(state.P), fused.z_vector().tolist(),
+                               _block_entries(M))
+    want = general_form(state, fused)
+    scale = max(np.abs(state.P).max(), np.abs(M).max())
+    np.testing.assert_allclose(_block_matrix(P9), want.P, rtol=0.0, atol=1e-12 * scale)
+    reach = max(np.abs(p_bar).max(), np.abs(want.pose.position).max())
+    np.testing.assert_allclose(pose.position, want.pose.position, rtol=0.0, atol=1e-12 * reach)
+    for name in ("psi", "theta", "phi"):
+        assert abs(wrap_angle(getattr(pose, name) - getattr(want.pose, name))) <= 1e-12 * 180.0
+    assert correct(state, fused).P.tobytes() == _block_matrix(P9).tobytes()
+
+
+@pytest.mark.parametrize(
+    "P, M",
+    [
+        (np.eye(6), np.diag([1.0, 1.0, 1.0, 1.0, -0.5])),
+        (np.eye(6), np.diag([1.0, -0.5, 1.0, 1.0, 1.0])),
+        (np.eye(6) * 1e-14, np.diag([1.0, 1.0, 1.0, 1.0, 0.0])),
+        (np.eye(6) * 1e-14, np.diag([0.0, 1.0, 1.0, 1.0, 1.0])),
+        (np.zeros((6, 6)), np.diag([1.0, 1.0, 1.0, 1.0, 0.0])),
+        (np.zeros((6, 6)), np.zeros((5, 5))),
+    ],
+    ids=["indefinite-theta", "indefinite-y", "ill-theta", "ill-x", "singular", "zero"],
+)
+def test_block_form_gates_as_general_form(P, M):
+    state, fused = state_at(P=P), measurement(np.zeros(5), M)
+    with pytest.raises((ValueError, np.linalg.LinAlgError)) as general:
+        general_form(state, fused)
+    with pytest.raises(general.type, match=f"^{re.escape(str(general.value))}$"):
+        _correct_blocks(state.pose, _block_entries(P), [0.0] * 5, _block_entries(M))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    theta=st.floats(-90.0, 90.0, exclude_min=True, exclude_max=True),
+    z_theta=st.floats(0.0, MAX_TILT_DEG),
+    p=st.floats(1e-12, 1e12),
+    m=st.floats(0.0, 1e12),
+)
+def test_tilt_update_stays_inside_plus_minus_90(theta, z_theta, p, m):
+    """The scalar theta update is a convex combination of theta and the
+    matched tilt, up to rounding, so it never crosses +/-90, where the Euler
+    round trip would flip the heading."""
+    pose = Pose6D(0.0, 0.0, 150.0, 0.0, theta, 0.0)
+    P9, M8 = (p, 0.0, 0.0, p, 0.0, p, p, p, p), (m, 0.0, 0.0, m, 0.0, m, m, m)
+    out, _ = _correct_blocks(pose, P9, [0.0, 0.0, 150.0, 0.0, z_theta], M8)
+    assert -90.0 < out.theta < 90.0
+    assert min(theta, z_theta) - 1e-12 <= out.theta <= max(theta, z_theta) + 1e-12
 
 
 # --- predict/correct loop -------------------------------------------------

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from crossview import sim
+from crossview import estimator, sim
 from crossview.config import ConfigError, SimConfig
 from crossview.estimator import FilterState, ProcessNoise, VoIncrement, correct, predict
 from crossview.fusion import fuse
@@ -649,6 +649,25 @@ def test_lockstep_pipelines_equal_public_reference():
     runs = _run_pipelines(frames, increments, [backends[m] for m in METHODS], cfg, tiles)
     for method, got in zip(METHODS, runs):
         assert_same_run(got, reference_pipeline(frames, increments, backends[method], cfg, tiles))
+
+
+def test_reference_takes_the_block_branch_of_correct():
+    """Every P the public calls make on the dense-outlier flight stays
+    block-diagonal, so each correction takes correct's plain-float block
+    branch: the loop tests above tie the loop to that branch, not to LAPACK."""
+    cfg = small_config(correction_hz=20.0, outlier_prob=0.2, k_candidates=16)
+    frames = gen_trajectory(cfg, seed=8)
+    increments = simulate_vo(frames, cfg, seed=8)
+    tiles = tiles_for(frames)
+    backend = _make_backends(cfg, 8)["vo_hybrid"]
+    blocks = mock.Mock(side_effect=estimator._correct_blocks)
+    with mock.patch.object(estimator, "_correct_blocks", blocks):
+        _, P = reference_pipeline(frames, increments, backend, cfg, tiles)
+    assert blocks.call_count == (len(frames) - 1) // cfg.correction_stride
+    off_block = np.ones((6, 6), dtype=bool)
+    off_block[:3, :3] = False
+    off_block[range(6), range(6)] = False
+    assert P[off_block].tolist() == [0.0] * 24
 
 
 class AskedTiles:
