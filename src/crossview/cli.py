@@ -74,9 +74,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
-    est = [f.truth for f in load_trajectory(args.est)]
-    truth = [f.truth for f in load_trajectory(args.truth)]
-    summary = rmse(est, truth)
+    est, truth = load_trajectory(args.est), load_trajectory(args.truth)
+    for i, (e, t) in enumerate(zip(est, truth)):
+        if e.t != t.t:
+            raise ValueError(f"{args.est}: frame {i} is at t={e.t!r} but the truth is at t={t.t!r}")
+    summary = rmse([f.truth for f in est], [f.truth for f in truth])
     for f in fields(summary):
         print(f"{f.name} {getattr(summary, f.name)!r}")
     return 0

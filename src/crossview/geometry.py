@@ -112,24 +112,22 @@ def euler_to_rotmat(psi: float, theta: float, phi: float) -> np.ndarray:
     Angles are degrees. The result is orthonormal to machine precision.
     """
     _require_finite(psi=psi, theta=theta, phi=phi)
-    return np.array(_euler_to_rotmat(psi, theta, phi))
+    return np.array(_euler_to_rotmat(psi, theta, phi)).reshape(3, 3)
 
 
-def _euler_to_rotmat(psi: float, theta: float, phi: float) -> list[list[float]]:
-    # Unchecked kernel of euler_to_rotmat, as plain rows, for callers whose
-    # angles are already known finite (a validated Pose6D, or a kernel's own
-    # output); callers stack the rows of many frames into one array.
-    cz = math.cos(math.radians(psi))
-    sz = math.sin(math.radians(psi))
-    cy = math.cos(math.radians(theta))
-    sy = math.sin(math.radians(theta))
-    cx = math.cos(math.radians(phi))
-    sx = math.sin(math.radians(phi))
-    return [
-        [cz * cy, cz * sy * sx - sz * cx, cz * sy * cx + sz * sx],
-        [sz * cy, sz * sy * sx + cz * cx, sz * sy * cx - cz * sx],
-        [-sy, cy * sx, cy * cx],
-    ]
+def _euler_to_rotmat(psi: float, theta: float, phi: float) -> tuple[float, ...]:
+    # Unchecked kernel of euler_to_rotmat: R's nine entries, row-major, as one
+    # flat tuple, for callers whose angles are already known finite (a
+    # validated Pose6D, or a kernel's own output).
+    z, y, x = math.radians(psi), math.radians(theta), math.radians(phi)
+    cz, sz = math.cos(z), math.sin(z)
+    cy, sy = math.cos(y), math.sin(y)
+    cx, sx = math.cos(x), math.sin(x)
+    return (
+        cz * cy, cz * sy * sx - sz * cx, cz * sy * cx + sz * sx,
+        sz * cy, sz * sy * sx + cz * cx, sz * sy * cx - cz * sx,
+        -sy, cy * sx, cy * cx,
+    )
 
 
 def is_rotation_matrix(R: np.ndarray) -> bool:
@@ -159,13 +157,14 @@ def rotmat_to_euler(R: np.ndarray) -> tuple[float, float, float]:
     R = np.asarray(R, dtype=float)
     if not is_rotation_matrix(R):
         raise ValueError(f"R {_NOT_A_ROTATION}")
-    return _rotmat_to_euler(R.tolist())
+    return _rotmat_to_euler(R.ravel().tolist())
 
 
-def _rotmat_to_euler(rows: list[list[float]]) -> tuple[float, float, float]:
-    # Unchecked kernel of rotmat_to_euler, on a matrix's plain rows (R.tolist())
-    # already known to be a rotation (validated, or a product of validated ones).
-    (r00, r01, _), (r10, r11, _), (r20, r21, r22) = rows
+def _rotmat_to_euler(r) -> tuple[float, float, float]:
+    # Unchecked kernel of rotmat_to_euler, on a matrix's nine entries in
+    # row-major order (R.ravel().tolist()), already known to be a rotation
+    # (validated, or a product of validated ones). r[2] and r[5] go unread.
+    r00, r01, _, r10, r11, _, r20, r21, r22 = r
     sy = math.hypot(r00, r10)
     if sy < _GIMBAL_EPS:
         theta = math.copysign(90.0, -r20)
@@ -242,15 +241,24 @@ def compose_increment(pose: Pose6D, dp: np.ndarray, dR: np.ndarray) -> Pose6D:
     dR = np.asarray(dR, dtype=float)
     if not is_rotation_matrix(dR):
         raise ValueError(f"dR {_NOT_A_ROTATION}")
-    return _compose([pose], dp.tolist(), dR)[0]
+    return _compose([pose], dp.tolist(), dR.ravel().tolist())[0]
 
 
-def _compose(poses: list[Pose6D], dp: list[float], dR: np.ndarray) -> list[Pose6D]:
-    # Unchecked kernel of compose_increment: one increment, dp as 3 plain
-    # floats and dR a rotation, applied to each pose, their rotations stacked
-    # into one matmul. The product of two rotations needs no re-check.
+def _compose(poses: list[Pose6D], dp: list[float], dR: list[float]) -> list[Pose6D]:
+    # Unchecked kernel of compose_increment: dp's 3 and a rotation dR's nine
+    # row-major floats applied to each pose in plain floats. Of dR @ R it forms
+    # the seven entries _rotmat_to_euler reads, each summed left to right, so
+    # the bits match on every machine; a product of rotations needs no check.
     dx, dy, dz = dp
-    rows = np.matmul(dR, np.array([_euler_to_rotmat(*p.angles) for p in poses])).tolist()
-    return [
-        Pose6D(p.x + dx, p.y + dy, p.z + dz, *_rotmat_to_euler(r)) for p, r in zip(poses, rows)
-    ]
+    a00, a01, a02, a10, a11, a12, a20, a21, a22 = dR
+    out = []
+    for p in poses:
+        b00, b01, b02, b10, b11, b12, b20, b21, b22 = _euler_to_rotmat(p.psi, p.theta, p.phi)
+        angles = _rotmat_to_euler((
+            a00 * b00 + a01 * b10 + a02 * b20, a00 * b01 + a01 * b11 + a02 * b21, None,
+            a10 * b00 + a11 * b10 + a12 * b20, a10 * b01 + a11 * b11 + a12 * b21, None,
+            a20 * b00 + a21 * b10 + a22 * b20, a20 * b01 + a21 * b11 + a22 * b21,
+            a20 * b02 + a21 * b12 + a22 * b22,
+        ))
+        out.append(Pose6D(p.x + dx, p.y + dy, p.z + dz, *angles))
+    return out

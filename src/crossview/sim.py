@@ -13,9 +13,10 @@ makes batch runs byte-reproducible.
 
 The 20 Hz work is trusted: a SimConfig is valid once built, and the flight
 builders check their stacked increments once, keeping the bits of the
-per-frame form. The filter loop runs the kernels of the public calls, which
-are those kernels plus their boundary checks: ``geometry._compose`` predicts,
-and the matcher, fusion and correction kernels correct on plain rows.
+per-frame form, and multiply rotations in one fixed order, ``_products``.
+The filter loop runs the kernels of the public calls, which are those
+kernels plus their boundary checks: ``geometry._compose`` predicts in plain
+floats, and the matcher, fusion and correction kernels correct on plain rows.
 """
 
 from __future__ import annotations
@@ -161,7 +162,7 @@ def gen_trajectory(cfg: SimConfig, seed: int) -> list[TrajectoryFrame]:
         positions.append((x, y, z))
     Rs = _rotations(pose.angles for pose in truth)
     increments = [VoIncrement.identity()] + _trusted_increments(
-        np.diff(np.array(positions), axis=0), np.matmul(Rs[1:], Rs[:-1].transpose(0, 2, 1))
+        np.diff(np.array(positions), axis=0), _products(Rs[1:], Rs[:-1].transpose(0, 2, 1))
     )
     return list(map(TrajectoryFrame, times, truth, increments))
 
@@ -195,7 +196,7 @@ def simulate_vo(
         true_dp = np.array([f.vo_increment.dp for f in block])
         dp = (1.0 + cfg.vo_scale_error) * true_dp + draws[:, 3:6] * cfg.vo_pos_noise_m + bias
         noise_R = _rotations((draws[:, 6:9] * cfg.vo_rot_noise_deg).tolist())
-        dR = np.matmul(noise_R, np.array([f.vo_increment.dR for f in block]))
+        dR = _products(noise_R, np.array([f.vo_increment.dR for f in block]))
         out += _trusted_increments(dp, dR)
     return out
 
@@ -205,8 +206,18 @@ def _rotations(angles) -> np.ndarray:
 
     Streamed into the array, so n matrices' Python floats never coexist.
     """
-    values = chain.from_iterable(chain.from_iterable(_euler_to_rotmat(*a) for a in angles))
+    values = chain.from_iterable(_euler_to_rotmat(*a) for a in angles)
     return np.fromiter(values, float).reshape(-1, 3, 3)
+
+
+def _products(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """A[i] @ B[i] for two (n, 3, 3) stacks, each entry a0*b0 + a1*b1 + a2*b2
+    summed left to right by elementwise ufuncs no BLAS kernel can fuse or
+    reorder: the plain-float formula's bits on every machine."""
+    out = A[:, :, 0, None] * B[:, None, 0, :]
+    for k in (1, 2):
+        out += A[:, :, k, None] * B[:, None, k, :]
+    return out
 
 
 def _trusted_increments(dp: np.ndarray, dR: np.ndarray) -> list[VoIncrement]:
@@ -326,13 +337,13 @@ def _run_pipelines(
     frames, before any takes frame i + 1; at a correction frame all backends
     get the same UavObservation. Returns one (pose per frame, final 6x6
     covariance) per backend. Frames and increments were checked when built,
-    so each step runs :func:`predict`'s kernel, ``geometry._compose``, on all
-    poses at once and adds q to the variances of each P, held as its nine
-    block entries (``fusion._block_matrix``); a correction runs the kernels of
-    ``match_frame``, :func:`fuse` and :func:`correct`'s block branch, which
-    make the checks that depend on the data. At k_candidates = 1, which
-    leaves no scatter, each backend's ``_lone_variances`` on this grid stand
-    in, checked once here.
+    so each step runs :func:`predict`'s kernel, ``geometry._compose``, in
+    plain floats on all poses at once, and adds q to the variances of each P,
+    held as its nine block entries (``fusion._block_matrix``); a correction
+    runs the kernels of ``match_frame``, :func:`fuse` and :func:`correct`'s
+    block branch, which make the checks that depend on the data. At
+    k_candidates = 1, which leaves no scatter, each backend's
+    ``_lone_variances`` on this grid stand in, checked once here.
     """
     if len(increments) != len(frames):
         raise ValueError(f"{len(increments)} increments for {len(frames)} frames")
@@ -349,7 +360,7 @@ def _run_pipelines(
     stride = cfg.correction_stride
     for i in range(1, len(frames)):
         inc = increments[i]
-        poses = _compose(poses, inc.dp.tolist(), inc.dR)
+        poses = _compose(poses, inc.dp.tolist(), inc.dR.ravel().tolist())
         P9s = [(xx + q, xy, xz, yy + q, yz, zz + q, pp + q, pt + q, pf + q)
                for xx, xy, xz, yy, yz, zz, pp, pt, pf in P9s]
         if i % stride == 0:
@@ -460,7 +471,7 @@ def _pose_columns(t: float, p: Pose6D) -> str:
 
 def _increment_columns(inc: VoIncrement) -> str:
     # A VoIncrement's dR was checked when it was built, and nothing mutates it.
-    return " ".join(map(repr, (*inc.dp.tolist(), *_rotmat_to_euler(inc.dR.tolist()))))
+    return " ".join(map(repr, (*inc.dp.tolist(), *_rotmat_to_euler(inc.dR.ravel().tolist()))))
 
 
 # Every estimate row ends with these columns: "0.0 0.0 0.0 0.0 -0.0 0.0".

@@ -130,6 +130,22 @@ def test_eval_missing_file(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_eval_refuses_frames_at_other_times(tmp_path, small_cfg, capsys):
+    """A 10 Hz flight against a 20 Hz truth of as many frames: eval exits 2
+    naming the first frame whose time differs, where it scored the pair."""
+    truth, est = tmp_path / "truth.txt", tmp_path / "est.txt"
+    slow = tmp_path / "slow.cfg"
+    slow.write_text(SMALL_CFG.replace("duration_s = 50", "duration_s = 100") + "rate_hz = 10\n")
+    assert main(["simulate", "--config", small_cfg, "--out", str(truth)]) == 0
+    assert main(["simulate", "--config", str(slow), "--out", str(est)]) == 0
+    assert len(load_trajectory(str(est))) == len(load_trajectory(str(truth))) == 1000
+    capsys.readouterr()
+    assert main(["eval", "--est", str(est), "--truth", str(truth)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {est}: frame 1 is at t=0.1 but the truth is at t=0.05\n"
+
+
 def test_eval_refuses_errors_whose_square_overflows(tmp_path, small_cfg, capsys):
     """An estimate 1e200 m off squares past the float range: eval exits 2
     with an error line, where it printed inf (and a RuntimeWarning) and exited 0."""

@@ -1,9 +1,10 @@
 """Pinned sha256 digests of the files `crossview run` and `simulate` write.
 
-The README promises byte-identical output run to run on one BLAS kernel.
-These digests hold that promise against every later change: a refactor that
-moves any output bit fails here. Re-pin only on purpose, and record why.
-`fuse` is held to more: the same bits under every OpenBLAS kernel.
+The README promises byte-identical output run to run and machine to
+machine. These digests hold that promise against every later change: a
+refactor that moves any output bit fails here. Re-pin only on purpose, and
+record why. Child processes check that `fuse`, `run` and `simulate` give the
+same bits under three OpenBLAS kernels, one without FMA and two with it.
 """
 
 import hashlib
@@ -35,26 +36,26 @@ CONFIGS = {"base": BASE_CONFIG, "dense_outliers": BASE_CONFIG + DENSE_OUTLIERS}
 
 GOLDEN = {
     "base": {
-        "summary.csv": "d5698e2c6b2eb03e89645ca773816d3f013d5856825b6b0699e09e4e2391c881",
-        "truth.txt": "0e182074181e69005599c9dd95fe2f899bebaeca935000f5ef1c0452fa6f4ec3",
-        "vo_only.txt": "c740eae628b59270deb60f793e1a5195e61446021596659859f608cf3092cf0e",
-        "vo_scene.txt": "b40358fea8640278552625934b402aadece4c6ea59cd7d430db3b22a19e20e59",
-        "vo_regression.txt": "757aa8832c4a832c1286a5ab57569e7b5c85d2f51b594252e2c59cdd7a89cb57",
-        "vo_hybrid.txt": "8d98acaeed7fa6c4421b8e24c4f5e284bf7a26e59357f52e1484e527e5f13ef1",
+        "summary.csv": "c47392105ef713f39e37fea60a9687b6182663fdddff3c083e4882b974d43538",
+        "truth.txt": "809a31d79fc8c20cef0bcee2e8f91e15c8f8f10ea73a2fdd0a8afcd96488f859",
+        "vo_only.txt": "47d4615be8c85229518ce1dc763e6c805fdc34e01be0639af879195d3e29768d",
+        "vo_scene.txt": "4a78d88c9dedae23cc69df72b07dac03a00fe78d18b6b49368b9651cd20a3130",
+        "vo_regression.txt": "4c63d97bb8a3f95a4715a810480bcd0ca0f76549b6c07cd5448fd75e45278336",
+        "vo_hybrid.txt": "32fa92845fe037485aa0f531b2447c4c075e89559967a9076c00c4891dd3c7c9",
     },
     "dense_outliers": {
-        "summary.csv": "1c9d5ba8a66cef808cd944f001cc7343cf29cf61c9d731ea79cbb02bc223915e",
-        "truth.txt": "0e182074181e69005599c9dd95fe2f899bebaeca935000f5ef1c0452fa6f4ec3",
-        "vo_only.txt": "c740eae628b59270deb60f793e1a5195e61446021596659859f608cf3092cf0e",
-        "vo_scene.txt": "2e3002f301c9cfa87cf84324fba5abe894d3fa62399074bbb2ceb6387ae5a3e2",
-        "vo_regression.txt": "cf066f3ca1f5fc95aef8438a2fa9ded513cafc251fe3cec2b2177f81eb7b8e98",
-        "vo_hybrid.txt": "f61ca1c185e0effa512a6da7988e5b6c8734c6d9bf71a43adf140a87d5a6efe9",
+        "summary.csv": "5f6ab9367b8a230304b18a819e5021705afa9d9dd6544f52d036bb67398ed0ba",
+        "truth.txt": "809a31d79fc8c20cef0bcee2e8f91e15c8f8f10ea73a2fdd0a8afcd96488f859",
+        "vo_only.txt": "47d4615be8c85229518ce1dc763e6c805fdc34e01be0639af879195d3e29768d",
+        "vo_scene.txt": "93b5090c46697c2944daeeb2caf22512dfed03e2b9b7766c9f45ea7b26e40719",
+        "vo_regression.txt": "233dcff6624c5f88a664dbac499ac396bb5f2e3fdc4d192d88e1176f818c8abc",
+        "vo_hybrid.txt": "85a5b96b4a9e2eb38177ef8d8e673ccecde5b1d4fc58f1d4663325f19e12f058",
     },
 }
 
 
 # `simulate` of the base config, seed 5: truth poses and drifting VO columns.
-SIMULATE_GOLDEN = "3e86fd80c6e0f9832465a5941967ed8c90b609a3d3a5ed3f67bb1ae203224aec"
+SIMULATE_GOLDEN = "72fe4771f46944657a6b6d1f2d09248ad5dc42ee28a9e532448611c8d9c41b0d"
 
 
 @pytest.fixture(scope="module")
@@ -134,8 +135,9 @@ def test_fuse_is_the_same_under_every_openblas_kernel():
     assert len(set(digests.values())) == 1, digests
 
 
-# Reruns both `run` digest configs in a child process and prints their digests.
-RUN_DIGESTS = """
+# Reruns both `run` digest configs and the `simulate` one in a child process
+# and prints their digests.
+OUTPUT_DIGESTS = """
 import contextlib, hashlib, io, json, pathlib, sys, tempfile
 from crossview.cli import main
 
@@ -151,6 +153,10 @@ with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringI
         argv = ["run", "--config", str(cfg), "--tiles", tiles, "--seed", "5", "--out", str(out)]
         assert main(argv) == 0
         digests[name] = {f: hashlib.sha256((out / f).read_bytes()).hexdigest() for f in files}
+    flight = tmp / "flight.txt"
+    argv = ["simulate", "--config", str(tmp / "base.cfg"), "--seed", "5", "--out", str(flight)]
+    assert main(argv) == 0
+    digests["simulate"] = hashlib.sha256(flight.read_bytes()).hexdigest()
 print(json.dumps(digests))
 """
 
@@ -159,17 +165,18 @@ print(json.dumps(digests))
     not _dynamic_arch_openblas(),
     reason="numpy's BLAS is not a DYNAMIC_ARCH OpenBLAS, so OPENBLAS_CORETYPE picks no kernel",
 )
-@pytest.mark.parametrize("core", ["Haswell", "SkylakeX"])
-def test_run_outputs_are_the_same_under_fma_openblas_kernels(core):
-    """The filter loop's correction runs in plain floats, so the `run` bytes
-    are GOLDEN's under each FMA kernel. Prescott is left out: the builders'
-    and predict's stacked 3x3 np.matmul still take its kernel's bits."""
+@pytest.mark.parametrize("core", ["Prescott", "Haswell", "SkylakeX"])
+def test_outputs_are_the_same_under_every_openblas_kernel(core):
+    """Predict, the flight builders' rotation products and the correction all
+    run in plain floats or fixed-order elementwise numpy, so the `run` bytes
+    are GOLDEN's and the `simulate` bytes SIMULATE_GOLDEN's under each
+    kernel: Prescott without FMA, Haswell and SkylakeX with it."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(crossview.__file__)))
     env = dict(os.environ, OPENBLAS_CORETYPE=core)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     args = [json.dumps(CONFIGS), json.dumps(RUN_FILES)]
     child = subprocess.run(
-        [sys.executable, "-c", RUN_DIGESTS, *args], env=env, capture_output=True, text=True,
+        [sys.executable, "-c", OUTPUT_DIGESTS, *args], env=env, capture_output=True, text=True,
         check=True,
     )
-    assert json.loads(child.stdout) == GOLDEN
+    assert json.loads(child.stdout) == {**GOLDEN, "simulate": SIMULATE_GOLDEN}

@@ -407,6 +407,30 @@ def _bits(pose):
     return np.array(astuple(pose)).tobytes()
 
 
+def plain_matmul(A, B):
+    """A @ B of two 3x3 matrices in plain floats, each entry a0*b0 + a1*b1 +
+    a2*b2 summed left to right: the product the kernels promise, on any BLAS."""
+    a, b = np.asarray(A).tolist(), np.asarray(B).tolist()
+    return np.array(
+        [[a[i][0] * b[0][j] + a[i][1] * b[1][j] + a[i][2] * b[2][j] for j in range(3)] for i in range(3)]
+    )
+
+
+def assert_compose_kernel_is_the_product(poses, dp, dR):
+    """_compose gives each pose compose_increment's bits and those of the
+    left-to-right product dR @ R, which lies within 1e-15 of BLAS's."""
+    got = _compose(poses, dp, dR.ravel().tolist())
+    assert len(got) == len(poses)
+    for pose, out in zip(poses, got):
+        assert _bits(out) == _bits(compose_increment(pose, np.array(dp), dR))
+        p = [pose.x + dp[0], pose.y + dp[1], pose.z + dp[2]]
+        R = euler_to_rotmat(*pose.angles)
+        product = plain_matmul(dR, R)
+        np.testing.assert_allclose(product, dR @ R, rtol=0.0, atol=1e-15)
+        assert _bits(out) == _bits(Pose6D(*p, *rotmat_to_euler(product)))
+    return got
+
+
 @settings(max_examples=300, deadline=None)
 @given(
     poses=st.lists(_pose, min_size=1, max_size=4),
@@ -414,13 +438,26 @@ def _bits(pose):
     angles=st.tuples(_heading, _tilt, _heading),
 )
 def test_compose_kernel_equals_compose_increment_bitwise(poses, dp, angles):
-    """The loop's stacked predict gives each pose compose_increment's bits,
-    and those of the plain 2-D product dR @ R."""
-    dR = euler_to_rotmat(*angles)
-    got = _compose(poses, dp, dR)
-    assert len(got) == len(poses)
+    """The loop's predict kernel, on plain floats, is the matrix product."""
+    assert_compose_kernel_is_the_product(poses, dp, euler_to_rotmat(*angles))
+
+
+# Tilts within 1e-9 deg of +/-90: hypot(R00, R10) is below _GIMBAL_EPS.
+_gimbal_tilt = st.one_of(st.floats(90.0 - 1e-9, 90.0), st.floats(-90.0, -90.0 + 1e-9))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    poses=st.lists(
+        st.builds(Pose6D, *[st.floats(-1e6, 1e6)] * 3, _heading, _gimbal_tilt, _heading),
+        min_size=1, max_size=4,
+    ),
+    dp=st.lists(st.floats(-100.0, 100.0), min_size=3, max_size=3),
+    heading=_heading,
+)
+def test_compose_kernel_through_the_gimbal_branch(poses, dp, heading):
+    """A heading increment keeps a tilt at +/-90 there, so each pose takes
+    the gimbal branch: phi folds into psi and is 0."""
+    got = assert_compose_kernel_is_the_product(poses, dp, euler_to_rotmat(heading, 0.0, 0.0))
     for pose, out in zip(poses, got):
-        assert _bits(out) == _bits(compose_increment(pose, np.array(dp), dR))
-        p = [pose.x + dp[0], pose.y + dp[1], pose.z + dp[2]]
-        R = dR @ euler_to_rotmat(*pose.angles)
-        assert _bits(out) == _bits(Pose6D(*p, *rotmat_to_euler(R)))
+        assert out.phi == 0.0 and out.theta == math.copysign(90.0, pose.theta)

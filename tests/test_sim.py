@@ -13,7 +13,7 @@ from crossview import estimator, sim
 from crossview.config import ConfigError, SimConfig
 from crossview.estimator import FilterState, ProcessNoise, VoIncrement, correct, predict
 from crossview.fusion import fuse
-from crossview.geometry import Pose6D, euler_to_rotmat, wrap_angle
+from crossview.geometry import Pose6D, euler_to_rotmat, rotmat_to_euler, wrap_angle
 from crossview.matchers import UavObservation, match_variances
 from crossview.sim import (
     _make_backends,
@@ -33,6 +33,7 @@ from crossview.sim import (
     write_summary,
 )
 from crossview.tiles import TileSet, generate_grid, k_nearest
+from test_geometry import plain_matmul
 
 
 NO_DRIFT = dict(vo_scale_error=0.0, vo_pos_noise_m=0.0, vo_rot_noise_deg=0.0, vo_bias_walk_m=0.0)
@@ -50,9 +51,7 @@ def dead_reckon(start, increments):
     for inc in increments[1:]:
         R = euler_to_rotmat(*poses[-1].angles)
         p = poses[-1].position + inc.dp
-        R_new = inc.dR @ R
-        from crossview.geometry import rotmat_to_euler
-
+        R_new = plain_matmul(inc.dR, R)
         psi, theta, phi = rotmat_to_euler(R_new)
         poses.append(Pose6D(p[0], p[1], p[2], psi, theta, phi))
     return poses
@@ -207,7 +206,7 @@ def reference_gen_trajectory(cfg, seed):
         if i == 0:
             inc = VoIncrement.identity()
         else:
-            inc = VoIncrement(pose.position - frames[-1].truth.position, R @ R_prev.T)
+            inc = VoIncrement(pose.position - frames[-1].truth.position, plain_matmul(R, R_prev.T))
         frames.append(TrajectoryFrame(t, pose, inc))
         R_prev = R
     return frames
@@ -225,7 +224,7 @@ def reference_simulate_vo(frames, cfg, seed):
         rot_noise = rng.standard_normal(3) * cfg.vo_rot_noise_deg
         true_inc = frame.vo_increment
         dp = (1.0 + cfg.vo_scale_error) * true_inc.dp + pos_noise + bias
-        dR = euler_to_rotmat(rot_noise[0], rot_noise[1], rot_noise[2]) @ true_inc.dR
+        dR = plain_matmul(euler_to_rotmat(rot_noise[0], rot_noise[1], rot_noise[2]), true_inc.dR)
         out.append(VoIncrement(dp, dR))
     return out
 
