@@ -17,11 +17,15 @@ from dataclasses import fields, replace
 
 from .config import SimConfig, describe_defaults, load_config
 from .losses import gradient_self_test
+# eval scores columns and calls neither; perfbench/tracing.py still wraps
+# both as cli.<name>.
+from .sim import load_trajectory, rmse  # noqa: F401
 from .sim import (
     METHODS,
+    _path_length,
+    _read_trajectory,
+    _score,
     gen_trajectory,
-    load_trajectory,
-    rmse,
     run_experiment,
     save_estimates,
     save_trajectory,
@@ -74,11 +78,16 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
-    est, truth = load_trajectory(args.est), load_trajectory(args.truth)
-    for i, (e, t) in enumerate(zip(est, truth)):
-        if e.t != t.t:
-            raise ValueError(f"{args.est}: frame {i} is at t={e.t!r} but the truth is at t={t.t!r}")
-    summary = rmse([f.truth for f in est], [f.truth for f in truth])
+    est, truth = _read_trajectory(args.est), _read_trajectory(args.truth)
+    for i, (a, b) in enumerate(zip(est[:, 0].tolist(), truth[:, 0].tolist())):
+        if a != b:
+            raise ValueError(f"{args.est}: frame {i} is at t={a!r} but the truth is at t={b!r}")
+    if len(est) != len(truth):
+        raise ValueError(f"{args.est}: {len(est)} frames but the truth {args.truth} has {len(truth)}")
+    length = _path_length(truth[:, 1:6])
+    if length == 0.0:
+        raise ValueError(f"{args.truth}: the truth path has zero length, so pos_pct is undefined")
+    summary = _score(est[:, 1:6], truth[:, 1:6], length)
     for f in fields(summary):
         print(f"{f.name} {getattr(summary, f.name)!r}")
     return 0

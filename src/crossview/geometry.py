@@ -90,8 +90,13 @@ def wrap_angle(angle: float) -> float:
 
 
 def _wrap_angle(angle: float) -> float:
-    # Unchecked kernel of wrap_angle, for angles already known finite.
-    wrapped = float(angle) % 360.0
+    # Unchecked kernel of wrap_angle, for angles already known finite. An
+    # angle in range is returned as it is (+ 0.0 turns -0.0 into 0.0): a
+    # negative x % 360.0 rounds at the scale of 360, which moves it.
+    angle = float(angle)
+    if -180.0 < angle <= 180.0:
+        return angle + 0.0
+    wrapped = angle % 360.0
     if wrapped > 180.0:
         wrapped -= 360.0
     return wrapped
@@ -103,7 +108,8 @@ def wrap_angles(angles: np.ndarray) -> np.ndarray:
     if not np.all(np.isfinite(arr)):
         raise ValueError("angles must be finite")
     wrapped = np.mod(arr, 360.0)
-    return np.where(wrapped > 180.0, wrapped - 360.0, wrapped)
+    wrapped = np.where(wrapped > 180.0, wrapped - 360.0, wrapped)
+    return np.where((arr > -180.0) & (arr <= 180.0), arr + 0.0, wrapped)
 
 
 def euler_to_rotmat(psi: float, theta: float, phi: float) -> np.ndarray:

@@ -269,10 +269,11 @@ def path_length(truth: list[Pose6D]) -> float:
     return _path_length(_columns(truth))
 
 
-def _score(estimates: list[Pose6D], truth: np.ndarray, length: float) -> RmseSummary:
-    # truth: _columns of a trajectory as long as estimates, length its path length.
+def _score(est: np.ndarray, truth: np.ndarray, length: float) -> RmseSummary:
+    # est, truth: (n, 5) columns x, y, z, psi, theta of two equally long
+    # trajectories; length: the truth's path length.
     with np.errstate(over="ignore"):
-        err = _columns(estimates) - truth
+        err = est - truth
         pos_rmse = float(np.sqrt(np.mean(np.sum(err[:, :3] ** 2, axis=1))))
     if not math.isfinite(pos_rmse):
         raise ValueError("position errors too large to score: their mean square overflows")
@@ -299,7 +300,7 @@ def rmse(estimates: list[Pose6D], truth: list[Pose6D]) -> RmseSummary:
     if not truth:
         raise ValueError("trajectory is empty")
     columns = _columns(truth)
-    return _score(estimates, columns, _path_length(columns))
+    return _score(_columns(estimates), columns, _path_length(columns))
 
 
 # --- end-to-end experiment -------------------------------------------------
@@ -395,7 +396,9 @@ def run_experiment(cfg: SimConfig, tile_set: TileSet, seed: int) -> ExperimentRe
     estimates = {method: poses for method, (poses, _) in zip(METHODS, runs)}
     truth = _columns([f.truth for f in frames])
     length = _path_length(truth)
-    summaries = {method: _score(poses, truth, length) for method, poses in estimates.items()}
+    summaries = {
+        method: _score(_columns(poses), truth, length) for method, poses in estimates.items()
+    }
     return ExperimentResult(seed, frames, estimates, summaries)
 
 
@@ -498,29 +501,37 @@ def save_estimates(path: str, times: list[float], poses: list[Pose6D]) -> None:
 def load_trajectory(path: str) -> list[TrajectoryFrame]:
     """Parse a file written by :func:`save_trajectory`; errors carry path:line.
 
-    Each row is checked once, a non-finite value naming its column; the
-    increments are then built in bulk, as the flight builders build theirs.
+    The frames are built from :func:`_read_trajectory`'s checked columns, the
+    increments in bulk, as the flight builders build theirs.
     """
-    return read_rows(path, _TRAJ_HEADER, _parse_frames)
+    columns = _read_trajectory(path)
+    truth = [Pose6D(*row) for row in columns[:, 1:7].tolist()]
+    increments = _trusted_increments(columns[:, 7:10], _rotations(columns[:, 10:13].tolist()))
+    return list(map(TrajectoryFrame, columns[:, 0].tolist(), truth, increments))
 
 
-def _parse_frames(rows) -> list[TrajectoryFrame]:
-    times, truth, dps, angles = [], [], [], []
+def _read_trajectory(path: str) -> np.ndarray:
+    """The (n, 13) columns of a trajectory file, every row checked once.
+
+    A row needs 13 values, each finite; a bad one is named by its column at
+    ``path:line:``. A file without frames is refused.
+    """
+    return read_rows(path, _TRAJ_HEADER, _parse_columns)
+
+
+def _parse_columns(rows) -> np.ndarray:
+    values = []
     for tokens in rows:
         if len(tokens) != 13:
             raise ValueError(f"expected 13 columns, got {len(tokens)}")
-        v = [float(tok) for tok in tokens]
+        v = list(map(float, tokens))
         if not all(map(math.isfinite, v)):
             name, value = next((c, x) for c, x in zip(_TRAJ_COLUMNS, v) if not math.isfinite(x))
             raise ValueError(f"{name} must be finite, got {value!r}")
-        times.append(v[0])
-        truth.append(Pose6D(*v[1:7]))
-        dps.append(v[7:10])
-        angles.append(v[10:13])
-    if not times:
+        values.append(v)
+    if not values:
         raise ValueError("file contains no frames")
-    increments = _trusted_increments(np.array(dps), _rotations(angles))
-    return list(map(TrajectoryFrame, times, truth, increments))
+    return np.array(values)
 
 
 def summary_table(summaries: dict[str, RmseSummary], fmt) -> list[str]:

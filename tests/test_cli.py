@@ -130,6 +130,65 @@ def test_eval_missing_file(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_eval_prints_the_summary_of_run_bit_for_bit(tmp_path, small_cfg, tile_file, capsys):
+    out = tmp_path / "results"
+    argv = ["run", "--config", small_cfg, "--tiles", tile_file, "--seed", "0", "--out", str(out)]
+    assert main(argv) == 0
+    header, *rows = (out / "summary.csv").read_text().splitlines()
+    names = header.split(",")[1:]
+    capsys.readouterr()
+    for row in rows:
+        method, *values = row.split(",")
+        argv = ["eval", "--est", str(out / f"{method}.txt"), "--truth", str(out / "truth.txt")]
+        assert main(argv) == 0
+        printed = [line.split() for line in capsys.readouterr().out.splitlines()]
+        assert printed == [[name, value] for name, value in zip(names, values)], method
+
+
+def test_eval_refuses_a_nan_increment_at_its_line(tmp_path, small_cfg, capsys):
+    truth = tmp_path / "flight.txt"
+    assert main(["simulate", "--config", small_cfg, "--out", str(truth)]) == 0
+    lines = truth.read_text().splitlines()
+    columns = lines[3].split()
+    columns[11] = "nan"  # dtheta
+    lines[3] = " ".join(columns)
+    est = tmp_path / "est.txt"
+    est.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["eval", "--est", str(est), "--truth", str(truth)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {est}:4: dtheta must be finite, got nan\n"
+
+
+def test_eval_refuses_files_of_other_lengths_naming_both(tmp_path, small_cfg, capsys):
+    """Once "trajectory length mismatch: 499 vs 1000", naming neither file."""
+    truth = tmp_path / "flight.txt"
+    assert main(["simulate", "--config", small_cfg, "--out", str(truth)]) == 0
+    est = tmp_path / "est.txt"
+    est.write_text("\n".join(truth.read_text().splitlines()[:500]) + "\n")
+    capsys.readouterr()
+    assert main(["eval", "--est", str(est), "--truth", str(truth)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {est}: 499 frames but the truth {truth} has 1000\n"
+
+
+def test_eval_refuses_a_truth_path_of_zero_length(tmp_path, small_cfg, capsys):
+    """A one-frame flight scored against itself once printed pos_pct inf and exited 0."""
+    flight = tmp_path / "flight.txt"
+    assert main(["simulate", "--config", small_cfg, "--out", str(flight)]) == 0
+    one = tmp_path / "one.txt"
+    one.write_text("\n".join(flight.read_text().splitlines()[:2]) + "\n")
+    capsys.readouterr()
+    assert main(["eval", "--est", str(one), "--truth", str(one)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: {one}: the truth path has zero length, so pos_pct is undefined\n"
+    )
+
+
 def test_eval_refuses_frames_at_other_times(tmp_path, small_cfg, capsys):
     """A 10 Hz flight against a 20 Hz truth of as many frames: eval exits 2
     naming the first frame whose time differs, where it scored the pair."""

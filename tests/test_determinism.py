@@ -36,26 +36,26 @@ CONFIGS = {"base": BASE_CONFIG, "dense_outliers": BASE_CONFIG + DENSE_OUTLIERS}
 
 GOLDEN = {
     "base": {
-        "summary.csv": "c47392105ef713f39e37fea60a9687b6182663fdddff3c083e4882b974d43538",
-        "truth.txt": "809a31d79fc8c20cef0bcee2e8f91e15c8f8f10ea73a2fdd0a8afcd96488f859",
-        "vo_only.txt": "47d4615be8c85229518ce1dc763e6c805fdc34e01be0639af879195d3e29768d",
-        "vo_scene.txt": "4a78d88c9dedae23cc69df72b07dac03a00fe78d18b6b49368b9651cd20a3130",
-        "vo_regression.txt": "4c63d97bb8a3f95a4715a810480bcd0ca0f76549b6c07cd5448fd75e45278336",
-        "vo_hybrid.txt": "32fa92845fe037485aa0f531b2447c4c075e89559967a9076c00c4891dd3c7c9",
+        "summary.csv": "846eda09ee5e9c4ed86fca0ef36b01cb53b39667f86cb016c78288d137629044",
+        "truth.txt": "2a016c9a1091c47479b6e4ee2c6b7155d66a9ae76b25020b981ab5b63a839ba4",
+        "vo_only.txt": "2218d4ce40a710beb14e2c03fb36a2d5327d44ae9ea5466e9b21a6f43895231c",
+        "vo_scene.txt": "481d01eb12adecdb9039703ef5d461cc3a77c0bce18a2f163833957200f1dabf",
+        "vo_regression.txt": "3208cc6251dc51ec8f31149c0fb24a4d1306e19ee4639d5163ec5ed2736faf81",
+        "vo_hybrid.txt": "6484c6a2fad503caaf950b2c2da96237dddc8963cbfd840623f76f3269822f4e",
     },
     "dense_outliers": {
-        "summary.csv": "5f6ab9367b8a230304b18a819e5021705afa9d9dd6544f52d036bb67398ed0ba",
-        "truth.txt": "809a31d79fc8c20cef0bcee2e8f91e15c8f8f10ea73a2fdd0a8afcd96488f859",
-        "vo_only.txt": "47d4615be8c85229518ce1dc763e6c805fdc34e01be0639af879195d3e29768d",
-        "vo_scene.txt": "93b5090c46697c2944daeeb2caf22512dfed03e2b9b7766c9f45ea7b26e40719",
-        "vo_regression.txt": "233dcff6624c5f88a664dbac499ac396bb5f2e3fdc4d192d88e1176f818c8abc",
-        "vo_hybrid.txt": "85a5b96b4a9e2eb38177ef8d8e673ccecde5b1d4fc58f1d4663325f19e12f058",
+        "summary.csv": "e13e7dcba31e50205e01cd27027c98046015e329a88bac6db8a4f3105260bfe0",
+        "truth.txt": "2a016c9a1091c47479b6e4ee2c6b7155d66a9ae76b25020b981ab5b63a839ba4",
+        "vo_only.txt": "2218d4ce40a710beb14e2c03fb36a2d5327d44ae9ea5466e9b21a6f43895231c",
+        "vo_scene.txt": "43d93697fe79865825329dbd49bbc100bdc9d8104288e307ba5396635e26c5f2",
+        "vo_regression.txt": "2ebcb4e70f9450f2af733428c9bb1f5d72e841ceb9c18282547b1db16024aa8d",
+        "vo_hybrid.txt": "f57eb642ecaa2cfd6fa830954495f0a50a4b98ed3352bb0e418aeb3f9e76fa07",
     },
 }
 
 
 # `simulate` of the base config, seed 5: truth poses and drifting VO columns.
-SIMULATE_GOLDEN = "72fe4771f46944657a6b6d1f2d09248ad5dc42ee28a9e532448611c8d9c41b0d"
+SIMULATE_GOLDEN = "5c0317a429a026f22fbd7113487c09f57436cfa4d89e5bed477305786860c849"
 
 
 @pytest.fixture(scope="module")

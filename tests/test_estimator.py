@@ -5,7 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
@@ -430,6 +430,8 @@ def test_block_form_gates_as_general_form(P, M):
     p=st.floats(1e-12, 1e12),
     m=st.floats(0.0, 1e12),
 )
+# Wrapping once moved this theta to -90.0, the gimbal point.
+@example(theta=-89.99999999999997, z_theta=0.0, p=1e-12, m=12667.0)
 def test_tilt_update_stays_inside_plus_minus_90(theta, z_theta, p, m):
     """The scalar theta update is a convex combination of theta and the
     matched tilt, up to rounding, so it never crosses +/-90, where the Euler

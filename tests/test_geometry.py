@@ -53,6 +53,23 @@ def test_wrap_angle_idempotent():
         assert wrap_angle(w) == w
 
 
+@pytest.mark.parametrize("angle", [-0.1, -1e-10, -89.99999999999997])
+def test_wrap_leaves_an_angle_in_range_unmoved(angle):
+    # x % 360.0 rounds at the scale of 360 for negative x: -0.1 came back
+    # as -0.10000000000002274 and -89.99999999999997 as -90.0.
+    assert wrap_angle(angle) == angle
+    assert wrap_angles(np.array([angle]))[0] == angle
+
+
+@given(st.floats(-180.0, 180.0, exclude_min=True))
+@example(-0.0)
+def test_wrap_is_the_identity_on_its_range(angle):
+    expected = 0.0 if angle == 0.0 else angle  # -0.0 wraps to 0.0
+    for wrapped in (wrap_angle(angle), float(wrap_angles(np.array([angle]))[0])):
+        assert math.copysign(1.0, wrapped) == math.copysign(1.0, expected)
+        assert wrapped == expected
+
+
 def test_wrap_angles_matches_scalar():
     rng = np.random.default_rng(12)
     a = rng.uniform(-720.0, 720.0, size=200)
