@@ -51,6 +51,7 @@ from .matchers import (
 from .sim import (
     METHODS,
     ExperimentResult,
+    Flight,
     RmseSummary,
     TrajectoryFrame,
     gen_trajectory,

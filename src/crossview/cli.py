@@ -13,7 +13,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import fields, replace
+from dataclasses import fields
 
 from .config import SimConfig, describe_defaults, load_config
 from .losses import gradient_self_test
@@ -53,11 +53,9 @@ def _cmd_gen_tiles(args: argparse.Namespace) -> int:
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     cfg = _load_config_arg(args.config)
-    frames = gen_trajectory(cfg, args.seed)
-    increments = simulate_vo(frames, cfg, args.seed)
-    noisy = [replace(f, vo_increment=inc) for f, inc in zip(frames, increments)]
-    save_trajectory(args.out, noisy)
-    print(f"wrote {len(noisy)} frames to {args.out}")
+    flight = simulate_vo(gen_trajectory(cfg, args.seed), cfg, args.seed)
+    save_trajectory(args.out, flight)
+    print(f"wrote {len(flight)} frames to {args.out}")
     return 0
 
 
@@ -66,7 +64,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     tile_set = load_tiles(args.tiles)
     result = run_experiment(cfg, tile_set, args.seed)
     os.makedirs(args.out, exist_ok=True)
-    times = [f.t for f in result.frames]
+    times = result.frames.t.tolist()
     save_trajectory(os.path.join(args.out, "truth.txt"), result.frames)
     for method in METHODS:
         save_estimates(

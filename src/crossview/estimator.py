@@ -186,9 +186,10 @@ def _correct_blocks(pose: Pose6D, P9, z, M8) -> tuple[Pose6D, tuple[float, ...]]
     l32 = (syz - l31 * l21) / l22
     l33 = math.sqrt(szz - l31 * l31 - l32 * l32)
     # Row i of K = P S^-1 solves S k = P's column i (P, S symmetric): L, then L^T.
-    e0, e1, e2 = z[0] - pose.x, z[1] - pose.y, z[2] - pose.z
+    x0, y0, z0, psi, theta, phi = pose
+    e0, e1, e2 = z[0] - x0, z[1] - y0, z[2] - z0
     cols, X, A = ((pxx, pxy, pxz), (pxy, pyy, pyz), (pxz, pyz, pzz)), [], []
-    for (b0, b1, b2), x in zip(cols, (pose.x, pose.y, pose.z)):
+    for (b0, b1, b2), x in zip(cols, (x0, y0, z0)):
         w0 = b0 / l11
         w1 = (b1 - l21 * w0) / l22
         k2 = (b2 - l31 * w0 - l32 * w1) / l33 / l33
@@ -204,6 +205,6 @@ def _correct_blocks(pose: Pose6D, P9, z, M8) -> tuple[Pose6D, tuple[float, ...]]
           (1.0 - kp) * pp, (1.0 - kt) * pt, pf)
     if not all(map(math.isfinite, P9)):
         raise ValueError(_NOT_FINITE)
-    psi = pose.psi + kp * wrap_angle(z[3] - pose.psi)
-    theta = pose.theta + kt * wrap_angle(z[4] - pose.theta)
-    return Pose6D(*X, *map(wrap_angle, (psi, theta, pose.phi))), P9
+    psi += kp * wrap_angle(z[3] - psi)
+    theta += kt * wrap_angle(z[4] - theta)
+    return Pose6D(*X, *map(wrap_angle, (psi, theta, phi))), P9

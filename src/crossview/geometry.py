@@ -11,7 +11,8 @@ looks straight down and ``ground_intersection`` reduces to the camera's own
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
+from math import isfinite
 
 import numpy as np
 
@@ -52,35 +53,40 @@ def _require_finite(**values: float) -> None:
             raise ValueError(f"{name} must be finite, got {value!r}")
 
 
-@dataclass(frozen=True)
-class Pose6D:
-    """Camera pose: position in meters plus heading/tilt/roll in degrees."""
+class Pose6D(namedtuple("Pose6D", "x y z psi theta phi", defaults=(0.0,))):
+    """Camera pose: position in meters plus heading/tilt/roll in degrees.
 
-    x: float
-    y: float
-    z: float
-    psi: float
-    theta: float
-    phi: float = 0.0
+    An immutable 6-tuple, so a pose unpacks, iterates and equals a plain
+    tuple of its fields. Every field is coerced with float() and checked
+    finite on each build, ``_make`` and ``_replace`` included.
+    """
 
-    def __post_init__(self) -> None:
-        isfinite = math.isfinite
+    __slots__ = ()
+
+    def __new__(cls, x, y, z, psi, theta, phi=0.0):
+        x, y, z, psi, theta, phi = (
+            float(x), float(y), float(z), float(psi), float(theta), float(phi)
+        )
         if not (
-            isfinite(self.x) and isfinite(self.y) and isfinite(self.z)
-            and isfinite(self.psi) and isfinite(self.theta) and isfinite(self.phi)
+            isfinite(x) and isfinite(y) and isfinite(z)
+            and isfinite(psi) and isfinite(theta) and isfinite(phi)
         ):
-            for name in ("x", "y", "z", "psi", "theta", "phi"):
-                value = getattr(self, name)
+            for name, value in zip(cls._fields, (x, y, z, psi, theta, phi)):
                 if not isfinite(value):
                     raise ValueError(f"Pose6D.{name} must be finite, got {value!r}")
+        return tuple.__new__(cls, (x, y, z, psi, theta, phi))
+
+    @classmethod
+    def _make(cls, iterable) -> "Pose6D":
+        return cls(*iterable)
 
     @property
     def position(self) -> np.ndarray:
-        return np.array([self.x, self.y, self.z], dtype=float)
+        return np.array(self[:3], dtype=float)
 
     @property
     def angles(self) -> tuple[float, float, float]:
-        return (self.psi, self.theta, self.phi)
+        return self[3:]
 
 
 def wrap_angle(angle: float) -> float:
@@ -258,13 +264,13 @@ def _compose(poses: list[Pose6D], dp: list[float], dR: list[float]) -> list[Pose
     dx, dy, dz = dp
     a00, a01, a02, a10, a11, a12, a20, a21, a22 = dR
     out = []
-    for p in poses:
-        b00, b01, b02, b10, b11, b12, b20, b21, b22 = _euler_to_rotmat(p.psi, p.theta, p.phi)
-        angles = _rotmat_to_euler((
+    for x, y, z, psi, theta, phi in poses:
+        b00, b01, b02, b10, b11, b12, b20, b21, b22 = _euler_to_rotmat(psi, theta, phi)
+        psi, theta, phi = _rotmat_to_euler((
             a00 * b00 + a01 * b10 + a02 * b20, a00 * b01 + a01 * b11 + a02 * b21, None,
             a10 * b00 + a11 * b10 + a12 * b20, a10 * b01 + a11 * b11 + a12 * b21, None,
             a20 * b00 + a21 * b10 + a22 * b20, a20 * b01 + a21 * b11 + a22 * b21,
             a20 * b02 + a21 * b12 + a22 * b22,
         ))
-        out.append(Pose6D(p.x + dx, p.y + dy, p.z + dz, *angles))
+        out.append(Pose6D(x + dx, y + dy, z + dz, psi, theta, phi))
     return out

@@ -11,17 +11,20 @@ backend (scene retrieval, pose regression, hybrid), and scores each against
 the truth. Everything is a pure function of (config, seed), which is what
 makes batch runs byte-reproducible.
 
-The 20 Hz work is trusted: a SimConfig is valid once built, and the flight
-builders check their stacked increments once, keeping the bits of the
-per-frame form, and multiply rotations in one fixed order, ``_products``.
-The filter loop runs the kernels of the public calls, which are those
-kernels plus their boundary checks: ``geometry._compose`` predicts in plain
-floats, and the matcher, fusion and correction kernels correct on plain rows.
+The 20 Hz work is trusted: a SimConfig is valid once built, and a flight is
+one ``Flight`` of columns, checked once when built, from the builders to the
+loop and the writer. The builders keep the bits of the per-frame form and
+multiply rotations in one fixed order, ``_products``. The filter loop runs
+the kernels of the public calls, which are those kernels plus their boundary
+checks: ``geometry._compose`` predicts in plain floats, and the matcher,
+fusion and correction kernels correct on plain rows.
 """
 
 from __future__ import annotations
 
 import math
+import operator
+from collections.abc import Sequence
 from dataclasses import astuple, dataclass, fields
 from itertools import chain
 
@@ -52,6 +55,7 @@ from .tiles import DEFAULT_SPACING_M, TileSet, k_nearest
 __all__ = [
     "METHODS",
     "ExperimentResult",
+    "Flight",
     "RmseSummary",
     "TrajectoryFrame",
     "gen_trajectory",
@@ -73,8 +77,8 @@ _TRAJ_COLUMNS = "t x y z psi theta phi dpx dpy dpz dpsi dtheta dphi".split()
 # Stream tags keep the trajectory and drift generators apart.
 _TRAJ_STREAM = 1_000_003
 _VO_STREAM = 1_000_033
-# simulate_vo works through the flight this many steps at a time, which
-# bounds its temporary arrays; the result does not depend on it.
+# simulate_vo and the filter loop work through the flight this many steps at
+# a time, which bounds their temporaries; the result does not depend on it.
 _VO_BLOCK = 512
 
 
@@ -85,6 +89,68 @@ class TrajectoryFrame:
     t: float
     truth: Pose6D
     vo_increment: VoIncrement
+
+
+# Each Flight column: its name, the shape of one row, and the whole shape.
+_FLIGHT_COLUMNS = (
+    ("t", (), "(n,)"), ("truth", (6,), "(n, 6)"), ("dp", (3,), "(n, 3)"), ("dR", (3, 3), "(n, 3, 3)")
+)
+
+
+@dataclass(frozen=True, eq=False)
+class Flight(Sequence):
+    """A flight as four columns, read-only views checked once when built.
+
+    ``t`` (n,) holds the timestamps, ``truth`` (n, 6) the true poses
+    (x, y, z, psi, theta, phi), and ``dp`` (n, 3) and ``dR`` (n, 3, 3) the
+    VO-reported increments; row i moves frame i - 1 to frame i. Row 0 has no
+    frame before it: the builders make it the identity and the filter loop
+    never reads it. Every value must be finite and every dR a rotation. The
+    flight is the read-only sequence of its TrajectoryFrames, each built when
+    it is indexed; a slice is a Flight.
+    """
+
+    t: np.ndarray
+    truth: np.ndarray
+    dp: np.ndarray
+    dR: np.ndarray
+
+    def __post_init__(self) -> None:
+        columns = {name: np.asarray(getattr(self, name), dtype=float).view()
+                   for name, _, _ in _FLIGHT_COLUMNS}
+        t, truth, dp, dR = columns.values()
+        for (name, row, shape), column in zip(_FLIGHT_COLUMNS, columns.values()):
+            if column.ndim != 1 + len(row) or column.shape[1:] != row:
+                raise ValueError(f"{name} must have shape {shape}, got {column.shape}")
+        n = len(t)
+        for what, column in (("poses", truth), ("increments", dp), ("increments", dR)):
+            if len(column) != n:
+                raise ValueError(f"{len(column)} {what} for {n} frames")
+        if not np.isfinite(t).all():
+            raise ValueError(f"t must be finite, got {float(t[~np.isfinite(t)][0])!r}")
+        if not np.isfinite(truth).all():
+            # Pose6D's own check names the first bad field.
+            Pose6D(*truth[~np.isfinite(truth).all(axis=1)][0].tolist())
+        if not np.isfinite(dp).all():
+            raise ValueError("dp must be a finite 3-vector")
+        if n and not _are_rotations(dR):
+            raise ValueError(f"dR {_NOT_A_ROTATION}")
+        for name, column in columns.items():
+            column.flags.writeable = False
+            object.__setattr__(self, name, column)
+
+    def __len__(self) -> int:
+        return len(self.t)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return Flight(self.t[index], self.truth[index], self.dp[index], self.dR[index])
+        i, n = operator.index(index), len(self)
+        if not -n <= i < n:
+            raise IndexError(f"frame index {i} out of range for {n} frames")
+        return TrajectoryFrame(
+            float(self.t[i]), Pose6D(*self.truth[i].tolist()), VoIncrement(self.dp[i], self.dR[i])
+        )
 
 
 # --- flight path ---------------------------------------------------------
@@ -129,7 +195,7 @@ def _flight_path(cfg: SimConfig, heading0: float, turn: int):
     return at
 
 
-def gen_trajectory(cfg: SimConfig, seed: int) -> list[TrajectoryFrame]:
+def gen_trajectory(cfg: SimConfig, seed: int) -> Flight:
     """Deterministic synthetic flight for a config and seed.
 
     The seed picks the initial heading, the sense of the first turn, and the
@@ -145,7 +211,7 @@ def gen_trajectory(cfg: SimConfig, seed: int) -> list[TrajectoryFrame]:
     path = _flight_path(cfg, heading0, first_turn)
     t0 = cfg.straight_init_m / cfg.speed  # orientation frozen until here
     # Scalar math per frame: np.sin is not bit-equal to math.sin.
-    times, truth, positions = [], [], []
+    rows = []
     for i in range(cfg.frame_count):
         t = i * cfg.dt
         x, y, heading = path(cfg.speed * t)
@@ -156,49 +222,47 @@ def gen_trajectory(cfg: SimConfig, seed: int) -> list[TrajectoryFrame]:
         theta = cfg.tilt_base_deg + cfg.tilt_amp_deg * math.sin(
             2.0 * math.pi * tilt_t / cfg.tilt_period_s
         )
-        pose = Pose6D(x, y, z, _wrap_angle(heading), theta, 0.0)
-        times.append(t)
-        truth.append(pose)
-        positions.append((x, y, z))
-    Rs = _rotations(pose.angles for pose in truth)
-    increments = [VoIncrement.identity()] + _trusted_increments(
-        np.diff(np.array(positions), axis=0), _products(Rs[1:], Rs[:-1].transpose(0, 2, 1))
-    )
-    return list(map(TrajectoryFrame, times, truth, increments))
+        rows += (t, x, y, z, _wrap_angle(heading), theta, 0.0)
+    columns = np.array(rows).reshape(-1, 7)
+    truth = columns[:, 1:]
+    Rs = _rotations(truth[:, 3:].tolist())
+    dp, dR = np.zeros((len(truth), 3)), np.empty_like(Rs)
+    dp[1:] = np.diff(truth[:, :3], axis=0)
+    dR[0] = np.eye(3)
+    dR[1:] = _products(Rs[1:], Rs[:-1].transpose(0, 2, 1))
+    return Flight(columns[:, 0], truth, dp, dR)
 
 
-def simulate_vo(
-    frames: list[TrajectoryFrame], cfg: SimConfig, seed: int
-) -> list[VoIncrement]:
-    """Corrupt the true increments with the config's VO drift, one per frame.
+def simulate_vo(flight: Flight, cfg: SimConfig, seed: int) -> Flight:
+    """The flight with its true increments corrupted by the config's VO drift.
 
     Position increments are scaled by (1 + vo_scale_error), then perturbed by
     white noise of sigma vo_pos_noise_m per axis plus a bias that
     random-walks with sigma vo_bias_walk_m per step. Rotation increments are
     left-multiplied by a small random rotation with vo_rot_noise_deg per
     axis. Per step the draw order is fixed (bias walk, position noise,
-    rotation noise, 3 values each) so runs are reproducible. Index 0 is the
-    identity.
+    rotation noise, 3 values each) so runs are reproducible. Row 0 is the
+    identity; the times and poses are the flight's own.
     """
-    if not frames:
+    if not len(flight):
         raise ValueError("simulate_vo needs at least one frame")
     rng = np.random.default_rng(np.random.SeedSequence([_check_seed(seed), _VO_STREAM]))
-    out = [VoIncrement.identity()]
+    dp, dR = np.zeros_like(flight.dp), np.empty_like(flight.dR)
+    dR[0] = np.eye(3)
     bias = np.zeros((1, 3))
-    for lo in range(1, len(frames), _VO_BLOCK):
-        block = frames[lo : lo + _VO_BLOCK]
+    for lo in range(1, len(flight), _VO_BLOCK):
+        block = slice(lo, lo + _VO_BLOCK)
+        true_dp = flight.dp[block]
         # (m, 9) normals: the same stream as three standard_normal(3) per step.
-        draws = rng.standard_normal((len(block), 9))
+        draws = rng.standard_normal((len(true_dp), 9))
         # The walk goes on from the last block's end (zeros before the first),
         # summed step by step as 0.0 + step_1 + ... + step_k.
         steps = draws[:, 0:3] * cfg.vo_bias_walk_m
         bias = np.cumsum(np.concatenate([bias[-1:], steps]), axis=0)[1:]
-        true_dp = np.array([f.vo_increment.dp for f in block])
-        dp = (1.0 + cfg.vo_scale_error) * true_dp + draws[:, 3:6] * cfg.vo_pos_noise_m + bias
+        dp[block] = (1.0 + cfg.vo_scale_error) * true_dp + draws[:, 3:6] * cfg.vo_pos_noise_m + bias
         noise_R = _rotations((draws[:, 6:9] * cfg.vo_rot_noise_deg).tolist())
-        dR = _products(noise_R, np.array([f.vo_increment.dR for f in block]))
-        out += _trusted_increments(dp, dR)
-    return out
+        dR[block] = _products(noise_R, flight.dR[block])
+    return Flight(flight.t, flight.truth, dp, dR)
 
 
 def _rotations(angles) -> np.ndarray:
@@ -220,29 +284,6 @@ def _products(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return out
 
 
-def _trusted_increments(dp: np.ndarray, dR: np.ndarray) -> list[VoIncrement]:
-    """One VoIncrement per row of dp (n, 3) and dR (n, 3, 3), built unchecked.
-
-    One batched check stands in for VoIncrement's per-object one: every dp
-    finite, and geometry's stacked rotation check, ``_are_rotations``, on dR.
-    ``gen_trajectory``, ``simulate_vo`` and the trajectory reader build their
-    increments here.
-    """
-    if not np.isfinite(dp).all():
-        raise ValueError("dp must be a finite 3-vector")
-    if not _are_rotations(dR):
-        raise ValueError(f"dR {_NOT_A_ROTATION}")
-    increments = []
-    for row_dp, row_dR in zip(dp, dR):
-        # Fields set one by one, as the generated __init__ does, keep the
-        # instance as compact as a checked one.
-        inc = object.__new__(VoIncrement)
-        object.__setattr__(inc, "dp", row_dp)
-        object.__setattr__(inc, "dR", row_dR)
-        increments.append(inc)
-    return increments
-
-
 # --- metrics -------------------------------------------------------------
 
 
@@ -258,7 +299,9 @@ class RmseSummary:
 
 
 def _columns(poses: list[Pose6D]) -> np.ndarray:
-    return np.array([(p.x, p.y, p.z, p.psi, p.theta) for p in poses])
+    # The (n, 5) columns x, y, z, psi, theta of n poses, streamed in.
+    values = np.fromiter(chain.from_iterable(poses), float, 6 * len(poses))
+    return values.reshape(-1, 6)[:, :5]
 
 
 def _path_length(columns: np.ndarray) -> float:
@@ -311,7 +354,7 @@ class ExperimentResult:
     """One seed's flight plus per-method estimated trajectories and errors."""
 
     seed: int
-    frames: list[TrajectoryFrame]
+    frames: Flight
     estimates: dict[str, list[Pose6D]]
     summaries: dict[str, RmseSummary]
 
@@ -326,8 +369,7 @@ def _make_backends(cfg: SimConfig, seed: int) -> dict[str, object]:
 
 
 def _run_pipelines(
-    frames: list[TrajectoryFrame],
-    increments: list[VoIncrement],
+    flight: Flight,
     backends: list,
     cfg: SimConfig,
     tile_set: TileSet | None,
@@ -337,43 +379,45 @@ def _run_pipelines(
     Every pipeline takes frame i, predicting it and correcting it every stride
     frames, before any takes frame i + 1; at a correction frame all backends
     get the same UavObservation. Returns one (pose per frame, final 6x6
-    covariance) per backend. Frames and increments were checked when built,
-    so each step runs :func:`predict`'s kernel, ``geometry._compose``, in
-    plain floats on all poses at once, and adds q to the variances of each P,
+    covariance) per backend. The flight was checked when built, so each step
+    reads its increment from lists of ``_VO_BLOCK`` rows of the columns, runs
+    :func:`predict`'s kernel, ``geometry._compose``, in plain floats on all
+    poses at once, and adds q to the variances of each P,
     held as its nine block entries (``fusion._block_matrix``); a correction
     runs the kernels of ``match_frame``, :func:`fuse` and :func:`correct`'s
     block branch, which make the checks that depend on the data. At
     k_candidates = 1, which leaves no scatter, each backend's
     ``_lone_variances`` on this grid stand in, checked once here.
     """
-    if len(increments) != len(frames):
-        raise ValueError(f"{len(increments)} increments for {len(frames)} frames")
     lone = [
         _checked_fallback(b._lone_variances(tile_set.spacing))
         if b is not None and cfg.k_candidates == 1 else None
         for b in backends
     ]
     q = float(cfg.process_noise_var)
-    start = FilterState.initial(frames[0].truth, cfg.init_cov_var)
+    start = FilterState.initial(Pose6D(*flight.truth[0].tolist()), cfg.init_cov_var)
     poses = [start.pose] * len(backends)
     P9s = [_block_entries(start.P)] * len(backends)
     tracks = [[start.pose] for _ in backends]
     stride = cfg.correction_stride
-    for i in range(1, len(frames)):
-        inc = increments[i]
-        poses = _compose(poses, inc.dp.tolist(), inc.dR.ravel().tolist())
-        P9s = [(xx + q, xy, xz, yy + q, yz, zz + q, pp + q, pt + q, pf + q)
-               for xx, xy, xz, yy, yz, zz, pp, pt, pf in P9s]
-        if i % stride == 0:
-            obs = UavObservation(i, frames[i].truth)
-            for j, backend in enumerate(backends):
-                if backend is not None:
-                    pose = poses[j]
-                    candidates = k_nearest(tile_set, (pose.x, pose.y), cfg.k_candidates)
-                    z, M8 = _fuse_rows(backend._match_rows(obs, candidates), lone[j])
-                    poses[j], P9s[j] = _correct_blocks(pose, P9s[j], z, M8)
-        for track, pose in zip(tracks, poses):
-            track.append(pose)
+    n = len(flight)
+    for lo in range(1, n, _VO_BLOCK):
+        dps = flight.dp[lo : lo + _VO_BLOCK].tolist()
+        dRs = flight.dR[lo : lo + _VO_BLOCK].reshape(-1, 9).tolist()
+        for i, dp, dR in zip(range(lo, n), dps, dRs):
+            poses = _compose(poses, dp, dR)
+            P9s = [(xx + q, xy, xz, yy + q, yz, zz + q, pp + q, pt + q, pf + q)
+                   for xx, xy, xz, yy, yz, zz, pp, pt, pf in P9s]
+            if i % stride == 0:
+                obs = UavObservation(i, Pose6D(*flight.truth[i].tolist()))
+                for j, backend in enumerate(backends):
+                    if backend is not None:
+                        pose = poses[j]
+                        candidates = k_nearest(tile_set, pose[:2], cfg.k_candidates)
+                        z, M8 = _fuse_rows(backend._match_rows(obs, candidates), lone[j])
+                        poses[j], P9s[j] = _correct_blocks(pose, P9s[j], z, M8)
+            for track, pose in zip(tracks, poses):
+                track.append(pose)
     return [(track, _block_matrix(P9)) for track, P9 in zip(tracks, P9s)]
 
 
@@ -390,11 +434,11 @@ def run_experiment(cfg: SimConfig, tile_set: TileSet, seed: int) -> ExperimentRe
         )
     _check_distance_model(cfg, tile_set)
     frames = gen_trajectory(cfg, seed)
-    increments = simulate_vo(frames, cfg, seed)
+    drifted = simulate_vo(frames, cfg, seed)
     backends = _make_backends(cfg, seed)
-    runs = _run_pipelines(frames, increments, [backends[m] for m in METHODS], cfg, tile_set)
+    runs = _run_pipelines(drifted, [backends[m] for m in METHODS], cfg, tile_set)
     estimates = {method: poses for method, (poses, _) in zip(METHODS, runs)}
-    truth = _columns([f.truth for f in frames])
+    truth = frames.truth[:, :5]
     length = _path_length(truth)
     summaries = {
         method: _score(_columns(poses), truth, length) for method, poses in estimates.items()
@@ -450,64 +494,66 @@ def _check_distance_model(cfg: SimConfig, tile_set: TileSet) -> None:
         )
 
 
-def suggested_tile_bounds(frames: list[TrajectoryFrame]) -> tuple[float, float, float, float]:
+def suggested_tile_bounds(flight: Flight) -> tuple[float, float, float, float]:
     """Grid bounds covering the flight with a margin, snapped to the default
     tile spacing."""
-    xs = [f.truth.x for f in frames]
-    ys = [f.truth.y for f in frames]
+    xs, ys = flight.truth[:, 0], flight.truth[:, 1]
     margin, spacing = 300.0, DEFAULT_SPACING_M
     snap = lambda v, up: (math.ceil(v / spacing) if up else math.floor(v / spacing)) * spacing
     return (
-        snap(min(xs) - margin, False),
-        snap(max(xs) + margin, True),
-        snap(min(ys) - margin, False),
-        snap(max(ys) + margin, True),
+        snap(float(xs.min()) - margin, False),
+        snap(float(xs.max()) + margin, True),
+        snap(float(ys.min()) - margin, False),
+        snap(float(ys.max()) + margin, True),
     )
 
 
 # --- text round trip -------------------------------------------------------
 
 
-def _pose_columns(t: float, p: Pose6D) -> str:
-    return f"{t!r} {p.x!r} {p.y!r} {p.z!r} {p.psi!r} {p.theta!r} {p.phi!r}"
+def _text(*values: float) -> str:
+    return " ".join(map(repr, values))
 
 
-def _increment_columns(inc: VoIncrement) -> str:
-    # A VoIncrement's dR was checked when it was built, and nothing mutates it.
-    return " ".join(map(repr, (*inc.dp.tolist(), *_rotmat_to_euler(inc.dR.ravel().tolist()))))
+# Every estimate row ends with the identity's columns: "0.0 0.0 0.0 0.0 -0.0 0.0".
+_ZERO_INCREMENT = _text(0.0, 0.0, 0.0, *_rotmat_to_euler(np.eye(3).ravel().tolist()))
 
 
-# Every estimate row ends with these columns: "0.0 0.0 0.0 0.0 -0.0 0.0".
-_ZERO_INCREMENT = _increment_columns(VoIncrement.identity())
-
-
-def save_trajectory(path: str, frames: list[TrajectoryFrame]) -> None:
-    """Write frames as the versioned 13-column text format.
+def save_trajectory(path: str, flight: Flight) -> None:
+    """Write a flight as the versioned 13-column text format.
 
     Columns: t x y z psi theta phi dpx dpy dpz dpsi dtheta dphi. The rotation
     increment is stored as its z-y-x angles; on load it is rebuilt with
     :func:`euler_to_rotmat`, so those angles are the authoritative record.
+    The flight's dR were checked when it was built, so none is checked again.
     """
-    rows = [f"{_pose_columns(f.t, f.truth)} {_increment_columns(f.vo_increment)}" for f in frames]
+    rows = []
+    for lo in range(0, len(flight), _VO_BLOCK):
+        block = slice(lo, lo + _VO_BLOCK)
+        angles = map(_rotmat_to_euler, flight.dR[block].reshape(-1, 9).tolist())
+        columns = zip(flight.t[block].tolist(), flight.truth[block].tolist(),
+                      flight.dp[block].tolist(), angles)
+        rows += [_text(t, *pose, *dp, *a) for t, pose, dp, a in columns]
     write_rows(path, _TRAJ_HEADER, rows)
 
 
 def save_estimates(path: str, times: list[float], poses: list[Pose6D]) -> None:
     """Write an estimated trajectory in the same format with zero increments."""
-    rows = [f"{_pose_columns(t, p)} {_ZERO_INCREMENT}" for t, p in zip(times, poses)]
+    if len(poses) != len(times):
+        raise ValueError(f"{len(poses)} poses for {len(times)} times")
+    rows = [f"{_text(float(t), *p)} {_ZERO_INCREMENT}" for t, p in zip(times, poses)]
     write_rows(path, _TRAJ_HEADER, rows)
 
 
-def load_trajectory(path: str) -> list[TrajectoryFrame]:
+def load_trajectory(path: str) -> Flight:
     """Parse a file written by :func:`save_trajectory`; errors carry path:line.
 
-    The frames are built from :func:`_read_trajectory`'s checked columns, the
-    increments in bulk, as the flight builders build theirs.
+    The flight is :func:`_read_trajectory`'s checked columns, its dR rebuilt
+    from their angles as the flight builders build theirs.
     """
     columns = _read_trajectory(path)
-    truth = [Pose6D(*row) for row in columns[:, 1:7].tolist()]
-    increments = _trusted_increments(columns[:, 7:10], _rotations(columns[:, 10:13].tolist()))
-    return list(map(TrajectoryFrame, columns[:, 0].tolist(), truth, increments))
+    dR = _rotations(columns[:, 10:13].tolist())
+    return Flight(columns[:, 0], columns[:, 1:7], columns[:, 7:10], dR)
 
 
 def _read_trajectory(path: str) -> np.ndarray:

@@ -1,7 +1,7 @@
 """Geometry unit tests: angle wrapping, Euler conversions, ground rays, cells."""
 
 import math
-from dataclasses import astuple
+import pickle
 
 import numpy as np
 import pytest
@@ -377,6 +377,55 @@ def test_pose_names_each_non_finite_field(name, value):
     assert str(raised.value) == f"Pose6D.{name} must be finite, got {value!r}"
 
 
+def test_pose_names_a_non_finite_numpy_field_as_a_float():
+    with pytest.raises(ValueError) as raised:
+        Pose6D(0.0, 0.0, 0.0, np.float64(np.nan), 0.0)
+    assert str(raised.value) == "Pose6D.psi must be finite, got nan"
+
+
+def test_pose_is_immutable():
+    pose = Pose6D(1.0, 2.0, 3.0, 4.0, 5.0)
+    with pytest.raises(AttributeError):
+        pose.x = 0.0
+    with pytest.raises(AttributeError):
+        pose.extra = 0.0
+    # _make and _replace build through the checked constructor
+    with pytest.raises(ValueError, match="Pose6D.z must be finite"):
+        pose._replace(z=math.inf)
+    with pytest.raises(ValueError, match="Pose6D.x must be finite"):
+        Pose6D._make([math.nan, 0.0, 0.0, 0.0, 0.0, 0.0])
+    assert pose._replace(phi=np.float64(6.0)) == Pose6D(1.0, 2.0, 3.0, 4.0, 5.0, 6.0)
+
+
+def test_pose_equality_is_by_value():
+    pose = Pose6D(1.0, 2.0, 3.0, 4.0, 5.0, 0.0)
+    assert pose == Pose6D(1, 2, 3, 4, 5) == (1.0, 2.0, 3.0, 4.0, 5.0, 0.0)
+    assert hash(pose) == hash(Pose6D(1, 2, 3, 4, 5))
+    assert pose != Pose6D(1.0, 2.0, 3.0, 4.0, 5.0, 1e-300)
+    x, y, z, psi, theta, phi = pose
+    assert (x, y, z, psi, theta, phi) == (pose.x, pose.y, pose.z, pose.psi, pose.theta, pose.phi)
+
+
+def test_pose_pickles():
+    pose = Pose6D(1.5, -0.0, 3e200, -179.5, 5e-324, 180.0)
+    back = pickle.loads(pickle.dumps(pose))
+    assert type(back) is Pose6D
+    assert np.array(back).tobytes() == np.array(pose).tobytes()
+
+
+def test_pose_repr_is_the_dataclass_format():
+    assert repr(Pose6D(1.0, 2.0, 3.0, 4.0, 5.0)) == (
+        "Pose6D(x=1.0, y=2.0, z=3.0, psi=4.0, theta=5.0, phi=0.0)"
+    )
+
+
+def test_pose_stores_numpy_and_int_inputs_as_float():
+    for pose in (Pose6D(*np.arange(6.0)), Pose6D(*np.arange(6)), Pose6D(*np.arange(6, dtype=np.float32))):
+        assert [type(v) for v in pose] == [float] * 6
+        assert pose == (0.0, 1.0, 2.0, 3.0, 4.0, 5.0)
+    assert repr(Pose6D(*np.zeros(6))) == "Pose6D(x=0.0, y=0.0, z=0.0, psi=0.0, theta=0.0, phi=0.0)"
+
+
 def test_pose_accessors():
     pose = Pose6D(1.0, 2.0, 3.0, 4.0, 5.0, 6.0)
     np.testing.assert_allclose(pose.position, [1.0, 2.0, 3.0])
@@ -421,7 +470,7 @@ _pose = st.builds(Pose6D, *[st.floats(-1e6, 1e6)] * 3, _heading, _tilt, _heading
 
 
 def _bits(pose):
-    return np.array(astuple(pose)).tobytes()
+    return np.array(tuple(pose)).tobytes()
 
 
 def plain_matmul(A, B):

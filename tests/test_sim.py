@@ -1,7 +1,7 @@
 """Flight simulation, VO drift, metrics, and the end-to-end experiment."""
 
 import math
-from dataclasses import astuple
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -19,6 +19,7 @@ from crossview.sim import (
     _make_backends,
     _run_pipelines,
     METHODS,
+    Flight,
     RmseSummary,
     TrajectoryFrame,
     gen_trajectory,
@@ -46,9 +47,10 @@ def small_config(**overrides):
     return SimConfig(**base).validate()
 
 
-def dead_reckon(start, increments):
+def dead_reckon(start, flight):
     poses = [start]
-    for inc in increments[1:]:
+    for frame in flight[1:]:
+        inc = frame.vo_increment
         R = euler_to_rotmat(*poses[-1].angles)
         p = poses[-1].position + inc.dp
         R_new = plain_matmul(inc.dR, R)
@@ -170,9 +172,7 @@ def test_trajectory_deterministic_and_seed_sensitive():
 
 
 def test_increments_reconstruct_truth(default_frames):
-    poses = dead_reckon(
-        default_frames[0].truth, [f.vo_increment for f in default_frames]
-    )
+    poses = dead_reckon(default_frames[0].truth, default_frames)
     finals = poses[-1]
     assert np.linalg.norm(finals.position - default_frames[-1].truth.position) < 1e-6
     assert abs(finals.psi - default_frames[-1].truth.psi) < 1e-6
@@ -216,7 +216,7 @@ def reference_simulate_vo(frames, cfg, seed):
     """simulate_vo step by step, three draws of 3 normals a step, checked increments."""
     cfg.validate()
     rng = np.random.default_rng(np.random.SeedSequence([seed, sim._VO_STREAM]))
-    out = [VoIncrement.identity()]
+    out = [replace(frames[0], vo_increment=VoIncrement.identity())]
     bias = np.zeros(3)
     for frame in frames[1:]:
         bias = bias + rng.standard_normal(3) * cfg.vo_bias_walk_m
@@ -225,7 +225,7 @@ def reference_simulate_vo(frames, cfg, seed):
         true_inc = frame.vo_increment
         dp = (1.0 + cfg.vo_scale_error) * true_inc.dp + pos_noise + bias
         dR = plain_matmul(euler_to_rotmat(rot_noise[0], rot_noise[1], rot_noise[2]), true_inc.dR)
-        out.append(VoIncrement(dp, dR))
+        out.append(replace(frame, vo_increment=VoIncrement(dp, dR)))
     return out
 
 
@@ -238,7 +238,7 @@ def assert_same_increments(got, want):
 def assert_same_flight(got, want):
     assert len(got) == len(want)
     for a, b in zip(got, want):
-        assert np.array([a.t, *astuple(a.truth)]).tobytes() == np.array([b.t, *astuple(b.truth)]).tobytes()
+        assert np.array([a.t, *tuple(a.truth)]).tobytes() == np.array([b.t, *tuple(b.truth)]).tobytes()
     assert_same_increments([f.vo_increment for f in got], [f.vo_increment for f in want])
 
 
@@ -266,14 +266,14 @@ def test_trusted_builders_equal_checked_references(cfg, seed, block):
     assert_same_flight(frames, reference_gen_trajectory(cfg, seed))
     with mock.patch.object(sim, "_VO_BLOCK", block):
         got = simulate_vo(frames, cfg, seed)
-    assert_same_increments(got, reference_simulate_vo(frames, cfg, seed))
+    assert_same_flight(got, reference_simulate_vo(frames, cfg, seed))
 
 
 def test_default_flight_equals_checked_references(default_frames):
     cfg = SimConfig()
     assert_same_flight(default_frames, reference_gen_trajectory(cfg, 0))
-    increments = simulate_vo(default_frames, cfg, 0)
-    assert_same_increments(increments, reference_simulate_vo(default_frames, cfg, 0))
+    drifted = simulate_vo(default_frames, cfg, 0)
+    assert_same_flight(drifted, reference_simulate_vo(default_frames, cfg, 0))
 
 
 @pytest.mark.parametrize(
@@ -289,19 +289,101 @@ def test_default_flight_equals_checked_references(default_frames):
 def test_simulate_vo_checks_the_increments_it_builds(field, value, message, frame):
     cfg = small_config(**NO_DRIFT)
     frames = gen_trajectory(cfg, seed=1)
-    object.__setattr__(frames[frame].vo_increment, field, value)
+    column = getattr(frames, field).copy()
+    column[frame] = value
+    object.__setattr__(frames, field, column)  # past the Flight's own check
     with pytest.raises(ValueError, match=message):
         simulate_vo(frames, cfg, seed=1)
 
 
 def test_simulate_vo_rejects_an_empty_flight():
     with pytest.raises(ValueError, match="at least one frame"):
-        simulate_vo([], small_config(), seed=0)
+        simulate_vo(gen_trajectory(small_config(), seed=0)[:0], small_config(), seed=0)
 
 
 def test_simulate_vo_of_one_frame_is_the_identity():
     frames = gen_trajectory(small_config(), seed=0)[:1]
-    assert_same_increments(simulate_vo(frames, small_config(), seed=0), [VoIncrement.identity()])
+    drifted = simulate_vo(frames, small_config(), seed=0)
+    assert_same_increments([f.vo_increment for f in drifted], [VoIncrement.identity()])
+
+
+# --- the Flight's columns ----------------------------------------------------
+
+
+def test_flight_frames_equal_the_reference_builders():
+    cfg = small_config()
+    flight = simulate_vo(gen_trajectory(cfg, seed=5), cfg, seed=5)
+    want = reference_simulate_vo(reference_gen_trajectory(cfg, 5), cfg, 5)
+    assert len(flight) == len(want) == 1000
+    for i in (0, 1, 511, 512, 999, -1, -2, -1000):
+        frame = flight[i]
+        assert type(frame) is TrajectoryFrame and type(frame.t) is float
+        assert_same_flight([frame], [want[i]])
+    for index in (slice(None), slice(3, 40, 7), slice(None, None, -1), slice(-5, None), slice(10, 10)):
+        part = flight[index]
+        assert type(part) is Flight
+        assert_same_flight(part, want[index])
+    assert_same_flight(list(flight), want)
+    assert flight[3:40][2].truth == flight[5].truth
+    for i in (1000, -1001):
+        with pytest.raises(IndexError, match="out of range for 1000 frames"):
+            flight[i]
+
+
+def test_flight_columns_are_read_only():
+    cfg = small_config()
+    dp = np.zeros((3, 3))
+    flight = Flight([0.0, 0.05, 0.1], [Pose6D(0, 0, 150, 0, 0)] * 3, dp, [np.eye(3)] * 3)
+    for column in (flight.t, flight.truth, flight.dp, flight.dR):
+        with pytest.raises(ValueError, match="read-only"):
+            column[0] = 1.0
+    assert dp.flags.writeable  # the caller's own array is left as it was
+    with pytest.raises(AttributeError):
+        flight.t = np.zeros(3)
+    assert not gen_trajectory(cfg, seed=0).dR.flags.writeable
+
+
+def good_columns(n=4):
+    return dict(
+        t=np.arange(n) * 0.05,
+        truth=np.tile([0.0, 0.0, 150.0, 10.0, 20.0, 0.0], (n, 1)),
+        dp=np.zeros((n, 3)),
+        dR=np.tile(np.eye(3), (n, 1, 1)),
+    )
+
+
+@pytest.mark.parametrize(
+    "column, edit, message",
+    [
+        ("truth", lambda a: a[:-1], "3 poses for 4 frames"),
+        ("dp", lambda a: a[:-1], "3 increments for 4 frames"),
+        ("dR", lambda a: np.concatenate([a, a]), "8 increments for 4 frames"),
+        ("t", lambda a: a[:, None], r"t must have shape \(n,\), got \(4, 1\)"),
+        ("truth", lambda a: a[:, :5], r"truth must have shape \(n, 6\), got \(4, 5\)"),
+        ("dR", lambda a: a[:, :2], r"dR must have shape \(n, 3, 3\), got \(4, 2, 3\)"),
+        ("t", lambda a: np.where(a > 0.1, np.inf, a), "t must be finite, got inf"),
+        ("truth", lambda a: np.where(a == 20.0, np.nan, a), "Pose6D.theta must be finite, got nan"),
+        ("dp", lambda a: np.where(a == 0.0, -np.inf, a), "dp must be a finite 3-vector"),
+        ("dR", lambda a: 2.0 * a, "dR is not a rotation"),
+        ("dR", lambda a: a * [1.0, 1.0, -1.0], "dR is not a rotation"),  # reflections
+        ("dR", lambda a: np.where(a == 1.0, np.nan, a), "dR is not a rotation"),
+    ],
+    ids=["short_truth", "short_dp", "long_dR", "t_2d", "truth_5_wide", "dR_2_rows",
+         "inf_t", "nan_theta", "inf_dp", "scaled_dR", "reflected_dR", "nan_dR"],
+)
+def test_flight_refuses_bad_columns(column, edit, message):
+    columns = good_columns()
+    Flight(**columns)
+    columns[column] = edit(columns[column])
+    with pytest.raises(ValueError, match=message):
+        Flight(**columns)
+
+
+def test_empty_flight():
+    flight = Flight([], np.zeros((0, 6)), np.zeros((0, 3)), np.zeros((0, 3, 3)))
+    assert len(flight) == 0 and list(flight) == []
+    with pytest.raises(IndexError):
+        flight[0]
 
 
 # --- VO drift ---------------------------------------------------------------
@@ -319,14 +401,12 @@ def test_zero_drift_passthrough():
 def test_pure_scale_error_on_straight_line():
     # hand-built straight-line frames: 1% scale error alone gives a final
     # position error of exactly 1% of distance flown
-    dp = np.array([0.0, 1.0, 0.0])
-    frames = [TrajectoryFrame(0.0, Pose6D(0, 0, 150, 0, 0), VoIncrement.identity())]
-    for i in range(1, 101):
-        frames.append(
-            TrajectoryFrame(
-                i * 0.05, Pose6D(0, float(i), 150, 0, 0), VoIncrement(dp, np.eye(3))
-            )
-        )
+    frames = Flight(
+        t=[i * 0.05 for i in range(101)],
+        truth=[Pose6D(0, float(i), 150, 0, 0) for i in range(101)],
+        dp=[[0.0, 0.0, 0.0]] + [[0.0, 1.0, 0.0]] * 100,
+        dR=[np.eye(3)] * 101,
+    )
     cfg = SimConfig(vo_scale_error=0.01, vo_pos_noise_m=0.0, vo_rot_noise_deg=0.0, vo_bias_walk_m=0.0)
     incs = simulate_vo(frames, cfg, seed=0)
     poses = dead_reckon(frames[0].truth, incs)
@@ -339,9 +419,9 @@ def test_vo_deterministic_per_seed():
     frames = gen_trajectory(cfg, seed=2)
     a = simulate_vo(frames, cfg, seed=2)
     b = simulate_vo(frames, cfg, seed=2)
-    assert all(np.array_equal(x.dp, y.dp) and np.array_equal(x.dR, y.dR) for x, y in zip(a, b))
+    assert np.array_equal(a.dp, b.dp) and np.array_equal(a.dR, b.dR)
     c = simulate_vo(frames, cfg, seed=5)
-    assert not np.array_equal(a[100].dp, c[100].dp)
+    assert not np.array_equal(a.dp[100], c.dp[100])
 
 
 def test_simulate_vo_validates_its_config():
@@ -518,7 +598,7 @@ def test_lower_matcher_noise_never_hurts():
 # --- trusted pipeline loop against the public reference ----------------------
 
 
-def reference_pipeline(frames, increments, backend, cfg, tile_set):
+def reference_pipeline(flight, backend, cfg, tile_set):
     """The filter loop built from the public, fully checked calls.
 
     A lone candidate has no scatter, so fusion falls back to the backend's
@@ -526,12 +606,13 @@ def reference_pipeline(frames, increments, backend, cfg, tile_set):
     """
     noise = ProcessNoise(np.full(6, cfg.process_noise_var))
     fallback = None if backend is None else backend._lone_variances(tile_set.spacing)
-    state = FilterState.initial(frames[0].truth, cfg.init_cov_var)
+    state = FilterState.initial(flight[0].truth, cfg.init_cov_var)
     poses = [state.pose]
-    for i in range(1, len(frames)):
-        state = predict(state, increments[i], noise)
+    for i in range(1, len(flight)):
+        frame = flight[i]
+        state = predict(state, frame.vo_increment, noise)
         if backend is not None and i % cfg.correction_stride == 0:
-            obs = UavObservation(i, frames[i].truth)
+            obs = UavObservation(i, frame.truth)
             candidates = k_nearest(tile_set, (state.pose.x, state.pose.y), cfg.k_candidates)
             results = [backend.match_pair(obs, t) for t in candidates]
             state = correct(state, fuse(results, fallback))
@@ -539,9 +620,9 @@ def reference_pipeline(frames, increments, backend, cfg, tile_set):
     return poses, state.P
 
 
-def _run_pipeline(frames, increments, backend, cfg, tile_set):
+def _run_pipeline(flight, backend, cfg, tile_set):
     """The lockstep loop with one backend: its poses and final P."""
-    return _run_pipelines(frames, increments, [backend], cfg, tile_set)[0]
+    return _run_pipelines(flight, [backend], cfg, tile_set)[0]
 
 
 def assert_same_run(got, want):
@@ -554,21 +635,19 @@ def assert_same_run(got, want):
 
 def test_vo_only_pipeline_equals_chained_predict():
     cfg = SimConfig().validate()
-    frames = gen_trajectory(cfg, seed=3)
-    increments = simulate_vo(frames, cfg, seed=3)
-    got = _run_pipeline(frames, increments, None, cfg, None)
-    assert_same_run(got, reference_pipeline(frames, increments, None, cfg, None))
+    flight = simulate_vo(gen_trajectory(cfg, seed=3), cfg, seed=3)
+    got = _run_pipeline(flight, None, cfg, None)
+    assert_same_run(got, reference_pipeline(flight, None, cfg, None))
 
 
 @pytest.mark.parametrize("method", ["vo_scene", "vo_regression", "vo_hybrid"])
 def test_corrected_pipeline_equals_public_reference(method):
     cfg = small_config(correction_hz=4.0, outlier_prob=0.2)
-    frames = gen_trajectory(cfg, seed=8)
-    increments = simulate_vo(frames, cfg, seed=8)
-    tiles = tiles_for(frames)
+    flight = simulate_vo(gen_trajectory(cfg, seed=8), cfg, seed=8)
+    tiles = tiles_for(flight)
     backend = _make_backends(cfg, 8)[method]
-    got = _run_pipeline(frames, increments, backend, cfg, tiles)
-    assert_same_run(got, reference_pipeline(frames, increments, backend, cfg, tiles))
+    got = _run_pipeline(flight, backend, cfg, tiles)
+    assert_same_run(got, reference_pipeline(flight, backend, cfg, tiles))
 
 
 @pytest.mark.parametrize("method", ["vo_scene", "vo_regression", "vo_hybrid"])
@@ -582,12 +661,11 @@ def test_single_candidate_fallback_follows_config(method):
         hybrid_heading_rms_deg=base.hybrid_heading_rms_deg / 2,
         hybrid_tilt_rms_deg=base.hybrid_tilt_rms_deg / 2,
     )
-    frames = gen_trajectory(cfg, seed=4)
-    increments = simulate_vo(frames, cfg, seed=4)
-    tiles = tiles_for(frames)
+    flight = simulate_vo(gen_trajectory(cfg, seed=4), cfg, seed=4)
+    tiles = tiles_for(flight)
     backend = _make_backends(cfg, 4)[method]
-    got = _run_pipeline(frames, increments, backend, cfg, tiles)
-    assert_same_run(got, reference_pipeline(frames, increments, backend, cfg, tiles))
+    got = _run_pipeline(flight, backend, cfg, tiles)
+    assert_same_run(got, reference_pipeline(flight, backend, cfg, tiles))
 
 
 @pytest.mark.parametrize(
@@ -628,26 +706,24 @@ def test_single_candidate_scene_pipeline_is_not_held_to_hybrid_figures():
 def test_single_candidate_refuses_an_infinite_lone_variance():
     """A one-tile grid whose spacing squares to inf fails before the flight."""
     cfg = small_config(k_candidates=1)
-    frames = gen_trajectory(cfg, seed=0)
-    increments = simulate_vo(frames, cfg, seed=0)
+    flight = simulate_vo(gen_trajectory(cfg, seed=0), cfg, seed=0)
     backends = [_make_backends(cfg, 0)["vo_scene"]]
     tiles = generate_grid(0.0, 0.0, 0.0, 0.0, 1e200)
     ran = mock.Mock(side_effect=sim._compose)
     with mock.patch.object(sim, "_compose", ran), pytest.raises(ValueError, match="finite"):
-        _run_pipelines(frames, increments, backends, cfg, tiles)
+        _run_pipelines(flight, backends, cfg, tiles)
     assert not ran.called
 
 
 def test_lockstep_pipelines_equal_public_reference():
     """All four backends stepped together, sharing each correction frame's observation."""
     cfg = small_config(correction_hz=4.0, outlier_prob=0.2, k_candidates=16)
-    frames = gen_trajectory(cfg, seed=8)
-    increments = simulate_vo(frames, cfg, seed=8)
-    tiles = tiles_for(frames)
+    flight = simulate_vo(gen_trajectory(cfg, seed=8), cfg, seed=8)
+    tiles = tiles_for(flight)
     backends = _make_backends(cfg, 8)
-    runs = _run_pipelines(frames, increments, [backends[m] for m in METHODS], cfg, tiles)
+    runs = _run_pipelines(flight, [backends[m] for m in METHODS], cfg, tiles)
     for method, got in zip(METHODS, runs):
-        assert_same_run(got, reference_pipeline(frames, increments, backends[method], cfg, tiles))
+        assert_same_run(got, reference_pipeline(flight, backends[method], cfg, tiles))
 
 
 def test_reference_takes_the_block_branch_of_correct():
@@ -655,14 +731,13 @@ def test_reference_takes_the_block_branch_of_correct():
     block-diagonal, so each correction takes correct's plain-float block
     branch: the loop tests above tie the loop to that branch, not to LAPACK."""
     cfg = small_config(correction_hz=20.0, outlier_prob=0.2, k_candidates=16)
-    frames = gen_trajectory(cfg, seed=8)
-    increments = simulate_vo(frames, cfg, seed=8)
-    tiles = tiles_for(frames)
+    flight = simulate_vo(gen_trajectory(cfg, seed=8), cfg, seed=8)
+    tiles = tiles_for(flight)
     backend = _make_backends(cfg, 8)["vo_hybrid"]
     blocks = mock.Mock(side_effect=estimator._correct_blocks)
     with mock.patch.object(estimator, "_correct_blocks", blocks):
-        _, P = reference_pipeline(frames, increments, backend, cfg, tiles)
-    assert blocks.call_count == (len(frames) - 1) // cfg.correction_stride
+        _, P = reference_pipeline(flight, backend, cfg, tiles)
+    assert blocks.call_count == (len(flight) - 1) // cfg.correction_stride
     off_block = np.ones((6, 6), dtype=bool)
     off_block[:3, :3] = False
     off_block[range(6), range(6)] = False
@@ -683,9 +758,8 @@ class AskedTiles:
 
 def test_lockstep_seeds_each_stream_once(monkeypatch):
     cfg = small_config(correction_hz=4.0, k_candidates=16)
-    frames = gen_trajectory(cfg, seed=3)
-    increments = simulate_vo(frames, cfg, seed=3)
-    tiles = tiles_for(frames)
+    flight = simulate_vo(gen_trajectory(cfg, seed=3), cfg, seed=3)
+    tiles = tiles_for(flight)
     inner = [b for b in _make_backends(cfg, 3).values() if b is not None]
     reads = []
     for matcher in inner:
@@ -708,10 +782,10 @@ def test_lockstep_seeds_each_stream_once(monkeypatch):
         return seed_sequence(entropy)
 
     monkeypatch.setattr(np.random, "SeedSequence", counting)
-    _run_pipelines(frames, increments, backends, cfg, tiles)
+    _run_pipelines(flight, backends, cfg, tiles)
 
     assert seeded == []  # matchers read counter blocks; they seed no stream
-    corrections = set(range(cfg.correction_stride, len(frames), cfg.correction_stride))
+    corrections = set(range(cfg.correction_stride, len(flight), cfg.correction_stride))
     for backend, got in zip(backends, reads):
         assert len(got) == len(set(got))  # no block read twice
         pairs = [(frame, slot - 1) for frame, slot in got if slot > 0]
@@ -723,12 +797,29 @@ def test_lockstep_seeds_each_stream_once(monkeypatch):
     assert len(backends[0].asked) == len(corrections) * cfg.k_candidates
 
 
+@pytest.mark.parametrize("block", [1, 7, 999])
+def test_loop_and_writer_do_not_depend_on_their_block(block, tmp_path):
+    cfg = small_config(correction_hz=4.0)
+    flight = simulate_vo(gen_trajectory(cfg, seed=2), cfg, seed=2)
+    tiles = tiles_for(flight)
+    backend = _make_backends(cfg, 2)["vo_hybrid"]
+    want = _run_pipeline(flight, backend, cfg, tiles)
+    save_trajectory(str(tmp_path / "want.txt"), flight)
+    with mock.patch.object(sim, "_VO_BLOCK", block):
+        assert_same_run(_run_pipeline(flight, backend, cfg, tiles), want)
+        save_trajectory(str(tmp_path / "got.txt"), flight)
+    assert (tmp_path / "got.txt").read_bytes() == (tmp_path / "want.txt").read_bytes()
+
+
 def test_pipeline_rejects_mismatched_increments():
+    """The loop's input is a Flight, which refuses a column of increments
+    that does not match its frames."""
     cfg = small_config()
-    frames = gen_trajectory(cfg, seed=0)
-    increments = simulate_vo(frames, cfg, seed=0)
-    with pytest.raises(ValueError, match="increments"):
-        _run_pipeline(frames, increments[:-1], None, cfg, None)
+    flight = simulate_vo(gen_trajectory(cfg, seed=0), cfg, seed=0)
+    with pytest.raises(ValueError, match="999 increments for 1000 frames"):
+        _run_pipeline(Flight(flight.t, flight.truth, flight.dp[:-1], flight.dR), None, cfg, None)
+    with pytest.raises(ValueError, match="999 increments for 1000 frames"):
+        _run_pipeline(Flight(flight.t, flight.truth, flight.dp, flight.dR[1:]), None, cfg, None)
 
 
 # --- text round trips --------------------------------------------------------
@@ -759,6 +850,25 @@ def test_save_estimates_format(tmp_path):
     assert lines[0] == "#crossview-traj-v1"
     assert len(lines) == 3
     assert len(lines[1].split()) == 13
+
+
+def test_save_estimates_of_numpy_values_round_trips(tmp_path):
+    # A pose or time built from numpy scalars writes plain float reprs.
+    path = tmp_path / "est.txt"
+    poses = [Pose6D(*np.zeros(6)), Pose6D(*np.arange(1.0, 7.0))]
+    save_estimates(str(path), np.array([0.0, 0.05]), poses)
+    assert "np." not in path.read_text()
+    back = load_trajectory(str(path))
+    assert back.t.tolist() == [0.0, 0.05]
+    assert [f.truth for f in back] == poses
+
+
+@pytest.mark.parametrize("n_times, n_poses", [(1, 3), (3, 1), (0, 1)])
+def test_save_estimates_refuses_mismatched_counts(tmp_path, n_times, n_poses):
+    path = tmp_path / "est.txt"
+    with pytest.raises(ValueError, match=f"{n_poses} poses for {n_times} times"):
+        save_estimates(str(path), [0.05 * i for i in range(n_times)], [Pose6D(0, 0, 150, 0, 0)] * n_poses)
+    assert not path.exists()
 
 
 def test_load_trajectory_errors(tmp_path):

@@ -1,16 +1,14 @@
 """The shared versioned-text reader/writer and the two formats built on it."""
 
 import struct
-from dataclasses import astuple
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crossview.config import ConfigError, SimConfig, load_config
-from crossview.estimator import VoIncrement
-from crossview.geometry import Pose6D, euler_to_rotmat
-from crossview.sim import TrajectoryFrame, gen_trajectory, load_trajectory, save_trajectory
+from crossview.geometry import euler_to_rotmat
+from crossview.sim import Flight, gen_trajectory, load_trajectory, save_trajectory
 from crossview.textfile import FileFormatError, read_rows
 from crossview.tiles import (
     TileSet,
@@ -206,17 +204,15 @@ def test_trajectory_file_round_trips_and_rebuilds_each_rotation(tmp_path_factory
     # per-row one: t, pose and dp bit-exact, dR euler_to_rotmat of the row's
     # angle columns, byte for byte.
     path = tmp_path_factory.getbasetemp() / "flight.txt"
-    frames = [
-        TrajectoryFrame(t, Pose6D(*pose), VoIncrement(dp, euler_to_rotmat(*angles)))
-        for t, pose, dp, angles in rows
-    ]
+    t, poses, dp, angles = zip(*rows)
+    frames = Flight(t, poses, dp, [euler_to_rotmat(*a) for a in angles])
     save_trajectory(path, frames)
     back = load_trajectory(path)
     assert len(back) == len(frames)
     columns = [line.split() for line in path.read_text().splitlines()[1:]]
 
     def flat(f):
-        return [bits(v) for v in (f.t, *astuple(f.truth), *f.vo_increment.dp)]
+        return [bits(v) for v in (f.t, *tuple(f.truth), *f.vo_increment.dp)]
 
     for frame, loaded, row in zip(frames, back, columns):
         assert flat(loaded) == flat(frame)
