@@ -53,7 +53,6 @@ from .sim import (
     ExperimentResult,
     Flight,
     RmseSummary,
-    TrajectoryFrame,
     gen_trajectory,
     load_trajectory,
     rmse,

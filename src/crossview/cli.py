@@ -11,6 +11,7 @@ Subcommands:
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from dataclasses import fields
@@ -83,8 +84,9 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     if len(est) != len(truth):
         raise ValueError(f"{args.est}: {len(est)} frames but the truth {args.truth} has {len(truth)}")
     length = _path_length(truth[:, 1:6])
-    if length == 0.0:
-        raise ValueError(f"{args.truth}: the truth path has zero length, so pos_pct is undefined")
+    if not 0.0 < length < math.inf:
+        why = "has zero length" if length == 0.0 else "length overflows"
+        raise ValueError(f"{args.truth}: the truth path {why}, so pos_pct is undefined")
     summary = _score(est[:, 1:6], truth[:, 1:6], length)
     for f in fields(summary):
         print(f"{f.name} {getattr(summary, f.name)!r}")

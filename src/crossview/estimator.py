@@ -42,7 +42,7 @@ _ILL_CONDITIONED = f"innovation covariance condition number exceeds {_COND_LIMIT
 _NOT_FINITE = "corrected covariance is not finite"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class VoIncrement:
     """Relative motion between consecutive frames as seen by visual odometry."""
 
@@ -64,7 +64,7 @@ class VoIncrement:
         return cls(np.zeros(3), np.eye(3))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProcessNoise:
     """Diagonal process noise added to P once per prediction step."""
 

@@ -23,8 +23,6 @@ fusion and correction kernels correct on plain rows.
 from __future__ import annotations
 
 import math
-import operator
-from collections.abc import Sequence
 from dataclasses import astuple, dataclass, fields
 from itertools import chain
 
@@ -34,7 +32,7 @@ from .config import MAX_TILT_DEG, ConfigError, SimConfig
 # predict, correct and fuse are the references _run_pipelines' kernels
 # reproduce, euler_to_rotmat and rotmat_to_euler those of the trajectory
 # reader and writer; perfbench/tracing.py wraps each of them as sim.<name>.
-from .estimator import FilterState, VoIncrement, _correct_blocks, correct, predict  # noqa: F401
+from .estimator import FilterState, _correct_blocks, correct, predict  # noqa: F401
 from .fusion import _block_entries, _block_matrix, _checked_fallback, _fuse_rows, fuse  # noqa: F401
 from .geometry import euler_to_rotmat, rotmat_to_euler  # noqa: F401
 from .geometry import (
@@ -57,10 +55,8 @@ __all__ = [
     "ExperimentResult",
     "Flight",
     "RmseSummary",
-    "TrajectoryFrame",
     "gen_trajectory",
     "load_trajectory",
-    "path_length",
     "rmse",
     "run_experiment",
     "save_estimates",
@@ -82,15 +78,6 @@ _VO_STREAM = 1_000_033
 _VO_BLOCK = 512
 
 
-@dataclass(frozen=True)
-class TrajectoryFrame:
-    """One 20 Hz sample: timestamp, true pose, and the VO-reported increment."""
-
-    t: float
-    truth: Pose6D
-    vo_increment: VoIncrement
-
-
 # Each Flight column: its name, the shape of one row, and the whole shape.
 _FLIGHT_COLUMNS = (
     ("t", (), "(n,)"), ("truth", (6,), "(n, 6)"), ("dp", (3,), "(n, 3)"), ("dR", (3, 3), "(n, 3, 3)")
@@ -98,16 +85,15 @@ _FLIGHT_COLUMNS = (
 
 
 @dataclass(frozen=True, eq=False)
-class Flight(Sequence):
+class Flight:
     """A flight as four columns, read-only views checked once when built.
 
     ``t`` (n,) holds the timestamps, ``truth`` (n, 6) the true poses
     (x, y, z, psi, theta, phi), and ``dp`` (n, 3) and ``dR`` (n, 3, 3) the
     VO-reported increments; row i moves frame i - 1 to frame i. Row 0 has no
     frame before it: the builders make it the identity and the filter loop
-    never reads it. Every value must be finite and every dR a rotation. The
-    flight is the read-only sequence of its TrajectoryFrames, each built when
-    it is indexed; a slice is a Flight.
+    never reads it. Every value must be finite and every dR a rotation. A
+    flight is read by its columns and its length; it has no per-frame view.
     """
 
     t: np.ndarray
@@ -141,16 +127,6 @@ class Flight(Sequence):
 
     def __len__(self) -> int:
         return len(self.t)
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return Flight(self.t[index], self.truth[index], self.dp[index], self.dR[index])
-        i, n = operator.index(index), len(self)
-        if not -n <= i < n:
-            raise IndexError(f"frame index {i} out of range for {n} frames")
-        return TrajectoryFrame(
-            float(self.t[i]), Pose6D(*self.truth[i].tolist()), VoIncrement(self.dp[i], self.dR[i])
-        )
 
 
 # --- flight path ---------------------------------------------------------
@@ -305,16 +281,16 @@ def _columns(poses: list[Pose6D]) -> np.ndarray:
 
 
 def _path_length(columns: np.ndarray) -> float:
-    return float(np.sum(np.linalg.norm(np.diff(columns[:, :3], axis=0), axis=1)))
-
-
-def path_length(truth: list[Pose6D]) -> float:
-    return _path_length(_columns(truth))
+    # inf, without a RuntimeWarning, where a step or the sum overflows.
+    with np.errstate(over="ignore"):
+        return float(np.sum(np.linalg.norm(np.diff(columns[:, :3], axis=0), axis=1)))
 
 
 def _score(est: np.ndarray, truth: np.ndarray, length: float) -> RmseSummary:
     # est, truth: (n, 5) columns x, y, z, psi, theta of two equally long
     # trajectories; length: the truth's path length.
+    if not math.isfinite(length):
+        raise ValueError("the truth path length overflows, so pos_pct is undefined")
     with np.errstate(over="ignore"):
         err = est - truth
         pos_rmse = float(np.sqrt(np.mean(np.sum(err[:, :3] ** 2, axis=1))))
@@ -334,7 +310,8 @@ def rmse(estimates: list[Pose6D], truth: list[Pose6D]) -> RmseSummary:
     """Compare an estimated trajectory against truth, frame by frame.
 
     Angle residuals are wrapped, so an estimate at -179 deg against a truth
-    of +179 deg counts as 2 degrees of error, not 358. An overflow raises.
+    of +179 deg counts as 2 degrees of error, not 358. An overflow, in the
+    errors or in the truth's path length, raises.
     """
     if len(estimates) != len(truth):
         raise ValueError(

@@ -72,8 +72,8 @@ def test_simulate_writes_frames(tmp_path, small_cfg, capsys):
     assert len(lines) == 1001  # header + 50 s at 20 Hz
     frames = load_trajectory(str(out))
     # increments in the file carry the drift, not the truth deltas
-    drifted = frames[500].vo_increment.dp
-    truth_step = frames[500].truth.position - frames[499].truth.position
+    drifted = frames.dp[500]
+    truth_step = frames.truth[500, :3] - frames.truth[499, :3]
     assert not np.allclose(drifted, truth_step, atol=1e-6)
 
 
@@ -186,6 +186,24 @@ def test_eval_refuses_a_truth_path_of_zero_length(tmp_path, small_cfg, capsys):
     assert captured.out == ""
     assert captured.err == (
         f"error: {one}: the truth path has zero length, so pos_pct is undefined\n"
+    )
+
+
+def test_eval_refuses_a_truth_path_whose_length_overflows(tmp_path, capsys):
+    """Steps of 2e200 m square past the float range: eval printed pos_pct 0.0
+    (and a RuntimeWarning) and exited 0."""
+    far = tmp_path / "far.txt"
+    rows = [f"{0.05 * i!r} {x} 0.0 150.0 0.0 0.0 0.0 0.0 0.0 0.0 0.0 0.0 0.0" for i, x in
+            enumerate(["1e200", "-1e200"])]
+    far.write_text("\n".join(["#crossview-traj-v1", *rows]) + "\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["eval", "--est", str(far), "--truth", str(far)])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: {far}: the truth path length overflows, so pos_pct is undefined\n"
     )
 
 

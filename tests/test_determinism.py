@@ -4,7 +4,8 @@ The README promises byte-identical output run to run and machine to
 machine. These digests hold that promise against every later change: a
 refactor that moves any output bit fails here. Re-pin only on purpose, and
 record why. Child processes check that `fuse`, `run` and `simulate` give the
-same bits under three OpenBLAS kernels, one without FMA and two with it.
+same bits under three OpenBLAS kernels, one without FMA and two with it, and
+that `run` and `simulate` do under numpy's X86_V3 and X86_V2 dispatch levels.
 """
 
 import hashlib
@@ -171,12 +172,36 @@ def test_outputs_are_the_same_under_every_openblas_kernel(core):
     run in plain floats or fixed-order elementwise numpy, so the `run` bytes
     are GOLDEN's and the `simulate` bytes SIMULATE_GOLDEN's under each
     kernel: Prescott without FMA, Haswell and SkylakeX with it."""
+    child = _output_digests_child(OPENBLAS_CORETYPE=core)
+    assert json.loads(child.stdout) == {**GOLDEN, "simulate": SIMULATE_GOLDEN}
+
+
+# numpy picks each ufunc's SIMD loop from the CPU at import; a feature named
+# here is not used. The first drops dispatch from X86_V4 to X86_V3, the second
+# to the X86_V2 baseline. numpy ignores names the CPU lacks, so on a machine
+# without AVX-512 the first changes nothing.
+NUMPY_DISPATCH = {
+    "x86_v3": "X86_V4 AVX512_ICL AVX512_SPR",
+    "x86_v2": "X86_V3 X86_V4 AVX512_ICL AVX512_SPR",
+}
+
+
+@pytest.mark.parametrize("disabled", NUMPY_DISPATCH.values(), ids=NUMPY_DISPATCH.keys())
+def test_outputs_are_the_same_under_every_numpy_dispatch_level(disabled):
+    """The elementwise numpy the builders and scorer use gives GOLDEN's and
+    SIMULATE_GOLDEN's bytes whichever SIMD loops numpy dispatches to."""
+    child = _output_digests_child(NPY_DISABLE_CPU_FEATURES=disabled)
+    assert json.loads(child.stdout) == {**GOLDEN, "simulate": SIMULATE_GOLDEN}
+
+
+def _output_digests_child(**overrides) -> subprocess.CompletedProcess:
+    """OUTPUT_DIGESTS run to completion in a child process with these
+    environment variables set."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(crossview.__file__)))
-    env = dict(os.environ, OPENBLAS_CORETYPE=core)
+    env = dict(os.environ, **overrides)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     args = [json.dumps(CONFIGS), json.dumps(RUN_FILES)]
-    child = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-c", OUTPUT_DIGESTS, *args], env=env, capture_output=True, text=True,
         check=True,
     )
-    assert json.loads(child.stdout) == {**GOLDEN, "simulate": SIMULATE_GOLDEN}

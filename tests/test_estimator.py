@@ -74,6 +74,18 @@ def test_vo_increment_validation():
     np.testing.assert_allclose(ident.dR, np.eye(3))
 
 
+@pytest.mark.parametrize(
+    "make", [VoIncrement.identity, lambda: ProcessNoise(np.full(6, 0.01))],
+    ids=["vo_increment", "process_noise"],
+)
+def test_array_holders_compare_by_identity(make):
+    # Field-wise == of two array-holding values raised "truth value of an array".
+    a, b = make(), make()
+    assert (a == b) is False and (a != b) is True
+    assert a == a
+    assert hash(a) == hash(a) and len({a, b}) == 2
+
+
 def test_process_noise_default_and_validation():
     np.testing.assert_allclose(DEFAULT_Q.matrix, np.eye(6) * 0.01)
     with pytest.raises(TypeError):  # the caller's config sets Q, not a default

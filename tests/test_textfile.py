@@ -68,7 +68,8 @@ def poisoned_tiles(path):
 
 def poisoned_trajectory(path):
     cfg = SimConfig(length_m=125.0, duration_s=10.0, turn_radius_m=10.0, straight_init_m=10.0)
-    save_trajectory(path, gen_trajectory(cfg, seed=0)[:5])
+    flight = gen_trajectory(cfg, seed=0)
+    save_trajectory(path, Flight(flight.t[:5], flight.truth[:5], flight.dp[:5], flight.dR[:5]))
     return load_trajectory, 5, 1  # line 5 is frame 3; column 1 is x
 
 
@@ -211,10 +212,10 @@ def test_trajectory_file_round_trips_and_rebuilds_each_rotation(tmp_path_factory
     assert len(back) == len(frames)
     columns = [line.split() for line in path.read_text().splitlines()[1:]]
 
-    def flat(f):
-        return [bits(v) for v in (f.t, *tuple(f.truth), *f.vo_increment.dp)]
+    def flat(f, i):
+        return [bits(v) for v in (f.t[i], *f.truth[i], *f.dp[i])]
 
-    for frame, loaded, row in zip(frames, back, columns):
-        assert flat(loaded) == flat(frame)
+    for i, row in enumerate(columns):
+        assert flat(back, i) == flat(frames, i)
         rebuilt = euler_to_rotmat(*map(float, row[10:13]))
-        assert loaded.vo_increment.dR.tobytes() == rebuilt.tobytes()
+        assert back.dR[i].tobytes() == rebuilt.tobytes()
