@@ -14,12 +14,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from operator import add
 
 import numpy as np
 
 from .fusion import FusedMeasurement, _block_entries, _block_matrix
-from .geometry import _NOT_A_ROTATION, Pose6D, compose_increment, is_rotation_matrix, wrap_angle
+from .geometry import _NOT_A_ROTATION, Pose6D, _wrap_angle, compose_increment, is_rotation_matrix
+from .geometry import wrap_angle
 
 __all__ = [
     "OBSERVATION_MATRIX",
@@ -161,18 +161,17 @@ def correct(state: FilterState, measurement: FusedMeasurement) -> FilterState:
 
 def _correct_blocks(pose: Pose6D, P9, z, M8) -> tuple[Pose6D, tuple[float, ...]]:
     """:func:`correct` on P's and M's blocks (``fusion._block_matrix``) in plain
-    floats, so no BLAS sets its bits: the new pose and P9. One ``eigvalsh`` of
-    [M_pos, S_pos] runs correct's gates; an indefinite S_pos raises. Position:
+    floats, with no BLAS or LAPACK: the new pose and P9. :func:`_eigvalsh3` of
+    M_pos and S_pos runs correct's gates; an indefinite S_pos raises. Position:
     S = L L^T (Cholesky, Golub & Van Loan 4.2), K = P S^-1, x += K y and
     P <- (I - K) P, off-diagonals averaged; psi, theta: gain p / (p + m)."""
     pxx, pxy, pxz, pyy, pyz, pzz, pp, pt, pf = P9
     mxx, mxy, mxz, myy, myz, mzz, mp, mt = M8
-    sxx, sxy, sxz, syy, syz, szz, sp, st = map(add, P9, M8)
-    (m0, _, _), (s0, s1, s2) = np.linalg.eigvalsh(np.array(
-        [mxx, mxy, mxz, mxy, myy, myz, mxz, myz, mzz, sxx, sxy, sxz, sxy, syy, syz, sxz, syz, szz]
-    ).reshape(2, 3, 3)).tolist()
-    if min(m0, mp, mt) < -_SYMMETRY_TOL:
+    sxx, sxy, sxz, syy, syz, szz = pxx + mxx, pxy + mxy, pxz + mxz, pyy + myy, pyz + myz, pzz + mzz
+    sp, st = pp + mp, pt + mt
+    if min(_eigvalsh3(mxx, myy, mzz, mxy, mxz, myz)[0], mp, mt) < -_SYMMETRY_TOL:
         raise ValueError(_NOT_PSD)
+    s0, s1, s2 = _eigvalsh3(sxx, syy, szz, sxy, sxz, syz)
     # An S that overflowed has nan eigenvalues; s0 leads, so min and max keep it.
     s_abs = (abs(s0), abs(s1), abs(s2), abs(sp), abs(st))
     s_max, s_min = max(s_abs), min(s_abs)
@@ -205,6 +204,46 @@ def _correct_blocks(pose: Pose6D, P9, z, M8) -> tuple[Pose6D, tuple[float, ...]]
           (1.0 - kp) * pp, (1.0 - kt) * pt, pf)
     if not all(map(math.isfinite, P9)):
         raise ValueError(_NOT_FINITE)
-    psi += kp * wrap_angle(z[3] - psi)
-    theta += kt * wrap_angle(z[4] - theta)
-    return Pose6D(*X, *map(wrap_angle, (psi, theta, phi))), P9
+    psi += kp * _wrap_angle(z[3] - psi)  # finite: z and the pose are, and kp with P9
+    theta += kt * _wrap_angle(z[4] - theta)
+    return Pose6D(*X, _wrap_angle(psi), _wrap_angle(theta), _wrap_angle(phi)), P9
+
+
+def _eigvalsh3(a, b, c, d, e, f) -> tuple[float, float, float]:
+    """Ascending eigenvalues of the symmetric [[a, d, e], [d, b, f], [e, f, c]] (nan if an
+    entry is), the least within a few eps of s = sum |entries| of LAPACK's, the others 1e-7 s:
+    c and the xy pair if e = f = 0, else Smith's form (CACM 4(4):168) on B = (A / s - q I) / p,
+    and :func:`_normal_pair` for a lower two that nearly meet, of which acos loses sqrt(eps)."""
+    s = abs(a) + abs(b) + abs(c) + abs(d) + abs(e) + abs(f)
+    if not 0.0 < s < math.inf:
+        return (0.0 if s == 0.0 else math.nan,) * 3
+    a, b, c, d, e, f = a / s, b / s, c / s, d / s, e / s, f / s
+    if e == f == 0.0:
+        m, h = 0.5 * (a + b), math.hypot(0.5 * (a - b), d)
+        return tuple(v * s for v in sorted((c, m - h, m + h)))
+    q = (a + b + c) / 3.0
+    p = math.sqrt(((a - q) ** 2 + (b - q) ** 2 + (c - q) ** 2 + 2 * (d * d + e * e + f * f)) / 6)
+    k = p or 1.0  # p = 0: A / s = q I, and B = 0 leaves every eigenvalue q
+    a, b, c, d, e, f = (a - q) / k, (b - q) / k, (c - q) / k, d / k, e / k, f / k
+    r = min(max(0.5 * (a * (b * c - f * f) - d * (d * c - e * f) + e * (d * f - b * e)), -1.0), 1.0)
+    phi = math.acos(r) / 3.0
+    lo, hi = 2.0 * math.cos(phi + math.tau / 3.0), 2.0 * math.cos(phi)
+    mid = -lo - hi
+    if r > 0.99:  # hi stands 3 or more clear of the lower two
+        lo, mid = _normal_pair((a - hi, d, e), (d, b - hi, f), (e, f, c - hi), hi)
+    return (q + p * lo) * s, (q + p * mid) * s, (q + p * hi) * s
+
+
+def _normal_pair(x, y, z, end) -> tuple[float, float]:
+    """B = C + end I's eigenvalues on the plane (u, w) normal to end's vector, v, given C's rows."""
+    cross = lambda s, t: (s[1] * t[2] - s[2] * t[1], s[2] * t[0] - s[0] * t[2],
+                          s[0] * t[1] - s[1] * t[0])
+    dot = lambda s, t: s[0] * t[0] + s[1] * t[1] + s[2] * t[2]
+    v = max(cross(x, y), cross(x, z), cross(y, z), key=lambda v: dot(v, v))
+    u = cross(v, (1.0, 0.0, 0.0) if v[0] * v[0] < 0.36 * dot(v, v) else (0.0, 1.0, 0.0))
+    w = cross(v, u)
+    quad = lambda s, t: ((s[0] * dot(x, t) + s[1] * dot(y, t) + s[2] * dot(z, t))
+                         / math.sqrt(dot(s, s) * dot(t, t)))
+    cuu, cuw, cww = quad(u, u), quad(u, w), quad(w, w)
+    h = math.hypot(0.5 * (cuu - cww), cuw)
+    return end + 0.5 * (cuu + cww) - h, end + 0.5 * (cuu + cww) + h

@@ -17,12 +17,13 @@ numbers: as easy as 1, 2, 3", SC'11) keyed by its seed, and reads its noise
 for a (frame, slot) pair by setting the counter to [0, 0, slot, frame]: slot 0
 is the per-frame stream, slot tile_id + 1 the stream of a (frame, tile) pair.
 Every pair has its own address, so results do not depend on call order or on
-what any other backend drew. The per-frame stream models the error the real
-networks share across candidates scored on the same query image; the per-pair
-stream models the rest. ``common_frac`` splits the configured variance between
-the two, leaving each match's total error variance unchanged. A backend keeps
-its generator's state, so threads matching concurrently should each build
-their own backend: one matcher per thread.
+what any other backend drew, and the backends of one ``_Backend._key`` may read
+one copy: the table of a frame's draws the filter loop hands them. The
+per-frame stream models the error the real networks share across candidates on
+one query image; the per-pair stream models the rest. ``common_frac`` splits the
+configured variance between the two, leaving each match's total error variance
+unchanged. A backend keeps its generator's state, so threads matching
+concurrently should each build their own backend: one matcher per thread.
 
 A backend's ``_match_rows`` is its one scoring kernel: it returns plain rows
 that the filter loop fuses directly, and ``match_frame`` checks each row into
@@ -167,6 +168,8 @@ class _Backend:
     def __init__(self, cfg: SimConfig, seed: int):
         self.d0, self.d_slope, self.d_jitter = map(float, (cfg.d0, cfg.d_slope, cfg.d_jitter))
         self._noise_at = _philox_at(seed)
+        # Backends of one type, Philox key and distance model draw one table.
+        self._key = (type(self), _check_seed(seed), self.d0, self.d_slope, self.d_jitter)
 
     def match_frame(self, obs: UavObservation, tiles) -> list[MatchResult]:
         """Score one frame against each tile, in the order given: a checked
@@ -175,16 +178,6 @@ class _Backend:
             MatchResult(d, (x, y, z), psi, theta, tile_id)
             for d, tile_id, x, y, z, psi, theta in self._match_rows(obs, tiles)
         ]
-
-    def _distance(self, scene: tuple[float, float], tile: TileRecord, jitter: float) -> float:
-        """d0 + d_slope * |scene center - tile center| + half-normal jitter, floored.
-
-        scene is the camera's ground point, from :func:`ground_intersection`.
-        """
-        sx, sy = scene
-        gap = math.hypot(sx - tile.x, sy - tile.y)
-        d = self.d0 + self.d_slope * gap + self.d_jitter * abs(jitter)
-        return max(d, D_MIN)
 
 
 class SyntheticMatcher(_Backend):
@@ -215,45 +208,53 @@ class SyntheticMatcher(_Backend):
     def match_pair(self, obs: UavObservation, tile: TileRecord) -> MatchResult:
         return self.match_frame(obs, [tile])[0]
 
-    def _match_rows(self, obs: UavObservation, tiles) -> list[tuple]:
+    def _match_rows(self, obs: UavObservation, tiles, table: dict | None = None) -> list[tuple]:
         """Score one frame against each tile, in the order given, as plain rows.
 
         Each row is (d, tile_id, x, y, z, psi, theta), floats but tile_id,
         MatchResult's fields before its checks: d is floored at D_MIN, psi
         wrapped and theta clamped, but an extreme calibration can still
         overflow a value to inf or nan; :func:`fusion._fuse_rows` rejects it.
-        The per-frame draw and the camera's ground point are computed once,
-        not per tile.
+
+        table holds the frame's draws for the backends of this ``_key``: None
+        maps to the per-frame normals and the ground point, a tile id (one id,
+        one tile) to its pair's (gate, e0..e4, d), filled by the first backend
+        to ask for it. Without a table the call draws into a fresh one.
         """
+        table = {} if table is None else table
         at, frame = self._noise_at, obs.frame
-        # Per-frame stream, 5 normals (x, y, z, psi, theta): the error
-        # component shared by every tile paired with this frame.
+        shared = table.get(None)
+        if shared is None:
+            # Per-frame stream, 5 normals (x, y, z, psi, theta): the error
+            # component shared by every tile paired with this frame.
+            shared = table[None] = (*at(frame, 0).standard_normal(5).tolist(),
+                                    *ground_intersection(obs.truth))
+        n0, n1, n2, n3, n4, gx, gy = shared
         c, i = self.shared_scale, self.own_scale
-        s0, s1, s2, s3, s4 = [c * v for v in at(frame, 0).standard_normal(5).tolist()]
-        truth = obs.truth
-        x, y, z, psi, theta = truth.x, truth.y, truth.z, truth.psi, truth.theta
+        s0, s1, s2, s3, s4 = c * n0, c * n1, c * n2, c * n3, c * n4
+        x, y, z, psi, theta, _ = obs.truth
         sxy, sz, spsi, stheta = self.sigma_xy, self.sigma_z, self.sigma_psi, self.sigma_theta
         outlier_prob, f = self.outlier_prob, self.outlier_factor
-        distance, scene = self._distance, ground_intersection(truth)
+        d0, d_slope, d_jitter = self.d0, self.d_slope, self.d_jitter
         rows = []
         for tile in tiles:
-            # Per-pair stream: outlier gate, then 6 normals, 5 for the rest
-            # of the pose error and the distance jitter.
-            rng = at(frame, tile.tile_id + 1)
-            gate = rng.random()
-            e0, e1, e2, e3, e4, jitter = rng.standard_normal(6).tolist()
+            tile_id = tile.tile_id
+            draw = table.get(tile_id)
+            if draw is None:
+                # Per-pair stream: outlier gate, then 6 normals, 5 for the rest of the
+                # pose error and the jitter of d, floored by max (a nan d stays nan).
+                rng = at(frame, tile_id + 1)
+                gate = rng.random()
+                e0, e1, e2, e3, e4, jitter = rng.standard_normal(6).tolist()
+                d = d0 + d_slope * math.hypot(gx - tile.x, gy - tile.y) + d_jitter * abs(jitter)
+                draw = table[tile_id] = (gate, e0, e1, e2, e3, e4, max(d, D_MIN))
+            gate, e0, e1, e2, e3, e4, d = draw
             m0, m1, m2, m3, m4 = s0 + i * e0, s1 + i * e1, s2 + i * e2, s3 + i * e3, s4 + i * e4
             if gate < outlier_prob:
                 m0, m1, m2, m3, m4 = m0 * f, m1 * f, m2 * f, m3 * f, m4 * f
-            rows.append((
-                distance(scene, tile, jitter),
-                tile.tile_id,
-                x + sxy * m0,
-                y + sxy * m1,
-                z + sz * m2,
-                _wrap_angle(psi + spsi * m3),
-                min(max(theta + stheta * m4, 0.0), MAX_TILT_DEG),
-            ))
+            psi_hat, theta_hat = psi + spsi * m3, theta + stheta * m4
+            rows.append((d, tile_id, x + sxy * m0, y + sxy * m1, z + sz * m2,
+                         _wrap_angle(psi_hat), min(max(theta_hat, 0.0), MAX_TILT_DEG)))
         return rows
 
 
@@ -287,17 +288,14 @@ class SceneMatcher(_Backend):
     def match_pair(self, obs: UavObservation, tile: TileRecord) -> MatchResult:
         return self.match_frame(obs, [tile])[0]
 
-    def _match_rows(self, obs: UavObservation, tiles) -> list[tuple]:
+    def _match_rows(self, obs: UavObservation, tiles, table: dict | None = None) -> list[tuple]:
         """Score one frame against each tile, in the order given, as plain
-        rows (d, tile_id, x, y, z, psi, theta); see SyntheticMatcher's."""
-        scene = ground_intersection(obs.truth)
-        at, altitude = self._noise_at, self.altitude
-        psi, theta = self.heading_prior, self.tilt_prior
+        rows (d, tile_id, x, y, z, psi, theta); see SyntheticMatcher's. table
+        goes unread: this backend reads a pair's stream for one normal only."""
+        gx, gy = ground_intersection(obs.truth)
+        at, frame, altitude, psi = self._noise_at, obs.frame, self.altitude, self.heading_prior
+        d0, d_slope, d_jitter, theta = self.d0, self.d_slope, self.d_jitter, self.tilt_prior
         # Per-pair stream, single draw: distance jitter normal.
-        return [
-            (
-                self._distance(scene, tile, at(obs.frame, tile.tile_id + 1).standard_normal()),
-                tile.tile_id, tile.x, tile.y, altitude, psi, theta,
-            )
-            for tile in tiles
-        ]
+        return [(max(d0 + d_slope * math.hypot(gx - tile.x, gy - tile.y)
+                     + d_jitter * abs(at(frame, tile.tile_id + 1).standard_normal()), D_MIN),
+                 tile.tile_id, tile.x, tile.y, altitude, psi, theta) for tile in tiles]

@@ -288,9 +288,10 @@ def _path_length(columns: np.ndarray) -> float:
 
 def _score(est: np.ndarray, truth: np.ndarray, length: float) -> RmseSummary:
     # est, truth: (n, 5) columns x, y, z, psi, theta of two equally long
-    # trajectories; length: the truth's path length.
-    if not math.isfinite(length):
-        raise ValueError("the truth path length overflows, so pos_pct is undefined")
+    # trajectories; length: the truth's path length, which pos_pct divides.
+    if not 0.0 < length < math.inf:
+        why = "has zero length" if length == 0.0 else "length overflows"
+        raise ValueError(f"the truth path {why}, so pos_pct is undefined")
     with np.errstate(over="ignore"):
         err = est - truth
         pos_rmse = float(np.sqrt(np.mean(np.sum(err[:, :3] ** 2, axis=1))))
@@ -300,7 +301,7 @@ def _score(est: np.ndarray, truth: np.ndarray, length: float) -> RmseSummary:
     theta_err = wrap_angles(err[:, 4])
     return RmseSummary(
         pos_rmse_m=pos_rmse,
-        pos_pct=100.0 * pos_rmse / length if length > 0.0 else math.inf,
+        pos_pct=100.0 * pos_rmse / length,
         psi_rmse_deg=float(np.sqrt(np.mean(psi_err**2))),
         theta_rmse_deg=float(np.sqrt(np.mean(theta_err**2))),
     )
@@ -311,7 +312,7 @@ def rmse(estimates: list[Pose6D], truth: list[Pose6D]) -> RmseSummary:
 
     Angle residuals are wrapped, so an estimate at -179 deg against a truth
     of +179 deg counts as 2 degrees of error, not 358. An overflow, in the
-    errors or in the truth's path length, raises.
+    errors or in the truth's path length, raises, as does a zero path length.
     """
     if len(estimates) != len(truth):
         raise ValueError(
@@ -359,10 +360,11 @@ def _run_pipelines(
     covariance) per backend. The flight was checked when built, so each step
     reads its increment from lists of ``_VO_BLOCK`` rows of the columns, runs
     :func:`predict`'s kernel, ``geometry._compose``, in plain floats on all
-    poses at once, and adds q to the variances of each P,
-    held as its nine block entries (``fusion._block_matrix``); a correction
-    runs the kernels of ``match_frame``, :func:`fuse` and :func:`correct`'s
-    block branch, which make the checks that depend on the data. At
+    poses at once, and adds q to the variances of each P, held as its nine
+    block entries (``fusion._block_matrix``); a correction runs the kernels of
+    ``match_frame``, :func:`fuse` and :func:`correct`'s block branch, which
+    make the checks that depend on the data and call no LAPACK; backends of
+    one ``_key`` (regression and hybrid) share the frame's table of draws. At
     k_candidates = 1, which leaves no scatter, each backend's
     ``_lone_variances`` on this grid stand in, checked once here.
     """
@@ -387,11 +389,13 @@ def _run_pipelines(
                    for xx, xy, xz, yy, yz, zz, pp, pt, pf in P9s]
             if i % stride == 0:
                 obs = UavObservation(i, Pose6D(*flight.truth[i].tolist()))
+                tables = {}  # this frame's draws, one table per backend key
                 for j, backend in enumerate(backends):
                     if backend is not None:
                         pose = poses[j]
                         candidates = k_nearest(tile_set, pose[:2], cfg.k_candidates)
-                        z, M8 = _fuse_rows(backend._match_rows(obs, candidates), lone[j])
+                        table = tables.setdefault(backend._key, {})
+                        z, M8 = _fuse_rows(backend._match_rows(obs, candidates, table), lone[j])
                         poses[j], P9s[j] = _correct_blocks(pose, P9s[j], z, M8)
             for track, pose in zip(tracks, poses):
                 track.append(pose)

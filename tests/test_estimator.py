@@ -1,11 +1,12 @@
 """Kalman filter tests: literal-algebra oracle, hand cases, consistency."""
 
+import math
 import re
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
@@ -16,6 +17,7 @@ from crossview.estimator import (
     ProcessNoise,
     VoIncrement,
     _correct_blocks,
+    _eigvalsh3,
     correct,
     predict,
     state_vector,
@@ -433,6 +435,113 @@ def test_block_form_gates_as_general_form(P, M):
         general_form(state, fused)
     with pytest.raises(general.type, match=f"^{re.escape(str(general.value))}$"):
         _correct_blocks(state.pose, _block_entries(P), [0.0] * 5, _block_entries(M))
+
+
+# Eigenvalues a 3x3 block can have: spread over many scales, repeated (a
+# rank-deficient scatter plus its ridge), zero, or a little negative.
+_EIGENVALUE = st.one_of(st.floats(1e-12, 1e6), st.sampled_from([0.0, 1e-6, 1.0, -1e-8, -1e-3]))
+
+
+def turned(seed, eigenvalues, scale=1.0):
+    """The symmetric 3x3 with these eigenvalues (times scale), randomly turned."""
+    Q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((3, 3)))
+    A = (Q * np.asarray(eigenvalues, dtype=float)) @ Q.T * scale
+    return 0.5 * (A + A.T)
+
+
+def upper(A):
+    """A 3x3 block's (xx, yy, zz, xy, xz, yz), _eigvalsh3's argument order."""
+    return A[0, 0], A[1, 1], A[2, 2], A[0, 1], A[0, 2], A[1, 2]
+
+
+@settings(max_examples=500, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), low=_EIGENVALUE, gap=st.sampled_from([0.0, 1e-12, 1e-6, 1.0]),
+       high=_EIGENVALUE, scale=st.sampled_from([1e-300, 1e-6, 1.0, 1e6, 1e300]))
+def test_closed_form_eigenvalues_agree_with_lapack(seed, low, gap, high, scale):
+    """The least within a few eps of the largest entry of LAPACK's, the others
+    within 1e-7 of it, also where a pair meets or nearly meets, at the bottom
+    (a rank-one scatter plus its ridge) or at the top, and with z apart."""
+    A = turned(seed, [low, low * (1.0 + gap), high], scale)
+    if seed % 4 == 0:  # z apart, as in a scene scatter
+        A[:2, 2] = A[2, :2] = 0.0
+    got, want = _eigvalsh3(*upper(A)), np.linalg.eigvalsh(A).tolist()
+    s = np.abs(A).max()
+    assert got[0] == pytest.approx(want[0], rel=0.0, abs=64 * np.finfo(float).eps * s)
+    assert got[1:] == pytest.approx(want[1:], rel=0.0, abs=1e-7 * s)
+    assert _eigvalsh3(*upper(np.outer([3.0, -40.0, 7.0], [3.0, -40.0, 7.0]) + 1e-6 * np.eye(3)))[0] == (
+        pytest.approx(1e-6, rel=1e-6))
+
+
+def lapack_gates(P9, M8):
+    """The message _correct_blocks raised when one eigvalsh of [M_pos, S_pos]
+    ran its gates, or None."""
+    S8 = [p + m for p, m in zip(P9, M8)]
+    (m0, _, _), (s0, s1, s2) = np.linalg.eigvalsh(
+        np.stack([_block_matrix(M8)[:3, :3], _block_matrix(S8)[:3, :3]])).tolist()
+    if min(m0, M8[6], M8[7]) < -1e-9:
+        return "measurement covariance must be positive semidefinite"
+    s_abs = (abs(s0), abs(s1), abs(s2), abs(S8[6]), abs(S8[7]))
+    if not (min(s_abs) > 0.0 and max(s_abs) / min(s_abs) <= 1e12):
+        return "innovation covariance condition number exceeds 1e+12"
+    return "innovation covariance must be positive definite" if s0 < 0.0 else None
+
+
+@settings(max_examples=500, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), m_eigs=st.tuples(_EIGENVALUE, _EIGENVALUE, _EIGENVALUE),
+       p_eigs=st.tuples(*[st.one_of(st.just(0.0), st.floats(1e-14, 1e4))] * 3),
+       scalars=st.tuples(*[st.sampled_from([0.0, 1e-12, 1e-3, 1.0, 1e3, -1e-6])] * 4))
+def test_closed_form_gates_decide_as_lapack_did(seed, m_eigs, p_eigs, scalars):
+    """Away from the thresholds (the -1e-9 PSD tolerance, the 1e12 condition
+    limit, a sign within eps of S's scale), _correct_blocks raises exactly when
+    and what LAPACK's eigenvalues made it raise."""
+    M, P = turned(seed, m_eigs), turned(seed + 1, p_eigs)
+    mp, mt, pp, pt = scalars
+    M8 = (M[0, 0], M[0, 1], M[0, 2], M[1, 1], M[1, 2], M[2, 2], mp, mt)
+    P9 = (P[0, 0], P[0, 1], P[0, 2], P[1, 1], P[1, 2], P[2, 2], abs(pp), abs(pt), 1.0)
+    S = M + P
+    m_min = min(np.linalg.eigvalsh(M)[0], mp, mt)
+    assume(abs(m_min + 1e-9) > 1e-12 * np.abs(M).max())
+    s_eigs = np.linalg.eigvalsh(S).tolist()
+    assume(abs(s_eigs[0]) > 1e-12 * np.abs(S).max())
+    s_abs = [abs(v) for v in s_eigs + [abs(pp) + mp, abs(pt) + mt]]
+    assume(min(s_abs) == 0.0 or abs(math.log10(max(s_abs) / min(s_abs)) - 12.0) > 0.01)
+    want = lapack_gates(P9, M8)
+    if want is None:
+        _correct_blocks(Pose6D(0.0, 0.0, 150.0, 0.0, 10.0), P9, [1.0, 2.0, 150.0, 3.0, 12.0], M8)
+    else:
+        with pytest.raises((ValueError, np.linalg.LinAlgError), match=f"^{re.escape(want)}$"):
+            _correct_blocks(Pose6D(0.0, 0.0, 150.0, 0.0, 10.0), P9, [1.0, 2.0, 150.0, 3.0, 12.0], M8)
+
+
+@pytest.mark.parametrize("entry, value", [(0, math.inf), (1, math.nan), (4, -math.inf), (5, math.nan),
+                                          (3, 1.5e308), (6, math.inf)])
+def test_an_innovation_covariance_that_is_not_finite_is_ill_conditioned(entry, value):
+    """An S_pos entry that is inf or nan, or whose P + M sum overflows, and an
+    infinite scalar S, all read as ill-conditioned: no math domain error, no pass."""
+    P9 = [1.0, 0.1, 0.0, 1.0, 0.0, 1.0, 1.0, 1.0, 1.0]
+    M8 = [1.0, 0.0, 0.0, 1.0, 0.0, 1.0, 1.0, 1.0]
+    P9[entry] = value
+    if value == 1.5e308:
+        M8[entry] = value
+    ill = "^innovation covariance condition number exceeds 1e\\+12$"
+    with pytest.raises(np.linalg.LinAlgError, match=ill):
+        _correct_blocks(Pose6D(0.0, 0.0, 150.0, 0.0, 10.0), tuple(P9), [0.0] * 5, tuple(M8))
+
+
+def test_two_candidates_pass_the_psd_gate():
+    """Two candidates scatter along one line: M_pos is rank one plus the
+    ridge, whose two equal least eigenvalues the plain closed form misreads
+    by up to 1e-8 of the largest. The block form corrects as the LAPACK form."""
+    rng = np.random.default_rng(2)
+    state = state_at(P=np.eye(6) * 4.0)
+    for _ in range(100):
+        offset = rng.normal(0.0, 60.0, size=3)
+        results = [MatchResult(5.0, offset, 10.0, 10.0, 0), MatchResult(7.0, -offset, 12.0, 11.0, 1)]
+        fused = fuse(results, HYBRID)
+        pose, P9 = _correct_blocks(state.pose, _block_entries(state.P), fused.z_vector().tolist(),
+                                   _block_entries(fused.M))
+        assert correct(state, fused).P.tobytes() == _block_matrix(P9).tobytes()
+        np.testing.assert_allclose(_block_matrix(P9), general_form(state, fused).P, rtol=0.0, atol=1e-9)
 
 
 @settings(max_examples=300, deadline=None)

@@ -374,6 +374,53 @@ def test_row_kernel_equals_three_call_draws_and_match_frame(
     assert all(type(v) is float for row in rows for v in row[:1] + row[2:])
 
 
+@settings(max_examples=100, deadline=None)
+@given(
+    outlier_prob=st.sampled_from([0.0, 0.3, 1.0]),
+    common_frac=st.sampled_from([0.0, 0.8]),
+    seed=st.integers(0, 2**32),
+    frame=st.integers(1, 10**6),
+    first=st.lists(st.integers(0, 48), min_size=1, max_size=16, unique=True),
+    second=st.lists(st.integers(0, 48), min_size=1, max_size=16, unique=True),
+    hybrid_first=st.booleans(),
+)
+def test_backends_of_one_key_share_a_frame_table(
+    outlier_prob, common_frac, seed, frame, first, second, hybrid_first
+):
+    """Regression and hybrid on one seed fill and read one table for a frame,
+    in either order, and score exactly what each scores without one; between
+    them they read slot 0 once and each tile either asks for once."""
+    cfg = SimConfig(outlier_prob=outlier_prob, common_frac=common_frac)
+    calls = [("regression", first), ("hybrid", second)][:: -1 if hybrid_first else 1]
+    matchers = [SyntheticMatcher(cfg, kind, seed) for kind, _ in calls]
+    assert matchers[0]._key == matchers[1]._key
+    obs = obs_at(frame, x=37.0, y=-12.0, psi=-170.0, theta=12.0)
+    reads = [count_reads(matcher) for matcher in matchers]
+    table = {}
+    shared = [m._match_rows(obs, [_tile(t) for t in tids], table)
+              for m, (_, tids) in zip(matchers, calls)]
+    both = sorted({*first, *second})
+    assert sorted(reads[0] + reads[1]) == [(frame, 0)] + [(frame, t + 1) for t in both]
+    assert len(table) == 1 + len(both)
+    fresh = [SyntheticMatcher(cfg, kind, seed)._match_rows(obs, [_tile(t) for t in tids])
+             for kind, tids in calls]
+    assert repr(shared) == repr(fresh)
+
+
+def test_backend_keys_name_what_a_table_holds():
+    """Only backends that would draw the same table share a key: the scene
+    backend reads its pairs' streams differently, and the distance model and
+    the seed set each table entry."""
+    cfg = SimConfig()
+    key = SyntheticMatcher(cfg, "hybrid", 7)._key
+    assert SyntheticMatcher(SimConfig(outlier_prob=0.3, common_frac=0.1), "regression", 7)._key == key
+    for other in (SceneMatcher(cfg, 7), SyntheticMatcher(cfg, "hybrid", 8),
+                  SyntheticMatcher(SimConfig(d0=0.5), "hybrid", 7),
+                  SyntheticMatcher(SimConfig(d_slope=0.02), "hybrid", 7),
+                  SyntheticMatcher(SimConfig(d_jitter=0.2), "hybrid", 7)):
+        assert other._key != key
+
+
 def test_matchers_reject_seeds_a_philox_key_cannot_hold():
     for seed in (-1, 2**128, 1.0):
         for make in (lambda s: SyntheticMatcher(CFG, "hybrid", s), lambda s: SceneMatcher(CFG, s)):

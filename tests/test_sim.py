@@ -1,5 +1,6 @@
 """Flight simulation, VO drift, metrics, and the end-to-end experiment."""
 
+import contextlib
 import math
 import warnings
 from unittest import mock
@@ -14,7 +15,7 @@ from crossview.config import ConfigError, SimConfig
 from crossview.estimator import FilterState, ProcessNoise, VoIncrement, correct, predict
 from crossview.fusion import fuse
 from crossview.geometry import Pose6D, euler_to_rotmat, rotmat_to_euler, wrap_angle
-from crossview.matchers import UavObservation, match_variances
+from crossview.matchers import SceneMatcher, SyntheticMatcher, UavObservation, match_variances
 from crossview.sim import (
     _make_backends,
     _run_pipelines,
@@ -460,8 +461,9 @@ def test_rmse_constant_offset():
 
 
 def test_rmse_wraps_heading():
-    truth = [Pose6D(0, 0, 150, 179.0, 0.0)] * 2
-    est = [Pose6D(0, 0, 150, -179.0, 0.0)] * 2
+    # The truth moves 1 m: a path of zero length leaves pos_pct undefined.
+    truth = [Pose6D(x, 0, 150, 179.0, 0.0) for x in (0.0, 1.0)]
+    est = [Pose6D(x, 0, 150, -179.0, 0.0) for x in (0.0, 1.0)]
     s = rmse(est, truth)
     assert s.psi_rmse_deg == pytest.approx(2.0, abs=1e-12)
 
@@ -475,6 +477,16 @@ def test_rmse_length_mismatch():
 def test_rmse_rejects_empty_trajectories():
     with pytest.raises(ValueError, match="trajectory is empty"):
         rmse([], [])
+
+
+def test_rmse_refuses_a_truth_path_of_zero_length():
+    """A truth that never moves once scored pos_pct = inf, where eval refuses it."""
+    truth = [Pose6D(3.0, 4.0, 150, 10, 5)] * 2
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        zero = "^the truth path has zero length, so pos_pct is undefined$"
+        with pytest.raises(ValueError, match=zero):
+            rmse(truth, truth)
 
 
 def test_rmse_refuses_a_truth_path_whose_length_overflows():
@@ -759,11 +771,12 @@ class AskedTiles:
 
     def __init__(self, inner):
         self.inner = inner
+        self._key = inner._key
         self.asked = []
 
-    def _match_rows(self, obs, tiles):
+    def _match_rows(self, obs, tiles, table):
         self.asked += [(obs.frame, t.tile_id) for t in tiles]
-        return self.inner._match_rows(obs, tiles)
+        return self.inner._match_rows(obs, tiles, table)
 
 
 def test_lockstep_seeds_each_stream_once(monkeypatch):
@@ -796,15 +809,64 @@ def test_lockstep_seeds_each_stream_once(monkeypatch):
 
     assert seeded == []  # matchers read counter blocks; they seed no stream
     corrections = set(range(cfg.correction_stride, len(flight), cfg.correction_stride))
-    for backend, got in zip(backends, reads):
-        assert len(got) == len(set(got))  # no block read twice
-        pairs = [(frame, slot - 1) for frame, slot in got if slot > 0]
-        # one read per (frame, tile) the backend was asked for
-        assert sorted(pairs) == sorted(backend.asked)
-        assert {frame for frame, _ in got} == corrections
-    frame_reads = [(frame, slot) for got in reads[1:] for frame, slot in got if slot == 0]
-    assert sorted(frame_reads) == sorted(2 * [(f, 0) for f in corrections])
-    assert len(backends[0].asked) == len(corrections) * cfg.k_candidates
+    scene, regression, hybrid = backends
+    for backend in backends:
+        assert len(backend.asked) == len(set(backend.asked)) == len(corrections) * cfg.k_candidates
+    # The scene backend reads each pair it is asked for once, and nothing else.
+    assert sorted(reads[0]) == sorted((frame, tile + 1) for frame, tile in scene.asked)
+    # Regression and hybrid share the run's key: between them they read slot 0
+    # once per correction frame and each pair either was asked for once.
+    pairs = set(regression.asked) | set(hybrid.asked)
+    synthetic = sorted(reads[1] + reads[2])
+    assert synthetic == sorted([(frame, 0) for frame in corrections]
+                               + [(frame, tile + 1) for frame, tile in pairs])
+    assert [slot for _, slot in synthetic].count(0) == len(corrections)
+    assert len(synthetic) == len(corrections) + len(pairs) < 2 * len(corrections) * 17
+    assert {frame for frame, _ in synthetic} == {frame for frame, _ in reads[0]} == corrections
+
+
+def test_the_loop_shares_draws_only_within_a_key():
+    """Each backend's run in company equals its run alone: the loop hands one
+    frame's table only to backends of one type, seed and distance model."""
+    cfg = small_config(correction_hz=4.0, k_candidates=9, outlier_prob=0.2)
+    jittery = small_config(correction_hz=4.0, k_candidates=9, outlier_prob=0.2, d_jitter=2.5)
+    flight = simulate_vo(gen_trajectory(cfg, seed=5), cfg, seed=5)
+    tiles = tiles_for(flight)
+    backends = [
+        SyntheticMatcher(cfg, "hybrid", 5),
+        SceneMatcher(cfg, 5),
+        SyntheticMatcher(cfg, "regression", 6),
+        SyntheticMatcher(jittery, "regression", 5),
+        SyntheticMatcher(cfg, "regression", 5),
+    ]
+    assert len({b._key for b in backends}) == 4
+    runs = _run_pipelines(flight, backends, cfg, tiles)
+    for backend, got in zip(backends, runs):
+        assert_same_run(got, _run_pipeline(flight, backend, cfg, tiles))
+
+
+def test_the_filter_loop_calls_no_lapack():
+    """A dense run with every np.linalg function raising inside the loop
+    equals the run without: the gates take their eigenvalues in closed form."""
+    cfg = small_config(correction_hz=20.0, k_candidates=16, outlier_prob=0.2, duration_s=20.0)
+    tiles = generate_grid(-1500.0, 1500.0, -1500.0, 1500.0, 50.0)
+    want = run_experiment(cfg, tiles, seed=4)
+    names = [name for name, value in vars(np.linalg).items()
+             if callable(value) and not isinstance(value, type) and not name.startswith("_")]
+    assert {"eigvalsh", "svd", "solve", "det", "norm"} <= set(names)
+    loop = sim._run_pipelines
+
+    def without_lapack(*args):
+        refuse = mock.Mock(side_effect=AssertionError("np.linalg called in the filter loop"))
+        with contextlib.ExitStack() as stack:
+            for name in names:
+                stack.enter_context(mock.patch.object(np.linalg, name, refuse))
+            return loop(*args)
+
+    with mock.patch.object(sim, "_run_pipelines", without_lapack):
+        got = run_experiment(cfg, tiles, seed=4)
+    assert repr(got.estimates) == repr(want.estimates)
+    assert got.summaries == want.summaries
 
 
 @pytest.mark.parametrize("block", [1, 7, 999])
