@@ -35,11 +35,12 @@ __all__ = [
 OBSERVATION_MATRIX = np.hstack([np.eye(5), np.zeros((5, 1))])
 
 _COND_LIMIT = 1e12
-# How far P and M may be from symmetric, and M's least eigenvalue below 0.
+# How far P and M may be from symmetric; see _psd_floor for M's least eigenvalue.
 _SYMMETRY_TOL = 1e-9
 _NOT_PSD = "measurement covariance must be positive semidefinite"
 _ILL_CONDITIONED = f"innovation covariance condition number exceeds {_COND_LIMIT:g}"
 _NOT_FINITE = "corrected covariance is not finite"
+_EPS = 2.0**-52  # float64's machine epsilon
 
 
 @dataclass(frozen=True, eq=False)
@@ -136,7 +137,7 @@ def correct(state: FilterState, measurement: FusedMeasurement) -> FilterState:
     # H X is X[:5] and I - K H is the identity less K in its first five
     # columns: the same bits as the products, without them.
     # eigvalsh sorts ascending, so [0] is the smallest eigenvalue.
-    if np.linalg.eigvalsh(M)[0] < -_SYMMETRY_TOL:
+    if np.linalg.eigvalsh(M)[0] < _psd_floor(M8):
         raise ValueError(_NOT_PSD)
     X = state_vector(state)
     S = M + P[:5, :5]
@@ -169,7 +170,8 @@ def _correct_blocks(pose: Pose6D, P9, z, M8) -> tuple[Pose6D, tuple[float, ...]]
     mxx, mxy, mxz, myy, myz, mzz, mp, mt = M8
     sxx, sxy, sxz, syy, syz, szz = pxx + mxx, pxy + mxy, pxz + mxz, pyy + myy, pyz + myz, pzz + mzz
     sp, st = pp + mp, pt + mt
-    if min(_eigvalsh3(mxx, myy, mzz, mxy, mxz, myz)[0], mp, mt) < -_SYMMETRY_TOL:
+    least = min(_eigvalsh3(mxx, myy, mzz, mxy, mxz, myz)[0], mp, mt)
+    if least < -_SYMMETRY_TOL and least < _psd_floor(M8):  # the first test spares the sum
         raise ValueError(_NOT_PSD)
     s0, s1, s2 = _eigvalsh3(sxx, syy, szz, sxy, sxz, syz)
     # An S that overflowed has nan eigenvalues; s0 leads, so min and max keep it.
@@ -207,6 +209,13 @@ def _correct_blocks(pose: Pose6D, P9, z, M8) -> tuple[Pose6D, tuple[float, ...]]
     psi += kp * _wrap_angle(z[3] - psi)  # finite: z and the pose are, and kp with P9
     theta += kt * _wrap_angle(z[4] - theta)
     return Pose6D(*X, _wrap_angle(psi), _wrap_angle(theta), _wrap_angle(phi)), P9
+
+
+def _psd_floor(M8) -> float:
+    """The least eigenvalue M may read and pass as PSD: -(1e-9 + 64 eps s), s the sum of
+    |entries| of M_pos's upper triangle, M8[:6]. Any eigenvalue method rounds by about
+    eps s, which a fixed floor cannot absorb once a scatter's variance nears 1e9 m^2."""
+    return -(_SYMMETRY_TOL + 64 * _EPS * sum(map(abs, M8[:6])))
 
 
 def _eigvalsh3(a, b, c, d, e, f) -> tuple[float, float, float]:

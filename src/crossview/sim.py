@@ -47,7 +47,7 @@ from .geometry import (
     wrap_angles,
 )
 from .matchers import _MAX_JITTER, SceneMatcher, SyntheticMatcher, UavObservation, _check_seed
-from .textfile import read_rows, write_rows
+from .textfile import read_table, write_rows
 from .tiles import DEFAULT_SPACING_M, TileSet, k_nearest
 
 __all__ = [
@@ -541,9 +541,10 @@ def _read_trajectory(path: str) -> np.ndarray:
     """The (n, 13) columns of a trajectory file, every row checked once.
 
     A row needs 13 values, each finite; a bad one is named by its column at
-    ``path:line:``. A file without frames is refused.
+    ``path:line:``. A file without frames is refused. numpy's reader parses
+    the file; :func:`_parse_columns` reads any file it cannot vouch for.
     """
-    return read_rows(path, _TRAJ_HEADER, _parse_columns)
+    return read_table(path, _TRAJ_HEADER, len(_TRAJ_COLUMNS), _parse_columns)
 
 
 def _parse_columns(rows) -> np.ndarray:

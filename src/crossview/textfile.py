@@ -5,11 +5,21 @@ header line, one record per line with whitespace-separated columns, floats
 written with ``repr`` so they read back bit-exactly, blank lines ignored, and
 every parse error reported as ``path:line: message``. Each format supplies
 only its column layout.
+
+One reader reads and splits a file once. Each format's checked row parse
+names every fault. A table of floats goes first through numpy's C reader,
+which converts a token with ``float()``'s correctly rounded routine; any
+lines it refuses or reads differently (``float()`` takes ``1_0``) go to the
+row parse, so the error is always the row parse's.
 """
 
 from __future__ import annotations
 
-__all__ = ["FileFormatError", "read_ascii", "read_rows", "write_rows"]
+import warnings
+
+import numpy as np
+
+__all__ = ["FileFormatError", "read_ascii", "read_rows", "read_table", "write_rows"]
 
 
 class FileFormatError(ValueError):
@@ -42,9 +52,34 @@ def read_rows(path, header: str, parse):
     FileFormatError located at ``path:line:``; one raised once the rows are
     exhausted (an empty file, a whole-file check) is located at ``path:``.
     """
+    return _parse_lines(path, _lines(path, header), parse)
+
+
+def read_table(path, header: str, width: int, parse) -> np.ndarray:
+    """numpy's ``(n, width)`` table of the rows, if it has a row and every value
+    is finite; else :func:`read_rows`'s ``parse`` of the same lines, which
+    returns that table for any file it accepts or raises the fault's error."""
+    lines = _lines(path, header)
+    try:
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            table = np.loadtxt(lines[1:], comments=None, ndmin=2)
+    except ValueError:
+        pass
+    else:
+        if len(table) and table.shape[1] == width and np.isfinite(table).all():
+            return table
+    return _parse_lines(path, lines, parse)
+
+
+def _lines(path, header: str) -> list[str]:
     lines = read_ascii(path, FileFormatError).splitlines()
     if not lines or lines[0].strip() != header:
         raise FileFormatError(f"{path}:1: expected header {header!r}")
+    return lines
+
+
+def _parse_lines(path, lines: list[str], parse):
     lineno = None
 
     def rows():

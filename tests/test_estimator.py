@@ -18,6 +18,7 @@ from crossview.estimator import (
     VoIncrement,
     _correct_blocks,
     _eigvalsh3,
+    _psd_floor,
     correct,
     predict,
     state_vector,
@@ -478,7 +479,7 @@ def lapack_gates(P9, M8):
     S8 = [p + m for p, m in zip(P9, M8)]
     (m0, _, _), (s0, s1, s2) = np.linalg.eigvalsh(
         np.stack([_block_matrix(M8)[:3, :3], _block_matrix(S8)[:3, :3]])).tolist()
-    if min(m0, M8[6], M8[7]) < -1e-9:
+    if min(m0, M8[6], M8[7]) < _psd_floor(M8):
         return "measurement covariance must be positive semidefinite"
     s_abs = (abs(s0), abs(s1), abs(s2), abs(S8[6]), abs(S8[7]))
     if not (min(s_abs) > 0.0 and max(s_abs) / min(s_abs) <= 1e12):
@@ -491,7 +492,7 @@ def lapack_gates(P9, M8):
        p_eigs=st.tuples(*[st.one_of(st.just(0.0), st.floats(1e-14, 1e4))] * 3),
        scalars=st.tuples(*[st.sampled_from([0.0, 1e-12, 1e-3, 1.0, 1e3, -1e-6])] * 4))
 def test_closed_form_gates_decide_as_lapack_did(seed, m_eigs, p_eigs, scalars):
-    """Away from the thresholds (the -1e-9 PSD tolerance, the 1e12 condition
+    """Away from the thresholds (the PSD floor, the 1e12 condition
     limit, a sign within eps of S's scale), _correct_blocks raises exactly when
     and what LAPACK's eigenvalues made it raise."""
     M, P = turned(seed, m_eigs), turned(seed + 1, p_eigs)
@@ -500,7 +501,7 @@ def test_closed_form_gates_decide_as_lapack_did(seed, m_eigs, p_eigs, scalars):
     P9 = (P[0, 0], P[0, 1], P[0, 2], P[1, 1], P[1, 2], P[2, 2], abs(pp), abs(pt), 1.0)
     S = M + P
     m_min = min(np.linalg.eigvalsh(M)[0], mp, mt)
-    assume(abs(m_min + 1e-9) > 1e-12 * np.abs(M).max())
+    assume(abs(m_min - _psd_floor(M8)) > 1e-12 * np.abs(M).max())
     s_eigs = np.linalg.eigvalsh(S).tolist()
     assume(abs(s_eigs[0]) > 1e-12 * np.abs(S).max())
     s_abs = [abs(v) for v in s_eigs + [abs(pp) + mp, abs(pt) + mt]]
@@ -511,6 +512,20 @@ def test_closed_form_gates_decide_as_lapack_did(seed, m_eigs, p_eigs, scalars):
     else:
         with pytest.raises((ValueError, np.linalg.LinAlgError), match=f"^{re.escape(want)}$"):
             _correct_blocks(Pose6D(0.0, 0.0, 150.0, 0.0, 10.0), P9, [1.0, 2.0, 150.0, 3.0, 12.0], M8)
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e10])
+def test_an_indefinite_measurement_fails_the_psd_gate_at_any_scale(scale):
+    """The floor scales with M_pos, but an M whose least eigenvalue is -1e-3 s
+    (s the sum of its block's |entries|) is refused by both forms."""
+    A = turned(3, [0.0, 1.0, 2.0], scale)
+    A -= 1e-3 * sum(map(abs, upper(A))) * np.eye(3)
+    M = np.eye(5) * scale
+    M[:3, :3] = A
+    state, fused = state_at(P=np.eye(6) * scale), measurement(np.zeros(5), M)
+    for form in (correct, general_form):
+        with pytest.raises(ValueError, match="^measurement covariance must be positive semidefinite$"):
+            form(state, fused)
 
 
 @pytest.mark.parametrize("entry, value", [(0, math.inf), (1, math.nan), (4, -math.inf), (5, math.nan),

@@ -5,13 +5,18 @@ computed from the loss value alone, so the derivative code never gets to
 grade its own homework.
 """
 
+import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from crossview.losses import (
     NUM_CELLS,
+    _cross_entropies,
     CameraLossWeights,
     camera_loss,
     cell_cross_entropy,
@@ -186,6 +191,24 @@ def test_cross_entropy_grad_finite_difference():
             assert abs(grad[int(j)] - fd) / scale < 1e-6
 
 
+def reference_cross_entropy(logits, target):
+    """The one-row form: shift by the max, log of the exp sum, less the target's."""
+    shifted = logits - np.max(logits)
+    return max(float(math.log(np.sum(np.exp(shifted))) - shifted[target]), 0.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=st.integers(1, 20).flatmap(lambda m: arrays(
+           np.float64, (m, NUM_CELLS), elements=st.floats(-700.0, 700.0))),
+       target=st.integers(0, NUM_CELLS - 1), scale=st.sampled_from([1e-3, 1.0, 2.0, 1e3]))
+def test_cross_entropy_rows_equal_one_row_calls(rows, target, scale):
+    """The batch kernel scores each row bit for bit as the one-row form does."""
+    rows = rows * scale
+    want = [reference_cross_entropy(row.copy(), target) for row in rows]
+    assert [v.hex() for v in _cross_entropies(rows, target)] == [v.hex() for v in want]
+    assert [cell_cross_entropy(row, target).hex() for row in rows] == [v.hex() for v in want]
+
+
 def test_cross_entropy_rejects_bad_args():
     with pytest.raises(ValueError):
         cell_cross_entropy(np.zeros(63), 0)
@@ -257,3 +280,20 @@ def test_gradient_self_test_passes():
     for entry in report:
         assert entry["passed"], f"{entry['name']}: rel err {entry['max_rel_err']}"
         assert entry["max_rel_err"] < entry["tol"]
+
+
+def test_gradient_self_test_records_are_plain_json():
+    """Both records hold plain floats and bools, so the report serialises."""
+    for entry in gradient_self_test(points=3):
+        assert type(entry["max_rel_err"]) is float and type(entry["passed"]) is bool
+    json.dumps(gradient_self_test(points=3))
+
+
+def test_gradient_self_test_keeps_its_figures():
+    """Its draws and probes are those of the one-probe-at-a-time form: the
+    worst errors at (100, 0) are that form's, to the bit."""
+    report = gradient_self_test(points=100, seed=0)
+    assert [(e["name"], e["points"], e["max_rel_err"]) for e in report] == [
+        ("contrastive_loss_grad", 100, 8.669051630224944e-10),
+        ("cell_cross_entropy_grad", 100, 8.383216018072182e-11),
+    ]

@@ -869,6 +869,15 @@ def test_the_filter_loop_calls_no_lapack():
     assert got.summaries == want.summaries
 
 
+def test_two_candidates_at_a_large_allowed_rms_pass_the_psd_gate():
+    """At 7e4 m regression RMS (the bound is 1e5) a two-candidate scatter's
+    variance nears 1e10 m^2, and rounding in its least eigenvalue, about eps
+    of that, outgrows the 1e-6 ridge: the PSD floor scales with M to match."""
+    cfg = SimConfig(k_candidates=2, regression_horizontal_rms_m=7e4, regression_vertical_rms_m=7e4)
+    result = run_experiment(cfg, generate_grid(-1500.0, 1500.0, -1500.0, 1500.0, 50.0), seed=0)
+    assert set(result.summaries) == set(METHODS)
+
+
 @pytest.mark.parametrize("block", [1, 7, 999])
 def test_loop_and_writer_do_not_depend_on_their_block(block, tmp_path):
     cfg = small_config(correction_hz=4.0)

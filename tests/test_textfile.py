@@ -1,11 +1,13 @@
 """The shared versioned-text reader/writer and the two formats built on it."""
 
 import struct
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from crossview import sim, textfile
 from crossview.config import ConfigError, SimConfig, load_config
 from crossview.geometry import euler_to_rotmat
 from crossview.sim import Flight, gen_trajectory, load_trajectory, save_trajectory
@@ -219,3 +221,87 @@ def test_trajectory_file_round_trips_and_rebuilds_each_rotation(tmp_path_factory
         assert flat(back, i) == flat(frames, i)
         rebuilt = euler_to_rotmat(*map(float, row[10:13]))
         assert back.dR[i].tobytes() == rebuilt.tobytes()
+
+
+# --- the C parse and the row parse read every file alike --------------------
+
+# Tokens and characters on which numpy's reader and float() + str.split() could
+# part: each must give the row parse's value or send the file to it.
+odd_tokens = st.sampled_from([
+    "nan", "-nan", "NaN", "inf", "-inf", "Infinity", "1e500", "-1e500", "1e-400", "1_0", "0x10",
+    "1j", "1d0", "abc", "'1'", '"1"', "1,0", "#1", "+1.5", ".5", "1.", "-0.0", "00.1", "",
+])
+odd_chars = st.sampled_from([
+    "\x00", "\x1f", "\x0b", "\x0c", "\x1c", "\x1d", "\t", "\r", " ", "_", "#", "\xe9",
+])
+
+
+@st.composite
+def trajectory_text(draw):
+    """A trajectory file's text: rows of repr'd floats, then a few mutations."""
+    rows = draw(st.lists(st.lists(values, min_size=13, max_size=13), max_size=4))
+    lines = [" ".join(map(repr, row)) for row in rows]
+    for _ in range(draw(st.integers(0, 3))):
+        kind = draw(st.sampled_from(["token", "char", "drop", "blank"]))
+        i = draw(st.integers(0, len(lines)))
+        if kind == "blank" or i == len(lines):
+            lines.insert(i, draw(st.sampled_from(["", "   ", "\t", " \x1f ", "\x0c"])))
+            continue
+        tokens = lines[i].split(" ")
+        j = draw(st.integers(0, len(tokens) - 1))
+        if kind == "token":
+            tokens[j] = draw(odd_tokens)
+        elif kind == "char":
+            k = draw(st.integers(0, len(tokens[j])))
+            tokens[j] = tokens[j][:k] + draw(odd_chars) + tokens[j][k:]
+        else:
+            del tokens[j]
+        lines[i] = " ".join(tokens)
+    space, newline = draw(st.sampled_from([" ", "\t", " \t "])), draw(st.sampled_from(["\n", "\r\n"]))
+    return newline.join(["#crossview-traj-v1", *(line.replace(" ", space) for line in lines)]) + newline
+
+
+def read_outcome(read, path):
+    """The table's shape and bytes, or the FileFormatError text."""
+    try:
+        table = read(path)
+    except FileFormatError as exc:
+        return str(exc)
+    return table.shape, table.tobytes()
+
+
+@settings(max_examples=400, deadline=None)
+@given(text=trajectory_text())
+@example(text="#crossview-traj-v1\n")
+@example(text="#crossview-traj-v1\n" + " ".join(["1_0"] * 13) + "\n")
+@example(text="#crossview-traj-v1\n" + " ".join(["1"] * 12) + "\x1f1\n")
+@example(text="#crossview-traj-v1\n" + " ".join(["1"] * 13) + "\x00\n")
+def test_c_parse_returns_the_row_parse_bits_or_its_error(tmp_path_factory, text):
+    path = str(tmp_path_factory.getbasetemp() / "flight.txt")
+    with open(path, "wb") as fh:
+        fh.write(text.encode("latin-1"))
+    rows = read_outcome(lambda p: read_rows(p, sim._TRAJ_HEADER, sim._parse_columns), path)
+    assert read_outcome(sim._read_trajectory, path) == rows
+    if isinstance(rows, str):
+        with pytest.raises(FileFormatError) as err:
+            load_trajectory(path)
+        assert str(err.value) == rows
+
+
+def test_row_parse_runs_only_for_files_the_c_parse_refuses(tmp_path):
+    """A written flight never reaches the row parse; a nan sends the same
+    lines to it, and the file is read once either way."""
+    path = str(tmp_path / "flight.txt")
+    poisoned_trajectory(path)
+    with mock.patch.object(sim, "_parse_columns", wraps=sim._parse_columns) as rows, \
+            mock.patch.object(textfile, "read_ascii", wraps=textfile.read_ascii) as reads:
+        sim._read_trajectory(path)
+        assert (rows.call_count, reads.call_count) == (0, 1)
+        with open(path) as fh:
+            lines = fh.read().splitlines()
+        lines[2] = " ".join(["nan", *lines[2].split()[1:]])
+        with open(path, "w") as fh:
+            fh.write("\n".join(lines) + "\n")
+        with pytest.raises(FileFormatError, match=f"^{path}:3: t must be finite, got nan$"):
+            sim._read_trajectory(path)
+        assert (rows.call_count, reads.call_count) == (1, 2)
