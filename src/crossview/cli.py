@@ -15,6 +15,7 @@ import math
 import os
 import sys
 from dataclasses import fields
+from functools import cache
 
 from .config import SimConfig, describe_defaults, load_config
 from .losses import gradient_self_test
@@ -157,8 +158,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@cache
+def _parser() -> argparse.ArgumentParser:
+    # Built on the first main call, not at import, then reused: a build
+    # costs about a millisecond and parse_args leaves the parser unchanged.
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:

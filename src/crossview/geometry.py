@@ -58,7 +58,10 @@ class Pose6D(namedtuple("Pose6D", "x y z psi theta phi", defaults=(0.0,))):
 
     An immutable 6-tuple, so a pose unpacks, iterates and equals a plain
     tuple of its fields. Every field is coerced with float() and checked
-    finite on each build, ``_make`` and ``_replace`` included.
+    finite on each build, ``_make`` and ``_replace`` included. One build
+    skips the check: the predict kernel, ``_compose``, makes its poses with
+    ``tuple.__new__`` from finite floats, and ``compose_increment`` and
+    ``sim._run_pipelines`` check what it returns.
     """
 
     __slots__ = ()
@@ -124,22 +127,21 @@ def euler_to_rotmat(psi: float, theta: float, phi: float) -> np.ndarray:
     Angles are degrees. The result is orthonormal to machine precision.
     """
     _require_finite(psi=psi, theta=theta, phi=phi)
-    return np.array(_euler_to_rotmat(psi, theta, phi)).reshape(3, 3)
+    return _euler_to_rotmats(np.array([[psi, theta, phi]], dtype=float))[0]
 
 
-def _euler_to_rotmat(psi: float, theta: float, phi: float) -> tuple[float, ...]:
-    # Unchecked kernel of euler_to_rotmat: R's nine entries, row-major, as one
-    # flat tuple, for callers whose angles are already known finite (a
-    # validated Pose6D, or a kernel's own output).
-    z, y, x = math.radians(psi), math.radians(theta), math.radians(phi)
-    cz, sz = math.cos(z), math.sin(z)
-    cy, sy = math.cos(y), math.sin(y)
-    cx, sx = math.cos(x), math.sin(x)
-    return (
+def _euler_to_rotmats(angles: np.ndarray) -> np.ndarray:
+    # Unchecked kernel of euler_to_rotmat: the (n, 3, 3) stack for an (n, 3)
+    # array of finite (psi, theta, phi) rows. Every entry is the elementwise
+    # form of _compose's scalar one, in the same order: float64 np.sin and
+    # np.cos are libm's sin and cos, so the bits are math's.
+    rad = np.radians(angles)
+    (cz, cy, cx), (sz, sy, sx) = np.cos(rad).T, np.sin(rad).T
+    return np.array([
         cz * cy, cz * sy * sx - sz * cx, cz * sy * cx + sz * sx,
         sz * cy, sz * sy * sx + cz * cx, sz * sy * cx - cz * sx,
         -sy, cy * sx, cy * cx,
-    )
+    ]).T.reshape(-1, 3, 3)
 
 
 def is_rotation_matrix(R: np.ndarray) -> bool:
@@ -156,7 +158,13 @@ def _are_rotations(R: np.ndarray) -> bool:
     # A finite matrix whose R^T R overflows is simply not a rotation.
     with np.errstate(over="ignore", invalid="ignore"):
         worst = np.abs(np.matmul(R.transpose(0, 2, 1), R) - np.eye(3)).max()
-    return bool(worst <= _ROTATION_TOL and np.linalg.det(R).min() > 0.0)
+    if not worst <= _ROTATION_TOL:
+        return False
+    # Right-handed: det R = (r0 x r1) . r2 > 0, elementwise, with no LAPACK
+    # call; on an orthonormal stack it is +1 or -1 within the tolerance.
+    (a0, a1, a2), (b0, b1, b2), c = R[:, 0].T, R[:, 1].T, R[:, 2].T
+    det = (a1 * b2 - a2 * b1) * c[0] + (a2 * b0 - a0 * b2) * c[1] + (a0 * b1 - a1 * b0) * c[2]
+    return bool(det.min() > 0.0)
 
 
 def rotmat_to_euler(R: np.ndarray) -> tuple[float, float, float]:
@@ -253,24 +261,53 @@ def compose_increment(pose: Pose6D, dp: np.ndarray, dR: np.ndarray) -> Pose6D:
     dR = np.asarray(dR, dtype=float)
     if not is_rotation_matrix(dR):
         raise ValueError(f"dR {_NOT_A_ROTATION}")
-    return _compose([pose], dp.tolist(), dR.ravel().tolist())[0]
+    return Pose6D(*_compose([pose], dp.tolist(), dR.ravel().tolist())[0])
+
+
+# The constants CPython's math.radians and math.degrees multiply by.
+_DEG = math.pi / 180.0
+_RAD = 180.0 / math.pi
 
 
 def _compose(poses: list[Pose6D], dp: list[float], dR: list[float]) -> list[Pose6D]:
     # Unchecked kernel of compose_increment: dp's 3 and a rotation dR's nine
-    # row-major floats applied to each pose in plain floats. Of dR @ R it forms
-    # the seven entries _rotmat_to_euler reads, each summed left to right, so
+    # row-major floats applied to each pose in plain floats. It inlines
+    # euler_to_rotmat's entries, the entries of dR @ R that _rotmat_to_euler
+    # reads on its branch, each summed left to right, and that extraction, so
     # the bits match on every machine; a product of rotations needs no check.
+    # Poses are built unchecked: every angle is finite, and a position
+    # overflows only past _check_distance_model's bound, so compose_increment
+    # and sim._run_pipelines check what they keep.
     dx, dy, dz = dp
     a00, a01, a02, a10, a11, a12, a20, a21, a22 = dR
+    cos, sin, atan2, hypot = math.cos, math.sin, math.atan2, math.hypot
+    deg, rad, new = _DEG, _RAD, tuple.__new__
     out = []
     for x, y, z, psi, theta, phi in poses:
-        b00, b01, b02, b10, b11, b12, b20, b21, b22 = _euler_to_rotmat(psi, theta, phi)
-        psi, theta, phi = _rotmat_to_euler((
-            a00 * b00 + a01 * b10 + a02 * b20, a00 * b01 + a01 * b11 + a02 * b21, None,
-            a10 * b00 + a11 * b10 + a12 * b20, a10 * b01 + a11 * b11 + a12 * b21, None,
-            a20 * b00 + a21 * b10 + a22 * b20, a20 * b01 + a21 * b11 + a22 * b21,
-            a20 * b02 + a21 * b12 + a22 * b22,
-        ))
-        out.append(Pose6D(x + dx, y + dy, z + dz, psi, theta, phi))
+        h, t, r = psi * deg, theta * deg, phi * deg
+        cz, sz = cos(h), sin(h)
+        cy, sy = cos(t), sin(t)
+        cx, sx = cos(r), sin(r)
+        b00, b01, b02 = cz * cy, cz * sy * sx - sz * cx, cz * sy * cx + sz * sx
+        b10, b11, b12 = sz * cy, sz * sy * sx + cz * cx, sz * sy * cx - cz * sx
+        b20, b21, b22 = -sy, cy * sx, cy * cx
+        r00 = a00 * b00 + a01 * b10 + a02 * b20
+        r10 = a10 * b00 + a11 * b10 + a12 * b20
+        r20 = a20 * b00 + a21 * b10 + a22 * b20
+        sy = hypot(r00, r10)
+        if sy < _GIMBAL_EPS:
+            r01 = a00 * b01 + a01 * b11 + a02 * b21
+            r11 = a10 * b01 + a11 * b11 + a12 * b21
+            theta = math.copysign(90.0, -r20)
+            psi = atan2(-r01, r11) * rad
+            phi = 0.0
+        else:
+            r21 = a20 * b01 + a21 * b11 + a22 * b21
+            r22 = a20 * b02 + a21 * b12 + a22 * b22
+            theta = atan2(-r20, sy) * rad
+            psi = atan2(r10, r00) * rad
+            phi = atan2(r21, r22) * rad
+        psi = psi + 0.0 if -180.0 < psi <= 180.0 else _wrap_angle(psi)
+        phi = phi + 0.0 if -180.0 < phi <= 180.0 else _wrap_angle(phi)
+        out.append(new(Pose6D, (x + dx, y + dy, z + dz, psi, theta, phi)))
     return out

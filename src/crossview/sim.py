@@ -40,9 +40,8 @@ from .geometry import (
     Pose6D,
     _are_rotations,
     _compose,
-    _euler_to_rotmat,
+    _euler_to_rotmats,
     _rotmat_to_euler,
-    _wrap_angle,
     wrap_angle,
     wrap_angles,
 )
@@ -73,7 +72,7 @@ _TRAJ_COLUMNS = "t x y z psi theta phi dpx dpy dpz dpsi dtheta dphi".split()
 # Stream tags keep the trajectory and drift generators apart.
 _TRAJ_STREAM = 1_000_003
 _VO_STREAM = 1_000_033
-# simulate_vo and the filter loop work through the flight this many steps at
+# The builders and the filter loop work through the flight this many steps at
 # a time, which bounds their temporaries; the result does not depend on it.
 _VO_BLOCK = 512
 
@@ -133,7 +132,8 @@ class Flight:
 
 
 def _flight_path(cfg: SimConfig, heading0: float, turn: int):
-    """The flight as a function of arc length s, returning (x, y, heading).
+    """The flight as a function of arc length, mapping an array of arc lengths
+    s to its (x, y, heading) columns.
 
     A lead-out line from the origin along heading0, a 90-degree connecting
     turn (turn = +1 turns clockwise, so heading increases), then an orbit
@@ -149,24 +149,29 @@ def _flight_path(cfg: SimConfig, heading0: float, turn: int):
         k = turn * radius
         cx, cy = x + k * math.cos(h), y - k * math.sin(h)
 
-        def at(s: float) -> tuple[float, float, float]:
-            h_s = heading + turn * math.degrees(s / radius)
-            h = math.radians(h_s)
-            return cx - k * math.cos(h), cy + k * math.sin(h), h_s
+        def at(s: np.ndarray):
+            h_s = heading + turn * np.degrees(s / radius)
+            h = np.radians(h_s)
+            return cx - k * np.cos(h), cy + k * np.sin(h), h_s
 
         return at
 
     h0 = math.radians(heading0)
-    # "0.0 +" keeps frame 0 at +0.0 where the sine or cosine is negative.
-    bend = arc(0.0 + lead * math.sin(h0), 0.0 + lead * math.cos(h0), heading0, cfg.turn_radius_m)
-    orbit = arc(*bend(quarter), cfg.orbit_radius_m)
 
-    def at(s: float) -> tuple[float, float, float]:
-        if s < lead:
-            return 0.0 + s * math.sin(h0), 0.0 + s * math.cos(h0), heading0
-        if s < orbit_start:
-            return bend(s - lead)
-        return orbit(s - orbit_start)
+    def line(s: np.ndarray):
+        # "0.0 +" keeps frame 0 at +0.0 where the sine or cosine is negative.
+        return 0.0 + s * math.sin(h0), 0.0 + s * math.cos(h0), np.full_like(s, heading0)
+
+    bend = arc(0.0 + lead * math.sin(h0), 0.0 + lead * math.cos(h0), heading0, cfg.turn_radius_m)
+    legs = ((line, 0.0), (bend, lead), (arc(*bend(quarter), cfg.orbit_radius_m), orbit_start))
+
+    def at(s: np.ndarray) -> np.ndarray:
+        leg = (s >= lead).astype(int) + (s >= orbit_start)
+        out = np.empty((3, len(s)))
+        for i, (path, start) in enumerate(legs):
+            on = leg == i
+            out[:, on] = path(s[on] - start)
+        return out
 
     return at
 
@@ -186,27 +191,28 @@ def gen_trajectory(cfg: SimConfig, seed: int) -> Flight:
 
     path = _flight_path(cfg, heading0, first_turn)
     t0 = cfg.straight_init_m / cfg.speed  # orientation frozen until here
-    # Scalar math per frame: np.sin is not bit-equal to math.sin.
-    rows = []
-    for i in range(cfg.frame_count):
-        t = i * cfg.dt
-        x, y, heading = path(cfg.speed * t)
-        z = cfg.alt_base_m + cfg.alt_amp_m * math.sin(
-            2.0 * math.pi * t / cfg.alt_period_s + alt_phase
+    # Each frame's formulas as elementwise ufuncs, in the same order: float64
+    # np.sin and np.cos are libm's sin and cos, bit-equal to math's on every
+    # numpy dispatch level (tests/test_sim.py checks both claims).
+    t = np.arange(cfg.frame_count) * cfg.dt
+    truth, Rs = np.zeros((len(t), 6)), np.empty((len(t), 3, 3))
+    for lo in range(0, len(t), _VO_BLOCK):
+        block = slice(lo, lo + _VO_BLOCK)
+        x, y, heading = path(cfg.speed * t[block])
+        z = cfg.alt_base_m + cfg.alt_amp_m * np.sin(
+            2.0 * math.pi * t[block] / cfg.alt_period_s + alt_phase
         )
-        tilt_t = max(t - t0, 0.0)
-        theta = cfg.tilt_base_deg + cfg.tilt_amp_deg * math.sin(
+        tilt_t = np.maximum(t[block] - t0, 0.0)
+        theta = cfg.tilt_base_deg + cfg.tilt_amp_deg * np.sin(
             2.0 * math.pi * tilt_t / cfg.tilt_period_s
         )
-        rows += (t, x, y, z, _wrap_angle(heading), theta, 0.0)
-    columns = np.array(rows).reshape(-1, 7)
-    truth = columns[:, 1:]
-    Rs = _rotations(truth[:, 3:].tolist())
+        truth[block, :5] = np.stack([x, y, z, wrap_angles(heading), theta], axis=1)
+        Rs[block] = _euler_to_rotmats(truth[block, 3:])
     dp, dR = np.zeros((len(truth), 3)), np.empty_like(Rs)
     dp[1:] = np.diff(truth[:, :3], axis=0)
     dR[0] = np.eye(3)
     dR[1:] = _products(Rs[1:], Rs[:-1].transpose(0, 2, 1))
-    return Flight(columns[:, 0], truth, dp, dR)
+    return Flight(t, truth, dp, dR)
 
 
 def simulate_vo(flight: Flight, cfg: SimConfig, seed: int) -> Flight:
@@ -236,18 +242,9 @@ def simulate_vo(flight: Flight, cfg: SimConfig, seed: int) -> Flight:
         steps = draws[:, 0:3] * cfg.vo_bias_walk_m
         bias = np.cumsum(np.concatenate([bias[-1:], steps]), axis=0)[1:]
         dp[block] = (1.0 + cfg.vo_scale_error) * true_dp + draws[:, 3:6] * cfg.vo_pos_noise_m + bias
-        noise_R = _rotations((draws[:, 6:9] * cfg.vo_rot_noise_deg).tolist())
+        noise_R = _euler_to_rotmats(draws[:, 6:9] * cfg.vo_rot_noise_deg)
         dR[block] = _products(noise_R, flight.dR[block])
     return Flight(flight.t, flight.truth, dp, dR)
-
-
-def _rotations(angles) -> np.ndarray:
-    """The (n, 3, 3) stack of _euler_to_rotmat over (psi, theta, phi) triples.
-
-    Streamed into the array, so n matrices' Python floats never coexist.
-    """
-    values = chain.from_iterable(_euler_to_rotmat(*a) for a in angles)
-    return np.fromiter(values, float).reshape(-1, 3, 3)
 
 
 def _products(A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -275,9 +272,8 @@ class RmseSummary:
 
 
 def _columns(poses: list[Pose6D]) -> np.ndarray:
-    # The (n, 5) columns x, y, z, psi, theta of n poses, streamed in.
-    values = np.fromiter(chain.from_iterable(poses), float, 6 * len(poses))
-    return values.reshape(-1, 6)[:, :5]
+    # The (n, 6) columns of n poses, streamed in.
+    return np.fromiter(chain.from_iterable(poses), float, 6 * len(poses)).reshape(-1, 6)
 
 
 def _path_length(columns: np.ndarray) -> float:
@@ -320,8 +316,8 @@ def rmse(estimates: list[Pose6D], truth: list[Pose6D]) -> RmseSummary:
         )
     if not truth:
         raise ValueError("trajectory is empty")
-    columns = _columns(truth)
-    return _score(_columns(estimates), columns, _path_length(columns))
+    columns = _columns(truth)[:, :5]
+    return _score(_columns(estimates)[:, :5], columns, _path_length(columns))
 
 
 # --- end-to-end experiment -------------------------------------------------
@@ -367,6 +363,9 @@ def _run_pipelines(
     one ``_key`` (regression and hybrid) share the frame's table of draws. At
     k_candidates = 1, which leaves no scatter, each backend's
     ``_lone_variances`` on this grid stand in, checked once here.
+    ``_compose`` builds its poses unchecked, so each finished track is
+    checked once as columns: a position that overflowed raises a ValueError
+    naming the pipeline and the first non-finite frame.
     """
     lone = [
         _checked_fallback(b._lone_variances(tile_set.spacing))
@@ -399,6 +398,15 @@ def _run_pipelines(
                         poses[j], P9s[j] = _correct_blocks(pose, P9s[j], z, M8)
             for track, pose in zip(tracks, poses):
                 track.append(pose)
+    for j, (backend, track) in enumerate(zip(backends, tracks)):
+        columns = _columns(track)
+        if not np.isfinite(columns).all():
+            i, k = np.argwhere(~np.isfinite(columns))[0]
+            name = "dead reckoning" if backend is None else type(backend).__name__
+            raise ValueError(
+                f"pipeline {j} ({name}), frame {i}: Pose6D.{Pose6D._fields[k]} must be finite,"
+                f" got {float(columns[i, k])!r}"
+            )
     return [(track, _block_matrix(P9)) for track, P9 in zip(tracks, P9s)]
 
 
@@ -422,7 +430,7 @@ def run_experiment(cfg: SimConfig, tile_set: TileSet, seed: int) -> ExperimentRe
     truth = frames.truth[:, :5]
     length = _path_length(truth)
     summaries = {
-        method: _score(_columns(poses), truth, length) for method, poses in estimates.items()
+        method: _score(_columns(poses)[:, :5], truth, length) for method, poses in estimates.items()
     }
     return ExperimentResult(seed, frames, estimates, summaries)
 
@@ -533,7 +541,7 @@ def load_trajectory(path: str) -> Flight:
     from their angles as the flight builders build theirs.
     """
     columns = _read_trajectory(path)
-    dR = _rotations(columns[:, 10:13].tolist())
+    dR = _euler_to_rotmats(columns[:, 10:13])
     return Flight(columns[:, 0], columns[:, 1:7], columns[:, 7:10], dR)
 
 

@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from crossview.geometry import (
+    _are_rotations,
     _compose,
     CELLS_PER_SIDE,
     CELL_SIZE,
@@ -217,6 +218,18 @@ TIE = np.array([
 @example(R=TIE)
 def test_rotation_check_matches_numpy_form(R):
     assert is_rotation_matrix(R) == numpy_is_rotation_matrix(R)
+
+
+# Sign flips of R's columns: the identity, then the reflections, det -1.
+_FLIPS = [(1.0, 1.0, 1.0), (1.0, 1.0, -1.0), (1.0, -1.0, 1.0), (-1.0, 1.0, 1.0), (-1.0, -1.0, -1.0)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(stack=st.lists(st.tuples(finite, finite, finite, st.sampled_from(_FLIPS)), min_size=1, max_size=6))
+def test_stacked_check_refuses_orthonormal_reflections(stack):
+    """Every matrix is orthonormal; the stack passes iff none is a reflection."""
+    R = np.array([euler_to_rotmat(psi, theta, phi) * flip for psi, theta, phi, flip in stack])
+    assert _are_rotations(R) is all(flip.count(-1.0) % 2 == 0 for *_, flip in stack)
 
 
 @pytest.mark.parametrize("j, k", [(0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2)])
@@ -461,6 +474,12 @@ def test_compose_rejects_bad_increment():
         compose_increment(pose, np.zeros(3), 2.0 * np.eye(3))
     with pytest.raises(ValueError):
         compose_increment(pose, np.array([1.0, np.nan, 0.0]), np.eye(3))
+
+
+def test_compose_refuses_a_position_that_overflows():
+    pose = Pose6D(1.7e308, 0.0, 150.0, 0.0, 10.0)
+    with pytest.raises(ValueError, match="Pose6D.x must be finite"):
+        compose_increment(pose, [1.7e308, 0.0, 0.0], np.eye(3))
 
 
 _heading = st.floats(-180.0, 180.0)

@@ -178,15 +178,48 @@ def test_increments_reconstruct_truth(default_frames):
 # --- trusted flight builders against per-frame checked references -----------
 
 
+def reference_flight_path(cfg, heading0, turn):
+    """The flight as a function of one arc length s, returning (x, y, heading)
+    in scalar math: the lead-out line, the connecting turn, then the orbit."""
+    lead = cfg.lead_m
+    quarter = 0.5 * math.pi * cfg.turn_radius_m
+    orbit_start = lead + quarter
+
+    def arc(x, y, heading, radius):
+        h = math.radians(heading)
+        k = turn * radius
+        cx, cy = x + k * math.cos(h), y - k * math.sin(h)
+
+        def at(s):
+            h_s = heading + turn * math.degrees(s / radius)
+            h = math.radians(h_s)
+            return cx - k * math.cos(h), cy + k * math.sin(h), h_s
+
+        return at
+
+    h0 = math.radians(heading0)
+    bend = arc(0.0 + lead * math.sin(h0), 0.0 + lead * math.cos(h0), heading0, cfg.turn_radius_m)
+    orbit = arc(*bend(quarter), cfg.orbit_radius_m)
+
+    def at(s):
+        if s < lead:
+            return 0.0 + s * math.sin(h0), 0.0 + s * math.cos(h0), heading0
+        if s < orbit_start:
+            return bend(s - lead)
+        return orbit(s - orbit_start)
+
+    return at
+
+
 def reference_gen_trajectory(cfg, seed):
-    """gen_trajectory frame by frame, through the checked constructors: a list
-    of (t, Pose6D, VoIncrement) frames."""
+    """gen_trajectory frame by frame in scalar math, through the checked
+    constructors: a list of (t, Pose6D, VoIncrement) frames."""
     cfg.validate()
     rng = np.random.default_rng(np.random.SeedSequence([seed, sim._TRAJ_STREAM]))
     heading0 = wrap_angle(float(rng.uniform(-180.0, 180.0)))
     first_turn = 1 if rng.random() < 0.5 else -1
     alt_phase = float(rng.uniform(0.0, 2.0 * math.pi))
-    path = sim._flight_path(cfg, heading0, first_turn)
+    path = reference_flight_path(cfg, heading0, first_turn)
     t0 = cfg.straight_init_m / cfg.speed
     frames = []
     for i in range(cfg.frame_count):
@@ -246,7 +279,15 @@ def assert_same_flight(got, want):
 @st.composite
 def flight_configs(draw):
     tilt_amp = draw(st.floats(0.0, 22.5))
+    # Paths from 1 m to 1000 km, so the trig arguments reach |x| of 1e6, with
+    # turn radii and lead-ins up to the largest the config accepts.
+    length = draw(st.floats(1.0, 1e6))
     return small_config(
+        length_m=length,
+        turn_radius_m=draw(st.floats(1e-3 * length, 0.64 * length / (0.5 * math.pi))),
+        straight_init_m=draw(st.floats(0.0, 0.36 * length)),
+        alt_period_s=draw(st.floats(0.1, 1e4)),
+        tilt_period_s=draw(st.floats(0.1, 1e4)),
         # 2, 20 and 1000 frames; every frame corrected, so 2 frames are valid
         duration_s=draw(st.sampled_from([0.1, 1.0, 50.0])),
         correction_hz=20.0,
@@ -263,11 +304,40 @@ def flight_configs(draw):
 @settings(max_examples=40, deadline=None)
 @given(cfg=flight_configs(), seed=st.integers(0, 2**63), block=st.sampled_from([1, 7, 512]))
 def test_trusted_builders_equal_checked_references(cfg, seed, block):
-    frames, want = gen_trajectory(cfg, seed), reference_gen_trajectory(cfg, seed)
-    assert_same_flight(frames, want)
+    want = reference_gen_trajectory(cfg, seed)
     with mock.patch.object(sim, "_VO_BLOCK", block):
+        frames = gen_trajectory(cfg, seed)
         got = simulate_vo(frames, cfg, seed)
+    assert_same_flight(frames, want)
     assert_same_flight(got, reference_simulate_vo(want, cfg, seed))
+
+
+def _trig_arguments():
+    """The builders' ranges: radians of +/-720 deg, |x| up to 1e6, and the
+    neighbourhoods of multiples of pi/2, where sin and cos are near 0 or 1."""
+    rng = np.random.default_rng(0)
+    quarters = np.arange(-4000, 4001)[:, None] * (0.5 * math.pi)
+    return np.concatenate([
+        np.radians(rng.uniform(-720.0, 720.0, 100_000)),
+        rng.uniform(-1e6, 1e6, 100_000),
+        (quarters + np.linspace(-1e-6, 1e-6, 9)).ravel(),
+        np.nextafter(quarters.ravel(), np.inf),
+    ])
+
+
+@pytest.mark.parametrize("name", ["sin", "cos"])
+def test_numpy_trig_is_bitwise_math_trig(name):
+    """The columnar builders rest on float64 np.sin and np.cos returning
+    libm's bits, those of math.sin and math.cos."""
+    x = _trig_arguments()
+    got = getattr(np, name)(x)
+    want = np.array(list(map(getattr(math, name), x.tolist())))
+    differ = np.flatnonzero(got.view(np.int64) != want.view(np.int64))
+    assert not differ.size, (
+        f"numpy {np.__version__}: float64 np.{name} differs from math.{name} at"
+        f" {differ.size} of {x.size} arguments, first x = {x[differ[0]]!r}; the"
+        " pinned digests assume numpy's float64 trig is libm's"
+    )
 
 
 def test_default_flight_equals_checked_references(default_frames):
@@ -735,6 +805,16 @@ def test_single_candidate_refuses_an_infinite_lone_variance():
     with mock.patch.object(sim, "_compose", ran), pytest.raises(ValueError, match="finite"):
         _run_pipelines(flight, backends, cfg, tiles)
     assert not ran.called
+
+
+def test_loop_refuses_a_track_that_overflows():
+    """The predict kernel builds its poses unchecked; the loop names the
+    first frame whose position left the floats."""
+    dp = np.zeros((5, 3))
+    dp[1:, 0] = 1e308  # x reads 1e308 at frame 1 and inf from frame 2
+    flight = Flight(np.arange(5) * 0.05, [Pose6D(0.0, 0.0, 150.0, 0.0, 10.0)] * 5, dp, [np.eye(3)] * 5)
+    with pytest.raises(ValueError, match=r"frame 2: Pose6D\.x must be finite, got inf"):
+        _run_pipelines(flight, [None], small_config(), None)
 
 
 def test_lockstep_pipelines_equal_public_reference():
