@@ -103,8 +103,14 @@ def cell_cross_entropy(logits: np.ndarray, target_cell: int) -> float:
 def _cross_entropies(rows: np.ndarray, target: int) -> list[float]:
     """:func:`cell_cross_entropy` of each row of checked (m, 64) logits, the same bits for any m."""
     shifted = rows - rows.max(axis=1, keepdims=True)
-    sums = np.exp(shifted).sum(axis=1).tolist()
+    sums = _exp(shifted).sum(axis=1).tolist()
     return [max(math.log(s) - t, 0.0) for s, t in zip(sums, shifted[:, target].tolist())]
+
+
+def _exp(a: np.ndarray) -> np.ndarray:
+    """Elementwise exp by libm's ``math.exp``: numpy's float64 ``np.exp`` takes
+    a SIMD kernel whose last bit depends on the CPU's dispatch level."""
+    return np.fromiter(map(math.exp, a.ravel().tolist()), float, a.size).reshape(a.shape)
 
 
 def cell_cross_entropy_grad(logits: np.ndarray, target_cell: int) -> np.ndarray:
@@ -112,7 +118,7 @@ def cell_cross_entropy_grad(logits: np.ndarray, target_cell: int) -> np.ndarray:
     arr = _check_logits(logits)
     target = _check_cell(target_cell)
     shifted = arr - np.max(arr)
-    exp = np.exp(shifted)
+    exp = _exp(shifted)
     grad = exp / np.sum(exp)
     grad[target] -= 1.0
     return grad

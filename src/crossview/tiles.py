@@ -2,9 +2,10 @@
 
 Tiles are nadir satellite views rendered north-aligned at a fixed altitude, so
 a record is just an id and a ground center. The set is a regular grid, which
-lets ``k_nearest`` walk outward ring by ring from the query cell instead of
-scanning every tile, while returning exactly what a brute-force scan sorted by
-(distance, tile_id) would.
+lets ``k_nearest`` read one window of tiles about the query, grown until no
+tile outside it can rank among the k best, instead of scanning every tile,
+while returning exactly what a brute-force scan sorted by (distance, tile_id)
+would.
 """
 
 from __future__ import annotations
@@ -125,9 +126,11 @@ def generate_grid(
 def k_nearest(tile_set: TileSet, point: tuple[float, float], k: int) -> list[TileRecord]:
     """The k tiles nearest to a ground point, by (euclidean distance, tile_id).
 
-    Walks concentric index rings outward from the query's grid cell (or reads
-    one window about it) and stops once the next ring cannot beat the current
-    k-th best distance, which gives the exact brute-force ordering with ties.
+    Reads a square window of tiles about the query's nearest node, clipped to
+    the grid, and returns its k best once every tile beyond each of its inner
+    sides is provably farther than the k-th; otherwise the window grows by one
+    node on each side. This is exactly what a brute-force scan sorted by
+    (distance, tile_id) returns, ties included.
     """
     if not isinstance(k, (int, np.integer)) or isinstance(k, bool):
         raise ValueError(f"k must be an integer, got {k!r}")
@@ -149,65 +152,46 @@ def k_nearest(tile_set: TileSet, point: tuple[float, float], k: int) -> list[Til
     # Clamped before rounding, which raises on an index past the float range.
     ix0 = round(min(max((px - x0) / s, 0.0), nx - 1))
     iy0 = round(min(max((py - y0) / s, 0.0), ny - 1))
-    # Distance from the query to its anchor node; rings at index distance m
-    # can contain nothing closer than m*s - anchor_gap. Distances are computed
-    # in floats, so a tile on that bound can round below it: the slack, far
-    # above the rounding of coordinates this size, keeps such a ring in.
-    anchor_gap = max(abs(px - (x0 + ix0 * s)), abs(py - (y0 + iy0 * s)))
-    slack = 1e-9 * (abs(x0) + abs(y0) + abs(px) + abs(py) + (nx + ny) * s)
-
-    r = _window_radius(k)
-    if r <= ix0 < nx - r and r <= iy0 < ny - r:
-        # The window about the anchor, row-major: in id order, so a stable sort
-        # by d2 breaks ties by id. Its k best stand if the stop test passes.
-        dx2 = [(x0 + ix * s - px) ** 2 for ix in range(ix0 - r, ix0 + r + 1)]
-        dy2 = [(y0 + iy * s - py) ** 2 for iy in range(iy0 - r, iy0 + r + 1)]
-        d2 = [a + b for b in dy2 for a in dx2]
-        order = sorted(range(len(d2)), key=d2.__getitem__)[:k]
-        lower = (r + 1) * s - anchor_gap - slack
-        if lower > 0.0 and lower * lower > d2[order[-1]]:
-            w, corner, built = 2 * r + 1, (iy0 - r) * nx + ix0 - r, tile_set._built
-            ids = [corner + n // w * nx + n % w for n in order]
-            return [built.get(i) or tile_set._record(i) for i in ids]
-    # The ring walk: the k best (d2, id) pairs so far, in order; a ring only
-    # has to be merged into them, never into every tile seen.
-    best: list[tuple[float, int]] = []
-    for m in range(max(nx, ny) + 1):
-        if len(best) == k:
-            lower = m * s - anchor_gap - slack
-            if lower > 0.0 and lower * lower > best[-1][0]:
-                break
-        for ix, iy in _ring_indices(ix0, iy0, m, nx, ny):
-            d2 = (x0 + ix * s - px) ** 2 + (y0 + iy * s - py) ** 2
-            best.append((d2, iy * nx + ix))
-        best.sort()
-        del best[k:]
-    return [tile_set._record(tid) for _, tid in best]
-
-
-def _window_radius(k: int) -> int:
-    """The least r at which the stop test passes at ring r + 1 for every query in
-    its anchor's cell, as sampling the cell finds it up to k = 56 (test_tiles)."""
-    return 1 + (k > 4) + (k > 16) + (k > 32) if k <= 56 else sys.maxsize
+    # Every tile's squared gap along x is at least ex2, along y at least ey2:
+    # the query's gap to the grid's first or last column (row), 0 between.
+    ex2 = _span_gap2(x0, x0 + (nx - 1) * s, px)
+    ey2 = _span_gap2(y0, y0 + (ny - 1) * s, py)
+    r = (math.isqrt(k - 1) + 2) // 2  # the least r with (2r)**2 >= k
+    while True:
+        x_lo = ix0 - r if ix0 > r else 0
+        x_hi = ix0 + r if ix0 + r < nx else nx - 1
+        y_lo = iy0 - r if iy0 > r else 0
+        y_hi = iy0 + r if iy0 + r < ny else ny - 1
+        w = x_hi - x_lo + 1
+        if w * (y_hi - y_lo + 1) >= k:
+            # Row-major, which is id order, so a stable sort by d2 breaks ties by id.
+            dx2 = [(x0 + ix * s - px) ** 2 for ix in range(x_lo, x_hi + 1)]
+            dy2 = [(y0 + iy * s - py) ** 2 for iy in range(y_lo, y_hi + 1)]
+            d2 = [a + b for b in dy2 for a in dx2]
+            order = sorted(range(len(d2)), key=d2.__getitem__)[:k]
+            dk = d2[order[-1]]
+            # A tile beyond an inner side is no nearer than that side's next
+            # column (row) at the span's gap: its gaps are formed by the same
+            # float steps, and rounding is monotone. Were that column on the
+            # query's far side, the window's own tiles would be no nearer
+            # either, so the test would fail and the window grow.
+            if (
+                (x_lo == 0 or (x0 + (x_lo - 1) * s - px) ** 2 + ey2 > dk)
+                and (x_hi == nx - 1 or (x0 + (x_hi + 1) * s - px) ** 2 + ey2 > dk)
+                and (y_lo == 0 or (y0 + (y_lo - 1) * s - py) ** 2 + ex2 > dk)
+                and (y_hi == ny - 1 or (y0 + (y_hi + 1) * s - py) ** 2 + ex2 > dk)
+            ):
+                corner, built = y_lo * nx + x_lo, tile_set._built
+                ids = [corner + n // w * nx + n % w for n in order]
+                return [built.get(i) or tile_set._record(i) for i in ids]
+        r += 1
 
 
-def _ring_indices(ix0: int, iy0: int, m: int, nx: int, ny: int):
-    """Grid indices at Chebyshev distance m from (ix0, iy0), clipped to bounds."""
-    if m == 0:
-        yield (ix0, iy0)
-        return
-    x_lo, x_hi = ix0 - m, ix0 + m
-    y_lo, y_hi = iy0 - m, iy0 + m
-    for ix in range(max(x_lo, 0), min(x_hi, nx - 1) + 1):
-        if 0 <= y_lo < ny:
-            yield (ix, y_lo)
-        if 0 <= y_hi < ny:
-            yield (ix, y_hi)
-    for iy in range(max(y_lo + 1, 0), min(y_hi - 1, ny - 1) + 1):
-        if 0 <= x_lo < nx:
-            yield (x_lo, iy)
-        if 0 <= x_hi < nx:
-            yield (x_hi, iy)
+def _span_gap2(first: float, last: float, p: float) -> float:
+    """Squared gap from p to [first, last], formed as a tile's gap is; 0 inside."""
+    if p < first:
+        return (first - p) ** 2
+    return (last - p) ** 2 if p > last else 0.0
 
 
 def save_tiles(tile_set: TileSet, path: str) -> None:

@@ -192,9 +192,10 @@ def test_cross_entropy_grad_finite_difference():
 
 
 def reference_cross_entropy(logits, target):
-    """The one-row form: shift by the max, log of the exp sum, less the target's."""
+    """The one-row form: shift by the max, log of the sum of libm exps, less the target's."""
     shifted = logits - np.max(logits)
-    return max(float(math.log(np.sum(np.exp(shifted))) - shifted[target]), 0.0)
+    exps = np.array([math.exp(v) for v in shifted])
+    return max(float(math.log(np.sum(exps)) - shifted[target]), 0.0)
 
 
 @settings(max_examples=200, deadline=None)
@@ -291,9 +292,10 @@ def test_gradient_self_test_records_are_plain_json():
 
 def test_gradient_self_test_keeps_its_figures():
     """Its draws and probes are those of the one-probe-at-a-time form: the
-    worst errors at (100, 0) are that form's, to the bit."""
+    worst errors at (100, 0) are that form's, to the bit, at any numpy SIMD
+    dispatch level, as its exponentials are libm's."""
     report = gradient_self_test(points=100, seed=0)
     assert [(e["name"], e["points"], e["max_rel_err"]) for e in report] == [
         ("contrastive_loss_grad", 100, 8.669051630224944e-10),
-        ("cell_cross_entropy_grad", 100, 8.383216018072182e-11),
+        ("cell_cross_entropy_grad", 100, 8.38321600723016e-11),
     ]

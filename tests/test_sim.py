@@ -15,6 +15,7 @@ from crossview.config import ConfigError, SimConfig
 from crossview.estimator import FilterState, ProcessNoise, VoIncrement, correct, predict
 from crossview.fusion import fuse
 from crossview.geometry import Pose6D, euler_to_rotmat, rotmat_to_euler, wrap_angle
+from crossview.losses import gradient_self_test
 from crossview.matchers import SceneMatcher, SyntheticMatcher, UavObservation, match_variances
 from crossview.sim import (
     _make_backends,
@@ -338,6 +339,25 @@ def test_numpy_trig_is_bitwise_math_trig(name):
         f" {differ.size} of {x.size} arguments, first x = {x[differ[0]]!r}; the"
         " pinned digests assume numpy's float64 trig is libm's"
     )
+
+
+def test_outputs_call_no_numpy_function_whose_bits_vary_by_cpu(tmp_path):
+    """Float64 np.exp, log, tan, arctan2, arcsin, arccos and hypot may take
+    SIMD kernels whose last bit depends on numpy's dispatch level. The run,
+    the trajectory writers and reader and the gradient self test call none of
+    them, so a new call fails here by name, not as a digest that moves on
+    another CPU."""
+    tiles = generate_grid(-1500.0, 1500.0, -1500.0, 1500.0, 50.0)
+    with contextlib.ExitStack() as stack:
+        for name in ("exp", "log", "tan", "arctan2", "arcsin", "arccos", "hypot"):
+            refuse = mock.Mock(side_effect=AssertionError(f"np.{name} called"))
+            stack.enter_context(mock.patch.object(np, name, refuse))
+        result = run_experiment(SimConfig(), tiles, seed=0)
+        path = str(tmp_path / "flight.txt")
+        save_trajectory(path, result.frames)
+        assert len(load_trajectory(path)) == len(result.frames)
+        save_estimates(str(tmp_path / "est.txt"), result.frames.t, result.estimates["vo_hybrid"])
+        assert all(entry["passed"] for entry in gradient_self_test())
 
 
 def test_default_flight_equals_checked_references(default_frames):

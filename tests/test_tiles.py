@@ -1,15 +1,12 @@
 """Tile grid and k-nearest query tests, anchored to a brute-force oracle."""
 
-import math
 import re
-from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from crossview import tiles as tile_module
 from crossview.textfile import FileFormatError
 from crossview.tiles import (
     TileRecord,
@@ -168,50 +165,28 @@ def test_k_nearest_matches_brute_force_on_random_grids(x_min, y_min, spacing, nx
     assert fast == brute_force_k_nearest(grid, point, k)
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=300, deadline=None)
 @given(
-    k=st.sampled_from([1, 4, 9, 16, 23]),
-    x_min=st.floats(-1e4, 1e4),
-    y_min=st.floats(-1e4, 1e4),
-    spacing=st.floats(0.5, 200.0),
-    margin=st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 3), st.integers(0, 3)),
-    # the query's offset from its anchor node, in spacings: ties at +-0.5
-    offset=st.tuples(*[st.one_of(st.sampled_from([-0.5, 0.0, 0.5]), st.floats(-0.5, 0.5))] * 2),
+    x_min=st.floats(-1e12, 1e12),
+    y_min=st.floats(-1e12, 1e12),
+    spacing=st.floats(1e-9, 1e3),
+    nx=st.integers(1, 25),
+    ny=st.integers(1, 25),
+    # query in grid units: half-lattice ties, or up to 1000 spacings outside
+    qx=st.one_of(st.integers(-10, 60).map(lambda i: i / 2.0), st.floats(-1000.0, 1025.0)),
+    qy=st.one_of(st.integers(-10, 60).map(lambda i: i / 2.0), st.floats(-1000.0, 1025.0)),
+    k=st.integers(1, 80),
 )
-def test_k_nearest_reads_one_window_away_from_the_edge(k, x_min, y_min, spacing, margin, offset):
-    """An anchor node r = _window_radius(k) or more nodes from every edge never
-    takes the ring walk, and its window gives the brute-force answer."""
-    r = tile_module._window_radius(k)
-    left, right, below, above = margin
-    nx, ny = 2 * r + 1 + left + right, 2 * r + 1 + below + above
-    grid = generate_grid(x_min, x_min + (nx - 1) * spacing, y_min, y_min + (ny - 1) * spacing, spacing)
-    point = (x_min + (r + left + offset[0]) * spacing, y_min + (r + below + offset[1]) * spacing)
-    anchor = [round((p - lo) / spacing) for p, lo in zip(point, (x_min, y_min))]
-    assume(r <= anchor[0] < nx - r and r <= anchor[1] < ny - r)
-    with mock.patch.object(tile_module, "_ring_indices", side_effect=AssertionError("ring walk")):
-        fast = k_nearest(grid, point, k)
-    assert fast == brute_force_k_nearest(grid, point, k)
-
-
-def test_window_radius_lets_the_stop_test_pass_across_the_anchor_cell():
-    """For each k up to 56, the largest d_k(q) + gap(q) over queries q within
-    half a spacing of the anchor (d_k the k-th nearest node's distance, gap the
-    anchor's Chebyshev distance, both in spacings) stays below r + 1, and no
-    smaller r would do. Both terms are 1-Lipschitz, so sampling the cell every
-    h = 1/32 (by symmetry, 0 <= qy <= qx <= 1/2) bounds the maximum within
-    sqrt(2) h of the largest sample."""
-    h = 1.0 / 32.0
-    nodes = [(i, j) for i in range(-6, 7) for j in range(-6, 7)]
-    samples = [(a * h, b * h) for a in range(17) for b in range(a + 1)]
-    distances = [sorted(math.hypot(i - qx, j - qy) for i, j in nodes) for qx, qy in samples]
-    for k in range(1, 57):
-        worst = max(d[k - 1] + qx for d, (qx, _) in zip(distances, samples))
-        r = tile_module._window_radius(k)
-        assert worst + math.sqrt(2.0) * h < r + 1 - 0.1 and worst >= r
-    grid = generate_grid(0.0, 2000.0, 0.0, 2000.0, 10.0)
-    with mock.patch.object(tile_module, "_ring_indices", side_effect=tile_module._ring_indices) as walk:
-        assert k_nearest(grid, (1000.0, 1000.0), 57) == brute_force_k_nearest(grid, (1000.0, 1000.0), 57)
-    assert walk.called
+def test_k_nearest_matches_brute_force_on_wide_grids(x_min, y_min, spacing, nx, ny, qx, qy, k):
+    """Corners whose rounding swamps the spacing, queries far outside and k
+    past any window size: the growing window's bound still leaves out only
+    tiles the brute-force scan ranks below the k-th."""
+    grid = generate_grid(
+        x_min, x_min + (nx - 1) * spacing, y_min, y_min + (ny - 1) * spacing, spacing
+    )
+    point = (x_min + qx * spacing, y_min + qy * spacing)
+    k = min(k, len(grid))
+    assert k_nearest(grid, point, k) == brute_force_k_nearest(grid, point, k)
 
 
 def test_k_nearest_keeps_a_ring_whose_tie_rounds_below_its_bound():
@@ -247,6 +222,10 @@ def test_k_nearest_far_outside_query(grid_861):
     slow = brute_force_k_nearest(grid_861, (-5000.0, -5000.0), 3)
     assert [t.tile_id for t in got] == [t.tile_id for t in slow]
     assert got[0].tile_id == 0
+    # 800 m west of a 10 m grid, with k from one tile to past the first window.
+    grid = generate_grid(-1500.0, 1500.0, -1500.0, 1500.0, 10.0)
+    for k in (1, 16, 40):
+        assert k_nearest(grid, (-2300.0, 3.0), k) == brute_force_k_nearest(grid, (-2300.0, 3.0), k)
 
 
 @pytest.mark.parametrize(
