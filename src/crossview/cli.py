@@ -11,7 +11,6 @@ Subcommands:
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
 from dataclasses import fields
@@ -24,7 +23,6 @@ from .losses import gradient_self_test
 from .sim import load_trajectory, rmse  # noqa: F401
 from .sim import (
     METHODS,
-    _path_length,
     _read_trajectory,
     _score,
     gen_trajectory,
@@ -78,17 +76,19 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
+    """Print ``sim._score`` of the estimate file against the truth file, one
+    ``name value`` line per figure. Files whose frame times or counts differ
+    are refused naming the estimate; a refusal of the score names the truth."""
     est, truth = _read_trajectory(args.est), _read_trajectory(args.truth)
     for i, (a, b) in enumerate(zip(est[:, 0].tolist(), truth[:, 0].tolist())):
         if a != b:
             raise ValueError(f"{args.est}: frame {i} is at t={a!r} but the truth is at t={b!r}")
     if len(est) != len(truth):
         raise ValueError(f"{args.est}: {len(est)} frames but the truth {args.truth} has {len(truth)}")
-    length = _path_length(truth[:, 1:6])
-    if not 0.0 < length < math.inf:
-        why = "has zero length" if length == 0.0 else "length overflows"
-        raise ValueError(f"{args.truth}: the truth path {why}, so pos_pct is undefined")
-    summary = _score(est[:, 1:6], truth[:, 1:6], length)
+    try:
+        summary = _score(est[:, 1:], truth[:, 1:])
+    except ValueError as exc:
+        raise ValueError(f"{args.truth}: {exc}") from None
     for f in fields(summary):
         print(f"{f.name} {getattr(summary, f.name)!r}")
     return 0

@@ -214,8 +214,10 @@ def _correct_blocks(pose: Pose6D, P9, z, M8) -> tuple[Pose6D, tuple[float, ...]]
 def _psd_floor(M8) -> float:
     """The least eigenvalue M may read and pass as PSD: -(1e-9 + 64 eps s), s the sum of
     |entries| of M_pos's upper triangle, M8[:6]. Any eigenvalue method rounds by about
-    eps s, which a fixed floor cannot absorb once a scatter's variance nears 1e9 m^2."""
-    return -(_SYMMETRY_TOL + 64 * _EPS * sum(map(abs, M8[:6])))
+    eps s, which a fixed floor cannot absorb once a scatter's variance nears 1e9 m^2. s is
+    added left to right by +, not by 3.12's builtin sum, which compensates its rounding."""
+    a, b, c, d, e, f = M8[:6]
+    return -(_SYMMETRY_TOL + 64 * _EPS * (abs(a) + abs(b) + abs(c) + abs(d) + abs(e) + abs(f)))
 
 
 def _eigvalsh3(a, b, c, d, e, f) -> tuple[float, float, float]:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import CELLS_PER_SIDE, wrap_angle
+from .geometry import CELLS_PER_SIDE, _require_finite, wrap_angle
 
 __all__ = [
     "NUM_CELLS",
@@ -156,16 +156,10 @@ def camera_loss(
     + gamma * |tilt error|. Heading error is wrapped so that estimates on the
     far side of the +/-180 seam are penalized by their short-way difference.
     """
-    for name, value in (
-        ("z_hat", z_hat),
-        ("z_true", z_true),
-        ("psi_hat", psi_hat),
-        ("psi_true", psi_true),
-        ("theta_hat", theta_hat),
-        ("theta_true", theta_true),
-    ):
-        if not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value!r}")
+    _require_finite(
+        z_hat=z_hat, z_true=z_true, psi_hat=psi_hat, psi_true=psi_true,
+        theta_hat=theta_hat, theta_true=theta_true,
+    )
     loss_xy = cell_cross_entropy(logits, target_cell)
     loss_z = abs(z_true - z_hat)
     loss_psi = abs(wrap_angle(psi_true - psi_hat))
@@ -193,6 +187,11 @@ def gradient_self_test(points: int = 100, seed: int = 0) -> list[dict]:
     results = []
     h, tol = 1e-5, 1e-6  # finite-difference step, bound on the relative error
 
+    def record(name: str, points: int, worst: float) -> None:
+        results.append(
+            {"name": name, "points": points, "max_rel_err": worst, "tol": tol, "passed": worst < tol}
+        )
+
     worst = 0.0
     checked = 0
     margin = CONTRASTIVE_MARGIN
@@ -208,15 +207,7 @@ def gradient_self_test(points: int = 100, seed: int = 0) -> list[dict]:
         scale = max(abs(numeric), abs(analytic), 1.0)
         worst = max(worst, abs(numeric - analytic) / scale)
         checked += 1
-    results.append(
-        {
-            "name": "contrastive_loss_grad",
-            "points": checked,
-            "max_rel_err": worst,
-            "tol": tol,
-            "passed": worst < tol,
-        }
-    )
+    record("contrastive_loss_grad", checked, worst)
 
     worst = 0.0
     for _ in range(points):
@@ -235,13 +226,5 @@ def gradient_self_test(points: int = 100, seed: int = 0) -> list[dict]:
             numeric = (up - down) / (2.0 * h)
             scale = max(abs(numeric), abs(analytic[j]), 1.0)
             worst = max(worst, abs(numeric - analytic[j]) / scale)
-    results.append(
-        {
-            "name": "cell_cross_entropy_grad",
-            "points": points,
-            "max_rel_err": worst,
-            "tol": tol,
-            "passed": worst < tol,
-        }
-    )
+    record("cell_cross_entropy_grad", points, worst)
     return results

@@ -85,7 +85,7 @@ _FLIGHT_COLUMNS = (
 
 @dataclass(frozen=True, eq=False)
 class Flight:
-    """A flight as four columns, read-only views checked once when built.
+    """A flight as four columns, read-only copies checked once when built.
 
     ``t`` (n,) holds the timestamps, ``truth`` (n, 6) the true poses
     (x, y, z, psi, theta, phi), and ``dp`` (n, 3) and ``dR`` (n, 3, 3) the
@@ -101,8 +101,8 @@ class Flight:
     dR: np.ndarray
 
     def __post_init__(self) -> None:
-        columns = {name: np.asarray(getattr(self, name), dtype=float).view()
-                   for name, _, _ in _FLIGHT_COLUMNS}
+        # Copies, so no caller can change a flight after its one check.
+        columns = {name: np.array(getattr(self, name), dtype=float) for name, _, _ in _FLIGHT_COLUMNS}
         t, truth, dp, dR = columns.values()
         for (name, row, shape), column in zip(_FLIGHT_COLUMNS, columns.values()):
             if column.ndim != 1 + len(row) or column.shape[1:] != row:
@@ -282,14 +282,18 @@ def _path_length(columns: np.ndarray) -> float:
         return float(np.sum(np.linalg.norm(np.diff(columns[:, :3], axis=0), axis=1)))
 
 
-def _score(est: np.ndarray, truth: np.ndarray, length: float) -> RmseSummary:
-    # est, truth: (n, 5) columns x, y, z, psi, theta of two equally long
-    # trajectories; length: the truth's path length, which pos_pct divides.
+def _score(est: np.ndarray, truth: np.ndarray) -> RmseSummary:
+    """The errors of est against truth, two equally long (n, >= 5) column
+    arrays led by x, y, z, psi, theta: the one scorer of ``rmse``,
+    ``run_experiment`` and ``crossview eval``. A truth path of zero or
+    overflowing length (pos_pct divides by it) raises, as does a position
+    error whose mean square overflows."""
+    length = _path_length(truth)
     if not 0.0 < length < math.inf:
         why = "has zero length" if length == 0.0 else "length overflows"
         raise ValueError(f"the truth path {why}, so pos_pct is undefined")
     with np.errstate(over="ignore"):
-        err = est - truth
+        err = est[:, :5] - truth[:, :5]
         pos_rmse = float(np.sqrt(np.mean(np.sum(err[:, :3] ** 2, axis=1))))
     if not math.isfinite(pos_rmse):
         raise ValueError("position errors too large to score: their mean square overflows")
@@ -307,8 +311,9 @@ def rmse(estimates: list[Pose6D], truth: list[Pose6D]) -> RmseSummary:
     """Compare an estimated trajectory against truth, frame by frame.
 
     Angle residuals are wrapped, so an estimate at -179 deg against a truth
-    of +179 deg counts as 2 degrees of error, not 358. An overflow, in the
-    errors or in the truth's path length, raises, as does a zero path length.
+    of +179 deg counts as 2 degrees of error, not 358. :func:`_score` scores
+    the two, and raises on an overflow, in the errors or in the truth's path
+    length, and on a zero path length.
     """
     if len(estimates) != len(truth):
         raise ValueError(
@@ -316,8 +321,7 @@ def rmse(estimates: list[Pose6D], truth: list[Pose6D]) -> RmseSummary:
         )
     if not truth:
         raise ValueError("trajectory is empty")
-    columns = _columns(truth)[:, :5]
-    return _score(_columns(estimates)[:, :5], columns, _path_length(columns))
+    return _score(_columns(estimates), _columns(truth))
 
 
 # --- end-to-end experiment -------------------------------------------------
@@ -427,11 +431,7 @@ def run_experiment(cfg: SimConfig, tile_set: TileSet, seed: int) -> ExperimentRe
     backends = _make_backends(cfg, seed)
     runs = _run_pipelines(drifted, [backends[m] for m in METHODS], cfg, tile_set)
     estimates = {method: poses for method, (poses, _) in zip(METHODS, runs)}
-    truth = frames.truth[:, :5]
-    length = _path_length(truth)
-    summaries = {
-        method: _score(_columns(poses)[:, :5], truth, length) for method, poses in estimates.items()
-    }
+    summaries = {method: _score(_columns(poses), frames.truth) for method, poses in estimates.items()}
     return ExperimentResult(seed, frames, estimates, summaries)
 
 
@@ -463,7 +463,8 @@ def _check_distance_model(cfg: SimConfig, tile_set: TileSet) -> None:
         "vo_pos_noise_m": per_step * n * cfg.vo_pos_noise_m,
         "vo_bias_walk_m": per_step * n * n * cfg.vo_bias_walk_m,
     }
-    reach = sum(drift.values()) + gap
+    scale, noise, walk = drift.values()  # added by +: 3.12's builtin sum compensates
+    reach = scale + noise + walk + gap
     err = reach + cfg.length_m + cfg.alt_base_m + cfg.alt_amp_m
     if not math.isfinite(3.0 * n * err * err):
         name = max(drift, key=drift.get)

@@ -225,7 +225,8 @@ def test_eval_refuses_frames_at_other_times(tmp_path, small_cfg, capsys):
 
 def test_eval_refuses_errors_whose_square_overflows(tmp_path, small_cfg, capsys):
     """An estimate 1e200 m off squares past the float range: eval exits 2
-    with an error line, where it printed inf (and a RuntimeWarning) and exited 0."""
+    with an error line naming the truth, where it printed inf (and a
+    RuntimeWarning) and exited 0."""
     truth = tmp_path / "flight.txt"
     assert main(["simulate", "--config", small_cfg, "--out", str(truth)]) == 0
     header, first, *rest = truth.read_text().splitlines()
@@ -239,7 +240,9 @@ def test_eval_refuses_errors_whose_square_overflows(tmp_path, small_cfg, capsys)
     assert rc == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("error:") and "overflows" in captured.err
+    assert captured.err == (
+        f"error: {truth}: position errors too large to score: their mean square overflows\n"
+    )
 
 
 def test_losses_self_test(capsys):

@@ -239,6 +239,10 @@ def test_correct_rejects_ill_conditioned():
     singularish = np.diag([1.0, 1.0, 1.0, 1.0, 0.0])
     with pytest.raises(np.linalg.LinAlgError):
         correct(s, measurement(np.zeros(5), singularish))
+    # S_pos = diag(-1, 2, 2) is well conditioned but not positive definite.
+    s = state_at(P=np.diag([-2.0, 1.0, 1.0, 1.0, 1.0, 1.0]))
+    with pytest.raises(np.linalg.LinAlgError, match="^innovation covariance must be positive definite$"):
+        correct(s, measurement(np.zeros(5), np.eye(5)))
 
 
 def test_correct_rejects_singular_innovation_covariance_without_warning():
@@ -512,6 +516,14 @@ def test_closed_form_gates_decide_as_lapack_did(seed, m_eigs, p_eigs, scalars):
     else:
         with pytest.raises((ValueError, np.linalg.LinAlgError), match=f"^{re.escape(want)}$"):
             _correct_blocks(Pose6D(0.0, 0.0, 150.0, 0.0, 10.0), P9, [1.0, 2.0, 150.0, 3.0, 12.0], M8)
+
+
+def test_psd_floor_adds_its_entries_left_to_right():
+    """Not by builtin sum, which compensates its rounding from Python 3.12:
+    there 1e16 + 1 + 1 would read 1e16 + 2, and the floor would move."""
+    eps = 2.0**-52
+    want = -(1e-9 + 64 * eps * ((1e16 + 1.0) + 1.0))
+    assert _psd_floor((-1e16, 1.0, -1.0, 0.0, 0.0, 0.0, 5.0, 5.0)) == want
 
 
 @pytest.mark.parametrize("scale", [1.0, 1e10])

@@ -352,3 +352,5 @@ def test_fused_measurement_validation():
         FusedMeasurement(np.array([0.0, 0.0]), 0.0, 0.0, np.eye(5))
     with pytest.raises(ValueError):
         FusedMeasurement(np.zeros(3), 0.0, 0.0, np.eye(4))
+    with pytest.raises(ValueError, match="^psi_bar and theta_bar must be finite$"):
+        FusedMeasurement(np.zeros(3), math.nan, 0.0, np.eye(5))

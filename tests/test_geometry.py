@@ -78,6 +78,22 @@ def test_wrap_angles_matches_scalar():
     scal = np.array([wrap_angle(float(x)) for x in a])
     np.testing.assert_allclose(vec, scal, atol=1e-12)
     assert wrap_angles(np.array([-180.0]))[0] == 180.0
+    with pytest.raises(ValueError, match="^angles must be finite$"):
+        wrap_angles(np.array([10.0, math.nan]))
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: wrap_angle(math.nan), "angle must be finite, got nan"),
+        (lambda: euler_to_rotmat(0.0, math.inf, 0.0), "theta must be finite, got inf"),
+        (lambda: cell_index(0.0, math.nan), "y_rel must be finite, got nan"),
+    ],
+    ids=["wrap_angle", "euler_to_rotmat", "cell_index"],
+)
+def test_scalar_entries_name_their_non_finite_argument(call, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()
 
 
 # --- euler_to_rotmat ------------------------------------------------------
@@ -368,6 +384,8 @@ def test_cell_center_rejects_bad_index():
         cell_center(64)
     with pytest.raises(ValueError):
         cell_center(-1)
+    with pytest.raises(ValueError, match="^cell id must be an integer, got 3.0$"):
+        cell_center(3.0)
 
 
 # --- Pose6D / compose_increment -------------------------------------------

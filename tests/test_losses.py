@@ -219,6 +219,8 @@ def test_cross_entropy_rejects_bad_args():
     bad[3] = np.inf
     with pytest.raises(ValueError):
         cell_cross_entropy_grad(bad, 0)
+    with pytest.raises(ValueError, match="^target cell must be an integer, got 2.0$"):
+        cell_cross_entropy(np.zeros(NUM_CELLS), 2.0)
 
 
 # --- combined camera loss -------------------------------------------------
@@ -263,6 +265,19 @@ def test_camera_loss_monotone_in_each_residual():
     assert grow_z > base
     assert grow_psi > base
     assert grow_theta > base
+
+
+_CAMERA_LOSS_SCALARS = ["z_hat", "z_true", "psi_hat", "psi_true", "theta_hat", "theta_true"]
+
+
+@pytest.mark.parametrize("index, name", enumerate(_CAMERA_LOSS_SCALARS))
+def test_camera_loss_names_its_first_non_finite_scalar(index, name):
+    """The scalars are checked in signature order: a nan is named, and the
+    infinite ones after it are not."""
+    values = [150.0, 150.0, 10.0, 10.0, 5.0, 5.0]
+    values[index:] = [math.nan] + [math.inf] * (5 - index)
+    with pytest.raises(ValueError, match=f"^{name} must be finite, got nan$"):
+        camera_loss(saturated_logits(0), 0, *values)
 
 
 def test_camera_loss_default_weights():

@@ -283,9 +283,13 @@ def flight_configs(draw):
     # Paths from 1 m to 1000 km, so the trig arguments reach |x| of 1e6, with
     # turn radii and lead-ins up to the largest the config accepts.
     length = draw(st.floats(1.0, 1e6))
+    turn = draw(st.floats(1e-3 * length, 0.64 * length / (0.5 * math.pi)))
+    # That bound can round past the largest radius SimConfig.orbit_m accepts.
+    while length - 0.36 * length - 0.5 * math.pi * turn < 0.0:
+        turn = math.nextafter(turn, 0.0)
     return small_config(
         length_m=length,
-        turn_radius_m=draw(st.floats(1e-3 * length, 0.64 * length / (0.5 * math.pi))),
+        turn_radius_m=turn,
         straight_init_m=draw(st.floats(0.0, 0.36 * length)),
         alt_period_s=draw(st.floats(0.1, 1e4)),
         tilt_period_s=draw(st.floats(0.1, 1e4)),
@@ -426,6 +430,21 @@ def test_flight_columns_are_read_only():
     with pytest.raises(AttributeError):
         flight.t = np.zeros(3)
     assert not gen_trajectory(cfg, seed=0).dR.flags.writeable
+
+
+def test_a_flight_keeps_its_columns_when_the_callers_arrays_change():
+    """A flight once held views of the caller's arrays: a reflection written
+    into the caller's dR after the flight's one check was flown and saved."""
+    cfg = small_config()
+    built = simulate_vo(gen_trajectory(cfg, seed=0), cfg, seed=0)
+    columns = {name: np.array(getattr(built, name)) for name in ("t", "truth", "dp", "dR")}
+    flight = Flight(**columns)
+    want = _run_pipelines(flight, [None], cfg, None)[0][0]
+    columns["dR"][5] = np.diag([1.0, 1.0, -1.0])
+    columns["truth"][5, 0] = 1e9
+    for name in ("t", "truth", "dp", "dR"):
+        assert getattr(flight, name).tobytes() == getattr(built, name).tobytes(), name
+    assert _run_pipelines(flight, [None], cfg, None)[0][0] == want
 
 
 def good_columns(n=4):

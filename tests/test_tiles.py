@@ -1,5 +1,6 @@
 """Tile grid and k-nearest query tests, anchored to a brute-force oracle."""
 
+import math
 import re
 
 import numpy as np
@@ -215,6 +216,11 @@ def test_k_nearest_rejects_bad_k(grid_861):
         k_nearest(grid_861, (0.0, 0.0), 862)
     with pytest.raises(ValueError):
         k_nearest(grid_861, (0.0, 0.0), 2.5)
+
+
+def test_k_nearest_rejects_a_non_finite_query(grid_861):
+    with pytest.raises(ValueError, match="^query point must be finite$"):
+        k_nearest(grid_861, (0.0, math.nan), 1)
 
 
 def test_k_nearest_far_outside_query(grid_861):
