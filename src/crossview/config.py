@@ -137,7 +137,11 @@ class SimConfig:
     def validate(self) -> "SimConfig":
         for f in dataclasses.fields(self):
             value = getattr(self, f.name)
-            if not math.isfinite(value):
+            try:
+                finite = math.isfinite(value)
+            except OverflowError:  # an int past the float range, too long to print
+                finite, value = False, "an integer too large for a float"
+            if not finite:
                 raise ConfigError(f"{f.name} must be finite, got {value}")
 
         def positive(**named: float) -> None:
@@ -180,6 +184,16 @@ class SimConfig:
             )
         if self.frame_count < 2:
             raise ConfigError("duration_s * rate_hz must give at least 2 frames")
+        # gen_trajectory's phases, 2 pi t / period, at the last frame, where they
+        # are largest; adding alt_phase, below 2 pi, to a finite one cannot overflow.
+        t = (self.frame_count - 1) * self.dt
+        tilt_t = max(t - self.straight_init_m / self.speed, 0.0)
+        for name, at in (("alt_period_s", t), ("tilt_period_s", tilt_t)):
+            if not math.isfinite(2.0 * math.pi * at / getattr(self, name)):
+                raise ConfigError(
+                    f"{name} is too short for the flight: 2 pi t / {name} overflows"
+                    f" at the last frame, t = {at:g} s, got {getattr(self, name):g}"
+                )
         # P starts at init_cov_var and grows by process_noise_var a frame; past
         # the square of the position ceiling a variance first degrades the
         # corrections (1e20 already moves the result), then overflows P.

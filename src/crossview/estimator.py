@@ -18,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fusion import FusedMeasurement, _block_entries, _block_matrix
-from .geometry import _NOT_A_ROTATION, Pose6D, _wrap_angle, compose_increment, is_rotation_matrix
-from .geometry import wrap_angle
+from .geometry import _NOT_A_ROTATION, Pose6D, _frozen_copy, _wrap_angle, compose_increment
+from .geometry import is_rotation_matrix, wrap_angle
 
 __all__ = [
     "OBSERVATION_MATRIX",
@@ -51,10 +51,10 @@ class VoIncrement:
     dR: np.ndarray
 
     def __post_init__(self) -> None:
-        dp = np.asarray(self.dp, dtype=float)
+        dp = _frozen_copy(self.dp)
         if dp.shape != (3,) or not all(map(math.isfinite, dp.tolist())):
             raise ValueError("dp must be a finite 3-vector")
-        dR = np.asarray(self.dR, dtype=float)
+        dR = _frozen_copy(self.dR)
         if not is_rotation_matrix(dR):
             raise ValueError(f"dR {_NOT_A_ROTATION}")
         object.__setattr__(self, "dp", dp)
@@ -72,7 +72,7 @@ class ProcessNoise:
     variances: np.ndarray
 
     def __post_init__(self) -> None:
-        v = np.asarray(self.variances, dtype=float)
+        v = _frozen_copy(self.variances)
         if v.shape != (6,) or np.any(v < 0.0) or not np.all(np.isfinite(v)):
             raise ValueError("process noise needs 6 finite non-negative variances")
         object.__setattr__(self, "variances", v)
@@ -90,7 +90,7 @@ class FilterState:
     P: np.ndarray
 
     def __post_init__(self) -> None:
-        P = np.asarray(self.P, dtype=float)
+        P = _frozen_copy(self.P)
         if P.shape != (6, 6) or not np.isfinite(P).all():
             raise ValueError("P must be a finite 6x6 matrix")
         if np.abs(P - P.T).max() > _SYMMETRY_TOL:
@@ -123,9 +123,7 @@ def correct(state: FilterState, measurement: FusedMeasurement) -> FilterState:
     innovation covariance ill-conditioned. Exactly symmetric P and M that are
     0.0 off their blocks take :func:`_correct_blocks`; others, LAPACK's form.
     """
-    M = np.asarray(measurement.M, dtype=float)
-    if M.shape != (5, 5) or not np.isfinite(M).all():
-        raise ValueError("measurement covariance must be a finite 5x5 matrix")
+    M = measurement.M
     if np.abs(M - M.T).max() > _SYMMETRY_TOL:
         raise ValueError("measurement covariance must be symmetric")
     pose, P, z = state.pose, state.P, measurement.z_vector()

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import D_MIN
-from .geometry import _wrap_angle
+from .geometry import _frozen_copy, _wrap_angle
 
 __all__ = ["COVARIANCE_RIDGE", "FusedMeasurement", "fuse"]
 
@@ -41,8 +41,7 @@ class FusedMeasurement:
     M: np.ndarray
 
     def __post_init__(self) -> None:
-        p = np.asarray(self.p_bar, dtype=float)
-        M = np.asarray(self.M, dtype=float)
+        p, M = _frozen_copy(self.p_bar), _frozen_copy(self.M)
         if p.shape != (3,) or not np.isfinite(p).all():
             raise ValueError(f"p_bar must be a finite 3-vector, got shape {p.shape}")
         if M.shape != (5, 5) or not np.isfinite(M).all():

@@ -53,6 +53,14 @@ def _require_finite(**values: float) -> None:
             raise ValueError(f"{name} must be finite, got {value!r}")
 
 
+def _frozen_copy(value) -> np.ndarray:
+    """A read-only float64 copy of value: a checked holder keeps its own array,
+    which neither the caller's later writes nor its own readers can change."""
+    out = np.array(value, dtype=float)
+    out.flags.writeable = False
+    return out
+
+
 class Pose6D(namedtuple("Pose6D", "x y z psi theta phi", defaults=(0.0,))):
     """Camera pose: position in meters plus heading/tilt/roll in degrees.
 

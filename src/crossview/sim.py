@@ -41,6 +41,7 @@ from .geometry import (
     _are_rotations,
     _compose,
     _euler_to_rotmats,
+    _frozen_copy,
     _rotmat_to_euler,
     wrap_angle,
     wrap_angles,
@@ -72,8 +73,10 @@ _TRAJ_COLUMNS = "t x y z psi theta phi dpx dpy dpz dpsi dtheta dphi".split()
 # Stream tags keep the trajectory and drift generators apart.
 _TRAJ_STREAM = 1_000_003
 _VO_STREAM = 1_000_033
-# The builders and the filter loop work through the flight this many steps at
-# a time, which bounds their temporaries; the result does not depend on it.
+# simulate_vo, _run_pipelines and save_trajectory work through the flight this
+# many frames at a time, which bounds their peaks (simulate_vo's draws and
+# rotation stacks, the others' per-frame lists); the result does not depend on
+# it. gen_trajectory's full stack of rotations sets its peak, so it has no blocks.
 _VO_BLOCK = 512
 
 
@@ -102,7 +105,7 @@ class Flight:
 
     def __post_init__(self) -> None:
         # Copies, so no caller can change a flight after its one check.
-        columns = {name: np.array(getattr(self, name), dtype=float) for name, _, _ in _FLIGHT_COLUMNS}
+        columns = {name: _frozen_copy(getattr(self, name)) for name, _, _ in _FLIGHT_COLUMNS}
         t, truth, dp, dR = columns.values()
         for (name, row, shape), column in zip(_FLIGHT_COLUMNS, columns.values()):
             if column.ndim != 1 + len(row) or column.shape[1:] != row:
@@ -121,7 +124,6 @@ class Flight:
         if n and not _are_rotations(dR):
             raise ValueError(f"dR {_NOT_A_ROTATION}")
         for name, column in columns.items():
-            column.flags.writeable = False
             object.__setattr__(self, name, column)
 
     def __len__(self) -> int:
@@ -131,49 +133,39 @@ class Flight:
 # --- flight path ---------------------------------------------------------
 
 
-def _flight_path(cfg: SimConfig, heading0: float, turn: int):
-    """The flight as a function of arc length, mapping an array of arc lengths
-    s to its (x, y, heading) columns.
+def _flight_path(cfg: SimConfig, heading0: float, turn: int, s: np.ndarray) -> np.ndarray:
+    """The flight's (x, y, heading) columns, a (3, n) array, at the n arc
+    lengths s.
 
     A lead-out line from the origin along heading0, a 90-degree connecting
     turn (turn = +1 turns clockwise, so heading increases), then an orbit
     whose radius equals lead + turn radius, which keeps the flight at a
     near-constant distance from the start point.
     """
-    lead = cfg.lead_m
+    lead, h0 = cfg.lead_m, math.radians(heading0)
     quarter = 0.5 * math.pi * cfg.turn_radius_m
-    orbit_start = lead + quarter
+    bend = (0.0 + lead * math.sin(h0), 0.0 + lead * math.cos(h0), heading0, cfg.turn_radius_m, turn)
+    orbit = (*_arc(quarter, *bend), cfg.orbit_radius_m, turn)
+    leg = (s >= lead).astype(int) + (s >= lead + quarter)
+    out = np.empty((3, len(s)))
+    # "0.0 +" keeps frame 0 at +0.0 where the sine or cosine is negative.
+    line = s[leg == 0]
+    out[:, leg == 0] = (0.0 + line * math.sin(h0), 0.0 + line * math.cos(h0),
+                        np.full_like(line, heading0))
+    out[:, leg == 1] = _arc(s[leg == 1] - lead, *bend)
+    out[:, leg == 2] = _arc(s[leg == 2] - (lead + quarter), *orbit)
+    return out
 
-    def arc(x: float, y: float, heading: float, radius: float):
-        h = math.radians(heading)
-        k = turn * radius
-        cx, cy = x + k * math.cos(h), y - k * math.sin(h)
 
-        def at(s: np.ndarray):
-            h_s = heading + turn * np.degrees(s / radius)
-            h = np.radians(h_s)
-            return cx - k * np.cos(h), cy + k * np.sin(h), h_s
-
-        return at
-
-    h0 = math.radians(heading0)
-
-    def line(s: np.ndarray):
-        # "0.0 +" keeps frame 0 at +0.0 where the sine or cosine is negative.
-        return 0.0 + s * math.sin(h0), 0.0 + s * math.cos(h0), np.full_like(s, heading0)
-
-    bend = arc(0.0 + lead * math.sin(h0), 0.0 + lead * math.cos(h0), heading0, cfg.turn_radius_m)
-    legs = ((line, 0.0), (bend, lead), (arc(*bend(quarter), cfg.orbit_radius_m), orbit_start))
-
-    def at(s: np.ndarray) -> np.ndarray:
-        leg = (s >= lead).astype(int) + (s >= orbit_start)
-        out = np.empty((3, len(s)))
-        for i, (path, start) in enumerate(legs):
-            on = leg == i
-            out[:, on] = path(s[on] - start)
-        return out
-
-    return at
+def _arc(s, x: float, y: float, heading: float, radius: float, turn: int):
+    # (x, y, heading) at arc lengths s along a circle of the radius, entered
+    # at (x, y) on the heading and turning by turn's sign.
+    h = math.radians(heading)
+    k = turn * radius
+    cx, cy = x + k * math.cos(h), y - k * math.sin(h)
+    h_s = heading + turn * np.degrees(s / radius)
+    h = np.radians(h_s)
+    return cx - k * np.cos(h), cy + k * np.sin(h), h_s
 
 
 def gen_trajectory(cfg: SimConfig, seed: int) -> Flight:
@@ -189,25 +181,19 @@ def gen_trajectory(cfg: SimConfig, seed: int) -> Flight:
     first_turn = 1 if rng.random() < 0.5 else -1
     alt_phase = float(rng.uniform(0.0, 2.0 * math.pi))
 
-    path = _flight_path(cfg, heading0, first_turn)
     t0 = cfg.straight_init_m / cfg.speed  # orientation frozen until here
     # Each frame's formulas as elementwise ufuncs, in the same order: float64
     # np.sin and np.cos are libm's sin and cos, bit-equal to math's on every
     # numpy dispatch level (tests/test_sim.py checks both claims).
     t = np.arange(cfg.frame_count) * cfg.dt
-    truth, Rs = np.zeros((len(t), 6)), np.empty((len(t), 3, 3))
-    for lo in range(0, len(t), _VO_BLOCK):
-        block = slice(lo, lo + _VO_BLOCK)
-        x, y, heading = path(cfg.speed * t[block])
-        z = cfg.alt_base_m + cfg.alt_amp_m * np.sin(
-            2.0 * math.pi * t[block] / cfg.alt_period_s + alt_phase
-        )
-        tilt_t = np.maximum(t[block] - t0, 0.0)
-        theta = cfg.tilt_base_deg + cfg.tilt_amp_deg * np.sin(
-            2.0 * math.pi * tilt_t / cfg.tilt_period_s
-        )
-        truth[block, :5] = np.stack([x, y, z, wrap_angles(heading), theta], axis=1)
-        Rs[block] = _euler_to_rotmats(truth[block, 3:])
+    x, y, heading = _flight_path(cfg, heading0, first_turn, cfg.speed * t)
+    z = cfg.alt_base_m + cfg.alt_amp_m * np.sin(2.0 * math.pi * t / cfg.alt_period_s + alt_phase)
+    tilt_t = np.maximum(t - t0, 0.0)
+    theta = cfg.tilt_base_deg + cfg.tilt_amp_deg * np.sin(
+        2.0 * math.pi * tilt_t / cfg.tilt_period_s
+    )
+    truth = np.stack([x, y, z, wrap_angles(heading), theta, np.zeros_like(t)], axis=1)
+    Rs = _euler_to_rotmats(truth[:, 3:])
     dp, dR = np.zeros((len(truth), 3)), np.empty_like(Rs)
     dp[1:] = np.diff(truth[:, :3], axis=0)
     dR[0] = np.eye(3)

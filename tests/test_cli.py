@@ -277,6 +277,26 @@ def test_unknown_config_key(tmp_path, capsys):
     assert "unknown key" in err and "bad.cfg:1" in err
 
 
+@pytest.mark.parametrize(
+    "line, key",
+    [
+        ("k_candidates = 1" + "0" * 400, "k_candidates"),  # an OverflowError traceback
+        ("alt_period_s = 1e-320", "alt_period_s"),  # nan after a RuntimeWarning
+        ("tilt_period_s = 1e-320", "tilt_period_s"),
+    ],
+    ids=["k_candidates", "alt_period_s", "tilt_period_s"],
+)
+def test_simulate_refuses_a_config_it_cannot_fly_by_name(tmp_path, capsys, line, key):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(line + "\n")
+    out = tmp_path / "flight.txt"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {key} ")
+    assert not out.exists()
+
+
 # scene_altitude_m = 1e200 once passed simulate, then ended run mid-flight
 # with "fused measurement is not finite".
 @pytest.mark.parametrize(

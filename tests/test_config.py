@@ -1,7 +1,11 @@
 """Config parsing and validation."""
 
 import dataclasses
+import math
+import sys
+import warnings
 
+import numpy as np
 import pytest
 
 from crossview.config import (
@@ -13,6 +17,7 @@ from crossview.config import (
     load_config,
     parse_config,
 )
+from crossview.sim import gen_trajectory
 
 
 def test_defaults_validate():
@@ -81,6 +86,8 @@ def test_parse_overrides_and_comments():
         ("length_m = 1250\nlength_m = 900", "duplicate key"),
         ("length_m = fast", "bad value"),
         ("k_candidates = 3.5", "bad value"),
+        # past the float range: once an OverflowError from math.isfinite
+        ("k_candidates = 1" + "0" * 400, "^k_candidates must be finite, got an integer too large"),
     ],
 )
 def test_parse_errors(text, fragment):
@@ -132,6 +139,7 @@ def test_parse_error_carries_line_number():
         {"k_candidates": True},
         {"scene_altitude_m": -5.0},
         {"d_jitter": -1.0},
+        {"length_m": 10**400},                         # an int past the float range
     ],
 )
 def test_validate_rejects(overrides):
@@ -180,6 +188,24 @@ def test_latest_correction_is_the_last_frame():
     assert cfg.correction_stride == cfg.frame_count - 1
     with pytest.raises(ConfigError, match="^correction_hz must give a correction"):
         SimConfig(correction_hz=20.0 / 4000).validate()
+
+
+# The tilt profile's clock starts at straight_init_m / speed = 8 s.
+@pytest.mark.parametrize("key, t0", [("alt_period_s", 0.0), ("tilt_period_s", 8.0)])
+def test_a_period_is_refused_exactly_when_its_last_phase_overflows(key, t0):
+    """gen_trajectory takes sin(2 pi t / period) at each frame; the least
+    period that keeps it finite at the last frame flies, the one below it is
+    refused by name: once it passed and ended in nan and a RuntimeWarning."""
+    t = gen_trajectory(SimConfig(), seed=0).t[-1] - t0
+    period = 2.0 * math.pi * t / sys.float_info.max
+    while not math.isfinite(2.0 * math.pi * t / period):
+        period = math.nextafter(period, math.inf)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        flight = gen_trajectory(SimConfig(**{key: period}), seed=0)
+    assert np.isfinite(flight.truth).all()
+    with pytest.raises(ConfigError, match=f"^{key} is too short for the flight"):
+        SimConfig(**{key: math.nextafter(period, 0.0)})
 
 
 def test_min_frames():

@@ -111,6 +111,29 @@ def test_filter_state_validation():
     np.testing.assert_allclose(state_vector(init), [1, 2, 3, 4, 5, 0])
 
 
+def test_array_holders_keep_read_only_copies():
+    """A write to the caller's array after a holder's one check reaches neither
+    the holder nor predict and correct, and the holder's own arrays refuse
+    writes: once an aliased P could turn asymmetric, or a variance negative."""
+    dp, dR, q = np.array([1.0, -2.0, 0.5]), euler_to_rotmat(5.0, 1.0, 0.0), np.full(6, 0.01)
+    P, p_bar, M = np.eye(6), np.array([3.0, 1.0, 149.0]), np.diag([4.0, 4.0, 1.0, 9.0, 1.0])
+    inc, noise = VoIncrement(dp, dR), ProcessNoise(q)
+    state = FilterState(Pose6D(1.0, 2.0, 150.0, 30.0, 10.0), P)
+    fused = FusedMeasurement(p_bar, 31.0, 11.0, M)
+    held = [(inc.dp, dp), (inc.dR, dR), (noise.variances, q), (state.P, P), (fused.p_bar, p_bar),
+            (fused.M, M)]
+    kept = [own.copy() for own, _ in held]
+    want = predict(state, inc, noise), correct(state, fused)
+    for _, caller in held:
+        caller.flat[1] = -7.0  # dp, p_bar moved; dR no rotation; q < 0; P, M asymmetric
+    for (own, _), before in zip(held, kept):
+        assert own.tobytes() == before.tobytes()
+        with pytest.raises(ValueError, match="read-only"):
+            own.flat[1] = 0.0
+    for got, ref in zip((predict(state, inc, noise), correct(state, fused)), want):
+        assert got.pose == ref.pose and got.P.tobytes() == ref.P.tobytes()
+
+
 # --- predict --------------------------------------------------------------
 
 
