@@ -8,6 +8,7 @@ the standard benchmark flight, so an empty config is a valid one.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import math
 from dataclasses import dataclass
@@ -99,6 +100,13 @@ class SimConfig:
     regression_tilt_rms_deg: float = 7.94
 
     def __post_init__(self) -> None:
+        # A float key holds a float, so no reader coerces it and no check runs
+        # in int arithmetic; an int past the float range is left for validate.
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            if f.type == "float" and isinstance(value, (int, np.integer, np.floating)):
+                with contextlib.suppress(OverflowError):
+                    object.__setattr__(self, f.name, float(value))
         self.validate()
 
     # Derived quantities -------------------------------------------------

@@ -55,10 +55,11 @@ def _require_finite(**values: float) -> None:
 
 def _frozen_copy(value) -> np.ndarray:
     """A read-only float64 copy of value: a checked holder keeps its own array,
-    which neither the caller's later writes nor its own readers can change."""
-    out = np.array(value, dtype=float)
-    out.flags.writeable = False
-    return out
+    which neither the caller's later writes nor its own readers can change.
+    It lives in an immutable bytes buffer, so numpy refuses to make it
+    writeable again."""
+    a = np.asarray(value, dtype=float)
+    return np.ndarray(a.shape, float, buffer=a.tobytes())
 
 
 class Pose6D(namedtuple("Pose6D", "x y z psi theta phi", defaults=(0.0,))):

@@ -166,7 +166,7 @@ class _Backend:
     """
 
     def __init__(self, cfg: SimConfig, seed: int):
-        self.d0, self.d_slope, self.d_jitter = map(float, (cfg.d0, cfg.d_slope, cfg.d_jitter))
+        self.d0, self.d_slope, self.d_jitter = cfg.d0, cfg.d_slope, cfg.d_jitter
         self._noise_at = _philox_at(seed)
         # Backends of one type, Philox key and distance model draw one table.
         self._key = (type(self), _check_seed(seed), self.d0, self.d_slope, self.d_jitter)
@@ -192,10 +192,8 @@ class SyntheticMatcher(_Backend):
 
     def __init__(self, cfg: SimConfig, kind: str, seed: int):
         super().__init__(cfg, seed)
-        self.sigma_xy, _, self.sigma_z, self.sigma_psi, self.sigma_theta = map(
-            float, _sigmas(cfg, kind)
-        )
-        self.outlier_prob, self.outlier_factor = float(cfg.outlier_prob), float(cfg.outlier_factor)
+        self.sigma_xy, _, self.sigma_z, self.sigma_psi, self.sigma_theta = _sigmas(cfg, kind)
+        self.outlier_prob, self.outlier_factor = cfg.outlier_prob, cfg.outlier_factor
         # common_frac of each error's variance is shared by the frame's tiles.
         self.shared_scale = math.sqrt(cfg.common_frac)
         self.own_scale = math.sqrt(1.0 - cfg.common_frac)
@@ -270,9 +268,9 @@ class SceneMatcher(_Backend):
 
     def __init__(self, cfg: SimConfig, seed: int):
         super().__init__(cfg, seed)
-        self.altitude = float(cfg.scene_altitude_m)
+        self.altitude = cfg.scene_altitude_m
         self.heading_prior = wrap_angle(cfg.scene_heading_deg)
-        self.tilt_prior = float(cfg.scene_tilt_deg)
+        self.tilt_prior = cfg.scene_tilt_deg
         # The priors' mean squared errors (z, psi, theta): a profile
         # base + amp sin(.) misses its prior by (base - prior)^2 + amp^2 / 2 on
         # average, and a fixed heading misses a uniform one by 180^2 / 3.

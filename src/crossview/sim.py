@@ -32,8 +32,8 @@ from .config import MAX_TILT_DEG, ConfigError, SimConfig
 # predict, correct and fuse are the references _run_pipelines' kernels
 # reproduce, euler_to_rotmat and rotmat_to_euler those of the trajectory
 # reader and writer; perfbench/tracing.py wraps each of them as sim.<name>.
-from .estimator import FilterState, _correct_blocks, correct, predict  # noqa: F401
-from .fusion import _block_entries, _block_matrix, _checked_fallback, _fuse_rows, fuse  # noqa: F401
+from .estimator import _correct_blocks, correct, predict  # noqa: F401
+from .fusion import _block_matrix, _checked_fallback, _fuse_rows, fuse  # noqa: F401
 from .geometry import euler_to_rotmat, rotmat_to_euler  # noqa: F401
 from .geometry import (
     _NOT_A_ROTATION,
@@ -73,10 +73,10 @@ _TRAJ_COLUMNS = "t x y z psi theta phi dpx dpy dpz dpsi dtheta dphi".split()
 # Stream tags keep the trajectory and drift generators apart.
 _TRAJ_STREAM = 1_000_003
 _VO_STREAM = 1_000_033
-# simulate_vo, _run_pipelines and save_trajectory work through the flight this
-# many frames at a time, which bounds their peaks (simulate_vo's draws and
-# rotation stacks, the others' per-frame lists); the result does not depend on
-# it. gen_trajectory's full stack of rotations sets its peak, so it has no blocks.
+# simulate_vo (its draws and rotation stacks) and save_trajectory (its per-frame
+# lists) work through the flight this many frames at a time, which bounds their
+# peaks; the result does not depend on it. gen_trajectory's rotation stack sets
+# its own peak, and _run_pipelines reads a row at a time: neither has blocks.
 _VO_BLOCK = 512
 
 
@@ -344,7 +344,7 @@ def _run_pipelines(
     frames, before any takes frame i + 1; at a correction frame all backends
     get the same UavObservation. Returns one (pose per frame, final 6x6
     covariance) per backend. The flight was checked when built, so each step
-    reads its increment from lists of ``_VO_BLOCK`` rows of the columns, runs
+    reads its increment from the columns one row at a time, runs
     :func:`predict`'s kernel, ``geometry._compose``, in plain floats on all
     poses at once, and adds q to the variances of each P, held as its nine
     block entries (``fusion._block_matrix``); a correction runs the kernels of
@@ -362,32 +362,29 @@ def _run_pipelines(
         if b is not None and cfg.k_candidates == 1 else None
         for b in backends
     ]
-    q = float(cfg.process_noise_var)
-    start = FilterState.initial(Pose6D(*flight.truth[0].tolist()), cfg.init_cov_var)
-    poses = [start.pose] * len(backends)
-    P9s = [_block_entries(start.P)] * len(backends)
-    tracks = [[start.pose] for _ in backends]
+    q, v = cfg.process_noise_var, cfg.init_cov_var
+    start = Pose6D(*flight.truth[0].tolist())
+    poses = [start] * len(backends)
+    P9s = [(v, 0.0, 0.0, v, 0.0, v, v, v, v)] * len(backends)
+    tracks = [[start] for _ in backends]
     stride = cfg.correction_stride
-    n = len(flight)
-    for lo in range(1, n, _VO_BLOCK):
-        dps = flight.dp[lo : lo + _VO_BLOCK].tolist()
-        dRs = flight.dR[lo : lo + _VO_BLOCK].reshape(-1, 9).tolist()
-        for i, dp, dR in zip(range(lo, n), dps, dRs):
-            poses = _compose(poses, dp, dR)
-            P9s = [(xx + q, xy, xz, yy + q, yz, zz + q, pp + q, pt + q, pf + q)
-                   for xx, xy, xz, yy, yz, zz, pp, pt, pf in P9s]
-            if i % stride == 0:
-                obs = UavObservation(i, Pose6D(*flight.truth[i].tolist()))
-                tables = {}  # this frame's draws, one table per backend key
-                for j, backend in enumerate(backends):
-                    if backend is not None:
-                        pose = poses[j]
-                        candidates = k_nearest(tile_set, pose[:2], cfg.k_candidates)
-                        table = tables.setdefault(backend._key, {})
-                        z, M8 = _fuse_rows(backend._match_rows(obs, candidates, table), lone[j])
-                        poses[j], P9s[j] = _correct_blocks(pose, P9s[j], z, M8)
-            for track, pose in zip(tracks, poses):
-                track.append(pose)
+    dps, dRs = map(np.ndarray.tolist, flight.dp[1:]), map(np.ndarray.tolist, flight.dR[1:].reshape(-1, 9))
+    for i, dp, dR in zip(range(1, len(flight)), dps, dRs):
+        poses = _compose(poses, dp, dR)
+        P9s = [(xx + q, xy, xz, yy + q, yz, zz + q, pp + q, pt + q, pf + q)
+               for xx, xy, xz, yy, yz, zz, pp, pt, pf in P9s]
+        if i % stride == 0:
+            obs = UavObservation(i, Pose6D(*flight.truth[i].tolist()))
+            tables = {}  # this frame's draws, one table per backend key
+            for j, backend in enumerate(backends):
+                if backend is not None:
+                    pose = poses[j]
+                    candidates = k_nearest(tile_set, pose[:2], cfg.k_candidates)
+                    table = tables.setdefault(backend._key, {})
+                    z, M8 = _fuse_rows(backend._match_rows(obs, candidates, table), lone[j])
+                    poses[j], P9s[j] = _correct_blocks(pose, P9s[j], z, M8)
+        for track, pose in zip(tracks, poses):
+            track.append(pose)
     for j, (backend, track) in enumerate(zip(backends, tracks)):
         columns = _columns(track)
         if not np.isfinite(columns).all():

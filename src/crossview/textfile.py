@@ -27,9 +27,11 @@ class FileFormatError(ValueError):
 
 
 def write_rows(path, header: str, rows) -> None:
-    """Write the header line, then each already formatted row, newline-ended."""
+    """Write the header line, then each already formatted row, newline-ended,
+    one row at a time."""
     with open(path, "w", encoding="ascii") as fh:
-        fh.write("\n".join([header, *rows]) + "\n")
+        fh.write(f"{header}\n")
+        fh.writelines(f"{row}\n" for row in rows)
 
 
 def read_ascii(path, error) -> str:

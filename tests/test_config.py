@@ -236,6 +236,32 @@ def test_frame_ceiling_is_inclusive():
         SimConfig(duration_s=MAX_FRAMES / 20.0 + 1.0, rate_hz=20.0).validate()
 
 
+FLOAT_KEYS = [f.name for f in dataclasses.fields(SimConfig) if f.type == "float"]
+
+
+@pytest.mark.parametrize("power", [200, 400])
+@pytest.mark.parametrize("key", FLOAT_KEYS)
+def test_a_huge_integer_in_a_float_key_is_a_float_or_a_config_error(key, power):
+    """A float key holds a float before any check runs: 10**200 once squared
+    as an int past the float range, and an OverflowError escaped."""
+    value = 10**power
+    try:
+        cfg = SimConfig(**{key: value})
+    except ConfigError:
+        pass
+    else:
+        assert type(getattr(cfg, key)) is float and getattr(cfg, key) == float(value)
+
+
+def test_a_float_key_holds_a_float():
+    cfg = SimConfig(length_m=2500, d0=np.float32(5.0), alt_base_m=np.int64(150))
+    assert (type(cfg.length_m), cfg.length_m) == (float, 2500.0)
+    assert (type(cfg.d0), type(cfg.alt_base_m)) == (float, float)
+    assert type(SimConfig(k_candidates=np.int64(3)).k_candidates) is np.int64
+    with pytest.raises(ConfigError, match="^length_m must be finite, got an integer too large for a float$"):
+        SimConfig(length_m=10**400)
+
+
 def test_load_config(tmp_path):
     path = tmp_path / "run.cfg"
     path.write_text("duration_s = 100\nlength_m = 1250\n")

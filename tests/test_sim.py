@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from crossview import estimator, sim
 from crossview.config import ConfigError, SimConfig
 from crossview.estimator import FilterState, ProcessNoise, VoIncrement, correct, predict
-from crossview.fusion import fuse
+from crossview.fusion import FusedMeasurement, fuse
 from crossview.geometry import Pose6D, euler_to_rotmat, rotmat_to_euler, wrap_angle
 from crossview.losses import gradient_self_test
 from crossview.matchers import SceneMatcher, SyntheticMatcher, UavObservation, match_variances
@@ -430,6 +430,31 @@ def test_flight_columns_are_read_only():
     with pytest.raises(AttributeError):
         flight.t = np.zeros(3)
     assert not gen_trajectory(cfg, seed=0).dR.flags.writeable
+
+
+HOLDERS = {
+    "Flight": (lambda: gen_trajectory(small_config(duration_s=2.0), seed=0), ("t", "truth", "dp", "dR")),
+    "VoIncrement": (lambda: VoIncrement(np.zeros(3), np.eye(3)), ("dp", "dR")),
+    "ProcessNoise": (lambda: ProcessNoise(np.ones(6)), ("variances",)),
+    "FilterState": (lambda: FilterState.initial(Pose6D(0, 0, 150, 0, 0), 1.0), ("P",)),
+    "FusedMeasurement": (lambda: FusedMeasurement(np.zeros(3), 0.0, 0.0, np.eye(5)), ("p_bar", "M")),
+}
+
+
+@pytest.mark.parametrize("holder", HOLDERS)
+def test_a_holders_arrays_cannot_be_made_writeable_again(holder):
+    """Setting the flag back once let a nan into a checked holder."""
+    build, names = HOLDERS[holder]
+    held = build()
+    for name in names:
+        column = getattr(held, name)
+        before = column.copy()
+        with pytest.raises(ValueError, match="cannot set WRITEABLE flag"):
+            column.flags.writeable = True
+        with pytest.raises(ValueError, match="read-only"):
+            column.flat[0] = math.nan
+        np.testing.assert_array_equal(column, before)
+        assert column.dtype == np.float64 and column.flags.aligned and column.flags.c_contiguous
 
 
 def test_a_flight_keeps_its_columns_when_the_callers_arrays_change():
@@ -998,15 +1023,11 @@ def test_two_candidates_at_a_large_allowed_rms_pass_the_psd_gate():
 
 
 @pytest.mark.parametrize("block", [1, 7, 999])
-def test_loop_and_writer_do_not_depend_on_their_block(block, tmp_path):
-    cfg = small_config(correction_hz=4.0)
+def test_writer_does_not_depend_on_its_block(block, tmp_path):
+    cfg = small_config()
     flight = simulate_vo(gen_trajectory(cfg, seed=2), cfg, seed=2)
-    tiles = tiles_for(flight)
-    backend = _make_backends(cfg, 2)["vo_hybrid"]
-    want = _run_pipeline(flight, backend, cfg, tiles)
     save_trajectory(str(tmp_path / "want.txt"), flight)
     with mock.patch.object(sim, "_VO_BLOCK", block):
-        assert_same_run(_run_pipeline(flight, backend, cfg, tiles), want)
         save_trajectory(str(tmp_path / "got.txt"), flight)
     assert (tmp_path / "got.txt").read_bytes() == (tmp_path / "want.txt").read_bytes()
 

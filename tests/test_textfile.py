@@ -1,6 +1,7 @@
 """The shared versioned-text reader/writer and the two formats built on it."""
 
 import struct
+import tracemalloc
 from unittest import mock
 
 import pytest
@@ -27,6 +28,23 @@ def bits(value):
 
 def test_error_classes_are_one():
     assert issubclass(FileFormatError, ValueError)
+
+
+def test_write_rows_writes_each_row_as_it_comes(tmp_path):
+    """The writer once joined the whole file into one string, and copied it,
+    before writing a byte: a 5 MB peak for these 2 MB of rows."""
+    path = tmp_path / "rows.txt"
+    tracemalloc.start()
+    try:
+        textfile.write_rows(path, "#demo-v1", (f"{i:0100d}" for i in range(20_000)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    lines = path.read_text().split("\n")
+    assert (len(lines), lines[0], lines[1], lines[-2], lines[-1]) == (
+        20_002, "#demo-v1", "0" * 100, f"{19_999:0100d}", ""
+    )
 
 
 def test_blank_rows_are_skipped_but_counted(tmp_path):
